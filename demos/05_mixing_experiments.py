@@ -35,7 +35,7 @@ print(f"  verdict: {rep.verdict}")
 print("\nconditional variance decay along the shear family:")
 rep = tail_triviality_decay(shear(), n_reps=4_000, seed=0)
 for t, var, _ in rep.rows("cond_variance"):
-    print(f"  t={t}: Var(E[mass(C) | D_t cap box]) = {var:.4f}")
+    print(f"  t={t}: Var(E[mass(C) | D_t]) = {var:.4f}")
 print(f"  verdict: {rep.verdict}")
 
 print("\ninvariant region for the order-4 rotation group:")

@@ -2,7 +2,8 @@
 
 Matrices and regions are exchanged as JSON files; see the README for the
 schemas.  LEVYMIX_SEED and LEVYMIX_OUT override the seed and output
-directory when the flags are absent.
+directory when the flags are absent; `experiment run` then falls back to
+the config's `seed` and `out` keys before the defaults.
 """
 
 import json
@@ -46,16 +47,16 @@ def _load_matrices(spec):
     return [matrix_from_json(obj)]
 
 
-def _seed_option(value):
+def _seed_option(value, default=0):
     if value is not None:
         return value
     env = os.environ.get("LEVYMIX_SEED")
-    return int(env) if env else 0
+    return int(env) if env else default
 
-def _out_option(value):
+def _out_option(value, default="reports"):
     if value is not None:
         return value
-    return os.environ.get("LEVYMIX_OUT", "reports")
+    return os.environ.get("LEVYMIX_OUT", default)
 
 
 def _emit(obj, fmt):
@@ -202,11 +203,10 @@ def experiment():
               default="json")
 def run(config_path, seed, out, fmt):
     """Run configured experiments; exit 0 iff every verdict is pass."""
-    seed = _seed_option(seed)
-    out_dir = _out_option(out)
     try:
-        code, reports = run_all(config_path, seed_override=seed,
-                                out_override=out_dir)
+        code, reports = run_all(config_path,
+                                seed_override=_seed_option(seed, None),
+                                out_override=_out_option(out, None))
     except LevymixError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

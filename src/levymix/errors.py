@@ -54,7 +54,7 @@ class SingularMatrix(LevymixError):
 
 
 class NotAxisAligned(LevymixError):
-    """Exact intersection requested for regions with non-diagonal frames."""
+    """Exact overlap requested for pieces that are not axis boxes."""
 
 
 class UnboundedRegion(LevymixError):
@@ -70,7 +70,7 @@ class NonGaussian(LevymixError):
 
 
 class ApproximationTooCoarse(LevymixError):
-    """Grid approximation of a set misses the requested measure accuracy."""
+    """No polygonal or box construction of a set exists for this input."""
 
 
 class ConfigError(LevymixError):

@@ -15,10 +15,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import rng as _rng
-from .errors import ApproximationTooCoarse, ConfigError, GroupTooLarge, InvalidGenerator
+from .errors import (ApproximationTooCoarse, ConfigError, GroupTooLarge,
+                     InvalidGenerator, OverlapUnknown)
 from .gallery import named_matrix
 from .matrices import (
     as_matrix,
@@ -42,7 +42,7 @@ from .regions import (
     transform,
     volume,
 )
-from .shrinking import ShrinkingFamily, build_family, contains_many
+from .shrinking import ShrinkingFamily, build_family
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -148,62 +148,53 @@ def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000, seed=0,
 
 
 # ---------------------------------------------------------------------------
-# grid approximation of D_t within a box
+# exact measure of C n D_t in the plane
 
 
-def family_box_region(fam: ShrinkingFamily, t, box_bounds, max_err,
-                      n_start=1024, n_cap=8192) -> Region:
-    """Axis-box union approximating D_t intersected with a box (2D).
+def _clip(poly, a, b):
+    """Part of the convex polygon `poly` (one vertex per row) where a.x <= b."""
+    f = poly @ a - b
+    out = []
+    for k in range(len(poly)):
+        if (f[k] <= 0) != (f[k - 1] <= 0):
+            out.append(poly[k - 1] + f[k - 1] / (f[k - 1] - f[k])
+                       * (poly[k] - poly[k - 1]))
+        if f[k] <= 0:
+            out.append(poly[k])
+    return np.array(out).reshape(-1, 2)
 
-    Grid cells are classified by the membership oracle at their centers;
-    the measure error is bounded by the volume of cells whose neighbors
-    disagree.  The grid is refined until that bound is below max_err.
+
+def family_overlap(fam: ShrinkingFamily, t, C: Region) -> float:
+    """Exact measure of C n D_t for a shrinking family in the plane.
+
+    In Jordan coordinates y = T^-1 x, D_t is the double wedge
+    |y2| <= k |y1|, k = rho / sqrt(1 - rho^2), of a size-2 real block,
+    or the strip |y_off| <= eps of a real scalar block.  Each convex
+    cell of it is cut out by two half-planes, and a.y <= b is
+    (a T^-1).x <= b.  Every parallelotope of C is clipped against every
+    cell (Sutherland-Hodgman) and the shoelace areas are summed.
     """
-    if fam.dim != 2:
-        raise ApproximationTooCoarse("grid approximation implemented for d=2")
-    box_bounds = np.asarray(box_bounds, dtype=float)
-    n = n_start
-    while n <= n_cap:
-        xs = np.linspace(box_bounds[0, 0], box_bounds[0, 1], n + 1)
-        ys = np.linspace(box_bounds[1, 0], box_bounds[1, 1], n + 1)
-        xc = 0.5 * (xs[1:] + xs[:-1])
-        yc = 0.5 * (ys[1:] + ys[:-1])
-        cellvol = (xs[1] - xs[0]) * (ys[1] - ys[0])
-        member = np.empty((n, n), dtype=bool)  # [row=y, col=x]
-        chunk = max(1, 2_000_000 // n)
-        for j0 in range(0, n, chunk):
-            j1 = min(j0 + chunk, n)
-            pts = np.stack(np.meshgrid(xc, yc[j0:j1], indexing="xy"),
-                           axis=-1).reshape(-1, 2)
-            member[j0:j1] = contains_many(fam, t, pts).reshape(j1 - j0, n)
-        boundary = np.zeros_like(member)
-        boundary[:, :-1] |= member[:, :-1] != member[:, 1:]
-        boundary[:, 1:] |= member[:, :-1] != member[:, 1:]
-        boundary[:-1, :] |= member[:-1, :] != member[1:, :]
-        boundary[1:, :] |= member[:-1, :] != member[1:, :]
-        err = float(boundary.sum()) * cellvol
-        if err <= max_err:
-            pieces = []
-            for j in range(n):
-                row = member[j]
-                if not row.any():
-                    continue
-                edges = np.flatnonzero(np.diff(row.astype(np.int8)))
-                starts = [0] if row[0] else []
-                starts += [e + 1 for e in edges if not row[e]]
-                ends = [e + 1 for e in edges if row[e]]
-                if row[-1]:
-                    ends.append(n)
-                for a, b in zip(starts, ends):
-                    pieces.append(Piece(np.eye(2),
-                                        np.array([[xs[a], xs[b]],
-                                                  [ys[j], ys[j + 1]]])))
-            if not pieces:
-                raise ApproximationTooCoarse("approximated set is empty")
-            return Region(tuple(pieces), disjoint=True)
-        n *= 2
-    raise ApproximationTooCoarse(
-        f"boundary error {err:.2e} above {max_err:.2e} at finest grid")
+    if fam.dim != 2 or fam.pair or C.dim != 2:
+        raise ApproximationTooCoarse("exact C n D_t needs d=2 and a real block")
+    if not C.disjoint:
+        raise OverlapUnknown("exact overlap requires disjoint pieces")
+    if fam.uses_cone:
+        rho = fam.param(t)
+        k = rho / np.sqrt(1.0 - rho * rho)
+        cells = [[(np.array([-side * k, 1.0]), 0.0),
+                  (np.array([-side * k, -1.0]), 0.0)] for side in (1.0, -1.0)]
+    else:
+        e = np.eye(2)[fam.offset]
+        cells = [[(e, fam.param(t)), (-e, fam.param(t))]]
+    total = 0.0
+    for piece in C.pieces:
+        for cell in cells:
+            poly = piece.corners()[[0, 1, 3, 2]]  # corners in cyclic order
+            for a, b in cell:
+                poly = _clip(poly, a @ fam.basis_inv, b)
+            x, y = poly[:, 0], poly[:, 1]  # shoelace; 0 for < 3 vertices
+            total += 0.5 * abs(x @ np.roll(y, -1) - y @ np.roll(x, -1))
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -212,32 +203,26 @@ def family_box_region(fam: ShrinkingFamily, t, box_bounds, max_err,
 
 def tail_triviality_decay(g, f=None, C: Region = None,
                           t_grid=(5.0, 2.0, 1.0, 0.5, 0.2, 0.1),
-                          n_reps=10_000, seed=0, box_bounds=None,
-                          approx_frac=0.01) -> ExperimentReport:
+                          n_reps=10_000, seed=0) -> ExperimentReport:
     """Variance of conditional expectations along the shrinking family of g.
 
-    For each t, the conditioning set is D_t intersected with a box
-    (grid-approximated); the variance of E[f(mass(C)) | that set] is
-    estimated from n_reps samples and compared with the conditional
-    variance implied by the overlap measure.  The series must decay to
-    below 10% of the unconditional variance.
+    For each t, the conditioning set is D_t, and the overlap measure of
+    C with it is exact (family_overlap, planar g only); the variance of
+    E[f(mass(C)) | D_t] is estimated from n_reps samples and compared
+    with the conditional variance implied by that overlap.  The series
+    must decay to below 10% of the unconditional variance.
     """
     if C is None:
         C = box_region([[0.0, 1.0], [0.0, 1.0]])
     if f is None:
         f = lambda v: v
     fam = build_family(as_matrix(g))
-    if box_bounds is None:
-        bb = C.bounding_box()
-        pad = 0.5 * max(bb[:, 1] - bb[:, 0])
-        box_bounds = np.column_stack([np.minimum(bb[:, 0] - pad, -1.5),
-                                      np.maximum(bb[:, 1] + pad, 1.5)])
     lam_C, _ = volume(C, method="exact")
     report = ExperimentReport(
         "tail_triviality_decay",
         {"g": as_matrix(g).tolist(), "C": C.to_json(),
          "t_grid": [float(t) for t in t_grid], "n_reps": n_reps,
-         "seed": seed, "box": np.asarray(box_bounds).tolist()},
+         "seed": seed},
     )
     # unconditional variance of f(mass(C))
     rng_total = _rng.stream(seed, "tail", "total")
@@ -248,8 +233,7 @@ def tail_triviality_decay(g, f=None, C: Region = None,
     t_sorted = sorted(t_grid, reverse=True)
     variances, verrs = [], []
     for t in t_sorted:
-        B = family_box_region(fam, t, box_bounds, approx_frac * lam_C)
-        s, _ = intersection_volume(C, B, method="axis")
+        s = family_overlap(fam, t, C)
         r = max(lam_C - s, 0.0)
         rng = _rng.stream(seed, "tail", t)
         samples = gaussian_conditional_samples(f, s, r, n_reps, rng)
@@ -277,6 +261,8 @@ def tail_triviality_decay(g, f=None, C: Region = None,
 def equivariance_check(g, C: Region, B: Region, f=None, n_reps=10_000,
                        seed=0, alpha=0.01, measure_n=200_000) -> ExperimentReport:
     """Two-sample KS test of conditional-expectation laws for (C, B) vs (gC, gB)."""
+    from scipy import stats  # only user of scipy.stats; keeps imports light
+
     g = as_matrix(g)
     if not in_measure_preserving_group(g, det_tol=1e-6):
         raise InvalidGenerator("map must have |det| = 1")

@@ -1,14 +1,16 @@
 """Parallelotope regions, Lebesgue measure, and linear transformation.
 
 A Region is a finite union of linear images of axis-aligned boxes.
-Volumes are exact per piece (|det M| times the box volume) and Monte
-Carlo for anything involving general overlaps; axis-aligned unions also
-get an exact sweep-grid atomization.
+Volumes are exact per piece (|det M| times the box volume).  A piece
+whose frame is a signed permutation times a diagonal is itself an axis
+box; unions of such pieces get exact overlaps and an exact sweep-grid
+atomization, and anything involving other frames is Monte Carlo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +40,18 @@ class Piece:
             raise ValueError("interval lo must not exceed hi")
         object.__setattr__(self, "box", box)
 
+    @cached_property
+    def _intervals(self):
+        # frame @ box is an axis box iff the frame is a signed permutation
+        # times a diagonal: one entry above 1e-12 max|frame| per row and column
+        a = np.abs(self.frame)
+        big = a > 1e-12 * a.max()
+        if not (np.all(big.sum(axis=0) == 1) and np.all(big.sum(axis=1) == 1)):
+            return None
+        cols = big.argmax(axis=1)
+        scale = self.frame[np.arange(len(cols)), cols]
+        return np.sort(scale[:, None] * self.box[cols], axis=1)
+
     @property
     def dim(self):
         return self.frame.shape[0]
@@ -47,16 +61,20 @@ class Piece:
             np.prod(self.box[:, 1] - self.box[:, 0]))
 
     def is_axis_aligned(self):
-        return np.allclose(self.frame, np.diag(np.diag(self.frame)), atol=0.0)
+        return self._intervals is not None
 
     def intervals(self):
         """Per-axis [lo, hi] of the mapped box; axis-aligned pieces only."""
-        if not self.is_axis_aligned():
-            raise NotAxisAligned("piece frame is not diagonal")
-        diag = np.diag(self.frame)
-        ends = np.sort(np.column_stack([diag * self.box[:, 0],
-                                        diag * self.box[:, 1]]), axis=1)
-        return ends
+        if self._intervals is None:
+            raise NotAxisAligned("piece frame is not a signed permutation")
+        return self._intervals
+
+    def bounds(self):
+        """Per-axis [lo, hi] of the smallest axis box holding the piece."""
+        if self._intervals is not None:
+            return self._intervals
+        corners = self.corners()
+        return np.column_stack([corners.min(axis=0), corners.max(axis=0)])
 
     def contains(self, points):
         """Boolean membership for an (n, d) array of points."""
@@ -101,8 +119,8 @@ class Region:
         return out
 
     def bounding_box(self):
-        corners = np.vstack([p.corners() for p in self.pieces])
-        return np.column_stack([corners.min(axis=0), corners.max(axis=0)])
+        b = np.stack([p.bounds() for p in self.pieces])
+        return np.column_stack([b[:, :, 0].min(axis=0), b[:, :, 1].max(axis=0)])
 
     def is_axis_aligned(self):
         return all(p.is_axis_aligned() for p in self.pieces)
@@ -203,7 +221,7 @@ def intersection_volume(r1: Region, r2: Region, method="auto",
             else "mc"
     if method == "axis":
         if not (r1.is_axis_aligned() and r2.is_axis_aligned()):
-            raise NotAxisAligned("axis-exact overlap needs diagonal frames")
+            raise NotAxisAligned("axis-exact overlap needs axis-aligned frames")
         return _axis_overlap(r1, r2), 0.0
     if method == "mc":
         bounds = r1.bounding_box()
@@ -238,7 +256,6 @@ class AtomTable:
     bounding_box: np.ndarray
     n_regions: int
     exact: bool
-    sample_points: tuple = field(default=(), repr=False)  # per atom, MC only
 
     def region_measure(self, region_index):
         mask = [sig[region_index] for sig in self.signatures]
@@ -257,12 +274,10 @@ class AtomTable:
 
 
 def _common_bounding_box(regions):
-    boxes = [r.bounding_box() for r in regions]
-    lo = np.min([b[:, 0] for b in boxes], axis=0)
-    hi = np.max([b[:, 1] for b in boxes], axis=0)
-    if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
+    bounds = Region(tuple(p for r in regions for p in r.pieces)).bounding_box()
+    if not np.all(np.isfinite(bounds)):
         raise ValueError("regions do not admit a finite bounding box")
-    return np.column_stack([lo, hi])
+    return bounds
 
 
 def _atomize_axis_exact(regions, bounds):
@@ -314,18 +329,15 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
     table = {}
     for sig in map(tuple, sigs):
         table[sig] = table.get(sig, 0) + 1
-    signatures, measures, stderrs, samples = [], [], [], []
+    signatures, measures, stderrs = [], [], []
     for sig in sorted(table.keys(), reverse=True):
         cnt = table[sig]
         p = cnt / n_total
         meas = vbox * p
         if meas < ATOM_DROP_FRACTION * vbox:
             continue
-        mask = np.all(sigs == np.array(sig), axis=1)
         signatures.append(sig)
         measures.append(meas)
         stderrs.append(vbox * np.sqrt(p * (1 - p) / n_total))
-        samples.append(pts[mask])
     return AtomTable(tuple(signatures), np.array(measures), np.array(stderrs),
-                     bounds, len(regions), exact=False,
-                     sample_points=tuple(samples))
+                     bounds, len(regions), exact=False)

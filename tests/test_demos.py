@@ -1,0 +1,21 @@
+"""Smoke test: every script in demos/ runs to completion."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

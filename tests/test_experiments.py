@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from levymix import build_family, errors
+from levymix import build_family, errors, rng
 from levymix.cli import main
 from levymix.experiments import (
     FAIL,
@@ -13,13 +16,21 @@ from levymix.experiments import (
     compact_invariant_demo,
     default_config,
     equivariance_check,
-    family_box_region,
+    family_overlap,
     mixing_curve,
     run_all,
     tail_triviality_decay,
 )
 from levymix.gallery import named_matrix, rotation, shear, squeeze
-from levymix.regions import box_region, intersection_volume, unit_box, volume
+from levymix.regions import (
+    Piece,
+    Region,
+    box_region,
+    intersection_volume,
+    unit_box,
+    volume,
+)
+from levymix.shrinking import contains_many
 
 
 UNIT = box_region(np.array([[0.0, 1.0], [0.0, 1.0]]))
@@ -49,12 +60,13 @@ def test_mixing_curve_noncompact_decay():
 
 
 def test_mixing_curve_compact_fixed_region():
+    # every power of rotation90 maps the box onto itself as an axis box,
+    # so the overlaps are exact
     C = box_region(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
-    rep = mixing_curve(rotation(np.pi / 2), C, m_range=(0, 4), n_reps=3_000,
+    rep = mixing_curve(rotation(np.pi / 2), C, m_range=(0, 8), n_reps=3_000,
                        seed=0)
     assert rep.verdict == PASS
-    for _, est, err in rep.rows("overlap"):
-        assert abs(est - 4.0) <= 3 * err + 1e-9
+    assert [(est, err) for _, est, err in rep.rows("overlap")] == [(4.0, 0.0)] * 9
 
 
 def test_mixing_curve_rejects_non_measure_preserving():
@@ -62,31 +74,71 @@ def test_mixing_curve_rejects_non_measure_preserving():
         mixing_curve(2.0 * np.eye(2), UNIT)
 
 
-def test_family_box_region_measures_cone_slice():
-    fam = build_family(shear())
-    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-    approx = family_box_region(fam, 1.0, box, max_err=0.02)
-    got, _ = volume(approx, method="exact")
-    # rho = 1/2: the cone |y| <= rho * |x| / sqrt(1 - rho^2) ... checked
-    # against a direct fine-grid estimate instead of a closed form
-    from levymix.shrinking import contains_many
-    xs = np.linspace(-1, 1, 801)[:-1] + 1.0 / 800
-    pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    want = contains_many(fam, 1.0, pts).mean() * 4.0
-    assert got == pytest.approx(want, abs=0.02)
+TAIL_T = (5.0, 2.0, 1.0, 0.5, 0.2, 0.1)
 
 
-def test_family_box_region_too_coarse():
+def _shear_square_overlap(t):
+    """Area of the unit square inside the wedge x2 <= k x1."""
+    rho = t / (1.0 + t)
+    k = rho / np.sqrt(1.0 - rho * rho)
+    return k / 2.0 if k <= 1.0 else 1.0 - 1.0 / (2.0 * k)
+
+
+def test_family_overlap_shear_closed_form():
     fam = build_family(shear())
+    got = [family_overlap(fam, t, UNIT) for t in TAIL_T]
+    want = [_shear_square_overlap(t) for t in TAIL_T]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+    assert want[0] == pytest.approx(0.66834, abs=1e-5)
+    assert want[-1] == pytest.approx(0.04564, abs=1e-5)
+
+
+def test_family_overlap_squeeze_strip():
+    # squeeze contracts x2, so D_t is the strip |x2| <= t
+    fam = build_family(squeeze())
+    C = box_region(np.array([[0.0, 2.0], [-1.0, 3.0]]))
+    for t in (0.25, 0.5, 1.0, 2.0, 5.0):
+        want = 2.0 * (min(t, 3.0) + min(t, 1.0))
+        assert family_overlap(fam, t, C) == pytest.approx(want, abs=1e-12)
+
+
+def test_family_overlap_multi_piece_matches_mc():
+    h = np.array([[1.0, 0.5], [0.3, 1.2]])
+    fam = build_family(h @ shear() @ np.linalg.inv(h))
+    C = Region((Piece(rotation(0.3), np.array([[0.0, 1.0], [0.0, 1.0]])),
+                Piece(rotation(0.3), np.array([[1.0, 2.0], [0.0, 1.0]])),
+                Piece(shear(), np.array([[-2.0, -1.0], [-1.0, 0.0]]))))
+    sample = np.random.default_rng(11)
+    n = 100_000
+    for t in (5.0, 1.0, 0.2):
+        est, var = 0.0, 0.0
+        for piece in C.pieces:  # stratified by piece
+            lo, hi = piece.box[:, 0], piece.box[:, 1]
+            y = lo + sample.random((n, 2)) * (hi - lo)
+            frac = contains_many(fam, t, y @ piece.frame.T).mean()
+            est += piece.volume() * frac
+            var += piece.volume() ** 2 * frac * (1 - frac) / n
+        got = family_overlap(fam, t, C)
+        assert 0.0 < got < volume(C)[0]
+        assert abs(got - est) <= 4.0 * np.sqrt(var)
+
+
+def test_family_overlap_too_coarse():
+    shear3 = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(errors.ApproximationTooCoarse):
-        family_box_region(fam, 1.0, np.array([[-1.0, 1.0], [-1.0, 1.0]]),
-                          max_err=1e-9, n_start=64, n_cap=128)
+        family_overlap(build_family(shear3), 1.0, unit_box(3))
+    with pytest.raises(errors.ApproximationTooCoarse):  # D_t is a disc
+        family_overlap(build_family(0.5 * rotation(1.0)), 1.0, UNIT)
 
 
 def test_tail_triviality_decay_shear():
     rep = tail_triviality_decay(shear(), C=UNIT, n_reps=3_000, seed=0,
-                                t_grid=(5.0, 2.0, 1.0, 0.5, 0.2, 0.1))
+                                t_grid=TAIL_T)
     assert rep.verdict == PASS
+    assert "box" not in rep.inputs
+    for t, est, err in rep.rows("overlap"):
+        assert est == pytest.approx(_shear_square_overlap(t), abs=1e-12)
+        assert err == 0.0
     var_rows = rep.rows("cond_variance")
     assert var_rows[0][1] > var_rows[-1][1]
 
@@ -249,3 +301,32 @@ def test_cli_experiment_run(tmp_path):
     res = runner.invoke(main, ["experiment", "run", "--config",
                                str(tmp_path / "missing.json")])
     assert res.exit_code == 2
+
+
+def test_cli_experiment_run_uses_config_seed_and_out(tmp_path, monkeypatch):
+    monkeypatch.delenv("LEVYMIX_SEED", raising=False)
+    monkeypatch.delenv("LEVYMIX_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "from-config"
+    cfg = {"seed": 42, "out": str(out), "experiments": [
+        {"kind": "mixing_curve", "name": "mix", "g": "squeeze",
+         "C": {"box": [[0.0, 1.0], [0.0, 1.0]]}, "m_max": 4,
+         "n_reps": 1_000}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    res = CliRunner().invoke(main, ["experiment", "run", "--config", str(path)])
+    assert res.exit_code == 0
+    assert not (tmp_path / "reports").exists()
+    obj = json.loads((out / "mix.report.json").read_text())
+    assert obj["inputs"]["seed"] == rng.stream_key(42, "experiment", "mix") % 2**31
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, levymix.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

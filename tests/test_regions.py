@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levymix import errors
-from levymix.gallery import rotation, squeeze
+from levymix.gallery import rotation, shear, squeeze
 from levymix.regions import (
     AtomTable,
     Piece,
@@ -37,6 +37,31 @@ def test_piece_intervals_rejects_rotated_frame():
     p = Piece(rotation(0.3), np.array([[0.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(errors.NotAxisAligned):
         p.intervals()
+
+
+def test_rotation90_powers_are_axis_boxes():
+    C = box_region(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+    for m in range(9):
+        Cm = transform(np.linalg.matrix_power(rotation(math.pi / 2), m), C)
+        assert Cm.is_axis_aligned()
+        assert np.array_equal(Cm.pieces[0].intervals(), [[-1.0, 1.0], [-1.0, 1.0]])
+
+
+def test_signed_permutation_frame_intervals():
+    p = Piece(np.array([[0.0, 2.0], [-3.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 2.0]]))
+    assert p.is_axis_aligned()
+    assert np.array_equal(p.intervals(), [[2.0, 4.0], [-3.0, 0.0]])
+    assert p.contains(np.array([[3.0, -1.5], [3.0, 0.5]])).tolist() == [True, False]
+    b = box_region(np.array([[3.0, 5.0], [-1.0, 1.0]]))
+    assert intersection_volume(Region((p,)), b) == (1.0, 0.0)
+
+
+def test_rotated_and_sheared_frames_not_axis_aligned():
+    for g in (rotation(1.0), shear()):
+        p = transform(g, unit_box(2)).pieces[0]
+        assert not p.is_axis_aligned()
+        with pytest.raises(errors.NotAxisAligned):
+            p.intervals()
 
 
 def test_region_requires_pieces_and_consistent_dims():
@@ -129,6 +154,16 @@ def test_atomize_mc_close_to_exact():
         if sig in exact.signatures:
             want = exact.measures[exact.signatures.index(sig)]
             assert m == pytest.approx(want, abs=5 * e + 1e-3)
+
+
+def test_atomize_rotation90_powers_exact():
+    C = box_region(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+    for m in range(1, 9):
+        Cm = transform(np.linalg.matrix_power(rotation(math.pi / 2), m), C)
+        atoms = atomize([C, Cm], n=1_000, seed=0)
+        assert atoms.exact
+        assert atoms.signatures == ((True, True),)
+        assert atoms.measures.tolist() == [4.0]
 
 
 def test_atom_table_csv_rows():
