@@ -8,7 +8,6 @@ from .matrices import (
     RealJordanBlock,
     RealJordanDecomposition,
     classify_noncompact_blocks,
-    complex_jordan_form,
     cyclic_closure_compact,
     eigen_spectrum,
     find_noncompact_witness,

@@ -11,52 +11,31 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import noise as _noise
 from . import shrinking as _shrinking
-from .errors import LevymixError
-from .experiments import run_all
-from .gallery import ALIASES, named_matrix
+from .errors import ConfigError, LevymixError
+from .experiments import read_json, run_all
+from .gallery import ALIASES, parse_matrix
 from .matrices import (
     classify_noncompact_blocks,
     find_noncompact_witness,
-    matrix_from_json,
     matrix_to_json,
     real_jordan_form,
     weyl_conjugator,
 )
-from .regions import Region, box_region
+from .regions import Region
 
 
 def _load_matrix(spec):
     """Matrix from an alias name or a JSON file path."""
-    if spec in ALIASES:
-        return named_matrix(spec)
-    with open(spec) as fh:
-        return matrix_from_json(json.load(fh))
+    return parse_matrix(spec if spec in ALIASES else read_json(spec))
 
 
 def _load_matrices(spec):
-    if spec in ALIASES:
-        return [named_matrix(spec)]
-    with open(spec) as fh:
-        obj = json.load(fh)
-    if isinstance(obj, list):
-        return [matrix_from_json(o) for o in obj]
-    return [matrix_from_json(obj)]
-
-
-def _seed_option(value, default=0):
-    if value is not None:
-        return value
-    env = os.environ.get("LEVYMIX_SEED")
-    return int(env) if env else default
-
-def _out_option(value, default="reports"):
-    if value is not None:
-        return value
-    return os.environ.get("LEVYMIX_OUT", default)
+    """Matrices from an alias name or a file with one matrix or a list."""
+    obj = spec if spec in ALIASES else read_json(spec)
+    return [parse_matrix(o) for o in (obj if isinstance(obj, list) else [obj])]
 
 
 def _emit(obj, fmt):
@@ -70,7 +49,18 @@ def _emit(obj, fmt):
             click.echo(obj)
 
 
-@click.group()
+class _Main(click.Group):
+    """Every subcommand ends a LevymixError with a message and exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except LevymixError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Matrix-group compactness analysis and noise mixing experiments."""
 
@@ -137,12 +127,11 @@ def sets():
 @click.option("--t-grid", default="0.2,0.5,1,2,5", show_default=True)
 @click.option("--n-samples", default=2000, show_default=True)
 @click.option("--h-max", default=200, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=str, default=None)
-def verify(matrix_spec, t_grid, n_samples, h_max, seed, out):
+@click.option("--seed", type=int, default=0, envvar="LEVYMIX_SEED")
+@click.option("--out", "out_dir", type=str, default="reports",
+              envvar="LEVYMIX_OUT")
+def verify(matrix_spec, t_grid, n_samples, h_max, seed, out_dir):
     """Verify absorption and null-boundary properties; emit a CSV report."""
-    seed = _seed_option(seed)
-    out_dir = _out_option(out)
     fam = _shrinking.build_family(_load_matrix(matrix_spec))
     grid = sorted(float(t) for t in t_grid.split(","))
     rows = ["t_small,t_large,h0,violations"]
@@ -166,18 +155,17 @@ def verify(matrix_spec, t_grid, n_samples, h_max, seed, out):
 @click.option("--regions", "regions_path", required=True,
               help="JSON file with a list of region objects.")
 @click.option("--n", default=100_000, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=str, default=None)
-def simulate(spec_str, regions_path, n, seed, out):
+@click.option("--seed", type=int, default=0, envvar="LEVYMIX_SEED")
+@click.option("--out", "out_dir", type=str, default="reports",
+              envvar="LEVYMIX_OUT")
+def simulate(spec_str, regions_path, n, seed, out_dir):
     """Realize noise over a registered region family; dump JSON."""
-    seed = _seed_option(seed)
-    out_dir = _out_option(out)
     kind, _, param = spec_str.partition(":")
-    spec = _noise.NoiseSpec(kind, float(param) if param else 1.0)
-    with open(regions_path) as fh:
-        objs = json.load(fh)
-    regions = [Region.from_json(o) if "pieces" in o else
-               box_region(np.asarray(o["box"], dtype=float)) for o in objs]
+    try:
+        spec = _noise.NoiseSpec(kind, float(param) if param else 1.0)
+    except ValueError as exc:
+        raise ConfigError(f"--spec {spec_str}: {exc}") from exc
+    regions = [Region.from_json(o) for o in read_json(regions_path)]
     real = _noise.realize(spec, regions, n_atom_samples=n, seed=seed)
     dump = real.to_json()
     dump["region_masses"] = [real.value(i) for i in range(len(regions))]
@@ -197,19 +185,13 @@ def experiment():
 @experiment.command()
 @click.option("--config", "config_path", type=str, default=None,
               help="Experiment config JSON (defaults to the canonical battery).")
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=str, default=None)
+@click.option("--seed", type=int, default=None, envvar="LEVYMIX_SEED")
+@click.option("--out", type=str, default=None, envvar="LEVYMIX_OUT")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json")
 def run(config_path, seed, out, fmt):
     """Run configured experiments; exit 0 iff every verdict is pass."""
-    try:
-        code, reports = run_all(config_path,
-                                seed_override=_seed_option(seed, None),
-                                out_override=_out_option(out, None))
-    except LevymixError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    code, reports = run_all(config_path, seed_override=seed, out_override=out)
     for name, report in reports.items():
         click.echo(f"{name}: {report.verdict}")
     sys.exit(code)

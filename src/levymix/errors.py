@@ -74,4 +74,8 @@ class ApproximationTooCoarse(LevymixError):
 
 
 class ConfigError(LevymixError):
-    """Experiment configuration file is malformed."""
+    """A configuration, matrix or region input is unreadable or malformed."""
+
+
+class SamplingFailure(LevymixError, RuntimeError):
+    """A rejection sampler ran out of tries before drawing what was asked."""

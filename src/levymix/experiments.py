@@ -19,12 +19,11 @@ import numpy as np
 from . import rng as _rng
 from .errors import (ApproximationTooCoarse, ConfigError, GroupTooLarge,
                      InvalidGenerator, OverlapUnknown)
-from .gallery import named_matrix
+from .gallery import parse_matrix
 from .matrices import (
     as_matrix,
     cyclic_closure_compact,
     in_measure_preserving_group,
-    matrix_from_json,
     weyl_conjugator,
 )
 from .noise import (
@@ -396,30 +395,21 @@ def compact_invariant_demo(generators, n_reps=10_000, seed=0, mode="auto",
 _FUNCTIONS = {"identity": lambda v: v, "tanh": np.tanh}
 
 
-def _matrix_from_cfg(obj, what="matrix"):
-    if isinstance(obj, str):
-        try:
-            return named_matrix(obj)
-        except KeyError as exc:
-            raise ConfigError(f"{what}: {exc}") from exc
-    if isinstance(obj, dict) and "rows" in obj:
-        try:
-            return matrix_from_json({"d": obj.get("d", len(obj["rows"])),
-                                     "rows": obj["rows"]})
-        except Exception as exc:
-            raise ConfigError(f"{what}: {exc}") from exc
-    raise ConfigError(f"{what}: expected an alias string or a rows object")
+def _function(name):
+    if name not in _FUNCTIONS:
+        raise ConfigError(f"unknown function {name!r}")
+    return _FUNCTIONS[name]
 
 
-def _region_from_cfg(obj, what="region"):
+def read_json(path):
+    """Contents of a JSON file; ConfigError if unreadable or malformed."""
     try:
-        if isinstance(obj, dict) and "box" in obj:
-            return box_region(np.asarray(obj["box"], dtype=float))
-        if isinstance(obj, dict) and "pieces" in obj:
-            return Region.from_json(obj)
-    except Exception as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-    raise ConfigError(f"{what}: expected a box or pieces object")
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSON syntax, or bytes that are not text
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def default_config():
@@ -451,30 +441,36 @@ def _run_one(entry, master_seed):
     kind = entry.get("kind")
     name = entry.get("name", kind)
     seed = _rng.stream_key(master_seed, "experiment", name) % 2**31
+
+    def field(key, parse, default=None):
+        """parse(entry[key]), with ConfigError naming the entry and key."""
+        if key not in entry and default is None:
+            raise ConfigError(f"{name}: missing {key!r}")
+        try:
+            return parse(entry.get(key, default))
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {key}: {exc}") from exc
+
     if kind == "mixing_curve":
         return name, mixing_curve(
-            _matrix_from_cfg(entry["g"], "g"),
-            _region_from_cfg(entry["C"], "C"),
-            m_range=(0, int(entry.get("m_max", 8))),
-            n_reps=int(entry.get("n_reps", 10_000)), seed=seed)
+            field("g", parse_matrix), field("C", Region.from_json),
+            m_range=(0, field("m_max", int, 8)),
+            n_reps=field("n_reps", int, 10_000), seed=seed)
     if kind == "tail_triviality_decay":
         return name, tail_triviality_decay(
-            _matrix_from_cfg(entry["g"], "g"),
-            f=_FUNCTIONS[entry.get("f", "identity")],
-            C=_region_from_cfg(entry["C"], "C"),
-            t_grid=tuple(entry.get("t_grid", (5.0, 2.0, 1.0, 0.5, 0.2, 0.1))),
-            n_reps=int(entry.get("n_reps", 10_000)), seed=seed)
+            field("g", parse_matrix), f=field("f", _function, "identity"),
+            C=field("C", Region.from_json),
+            t_grid=field("t_grid", tuple, (5.0, 2.0, 1.0, 0.5, 0.2, 0.1)),
+            n_reps=field("n_reps", int, 10_000), seed=seed)
     if kind == "equivariance_check":
         return name, equivariance_check(
-            _matrix_from_cfg(entry["g"], "g"),
-            _region_from_cfg(entry["C"], "C"),
-            _region_from_cfg(entry["B"], "B"),
-            f=_FUNCTIONS[entry.get("f", "tanh")],
-            n_reps=int(entry.get("n_reps", 10_000)), seed=seed)
+            field("g", parse_matrix), field("C", Region.from_json),
+            field("B", Region.from_json), f=field("f", _function, "tanh"),
+            n_reps=field("n_reps", int, 10_000), seed=seed)
     if kind == "compact_invariant_demo":
         return name, compact_invariant_demo(
-            [_matrix_from_cfg(g, "generator") for g in entry["generators"]],
-            n_reps=int(entry.get("n_reps", 10_000)), seed=seed)
+            field("generators", lambda gs: [parse_matrix(g) for g in gs]),
+            n_reps=field("n_reps", int, 10_000), seed=seed)
     raise ConfigError(f"unknown experiment kind {kind!r}")
 
 
@@ -484,18 +480,7 @@ def run_all(config_path=None, seed_override=None, out_override=None):
     Returns (exit_code, {name: ExperimentReport}); exit code 0 iff every
     verdict is pass.
     """
-    if config_path is None:
-        config = default_config()
-    else:
-        try:
-            with open(config_path) as fh:
-                config = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"malformed JSON at line {exc.lineno}, column {exc.colno}: "
-                f"{exc.msg}") from exc
+    config = default_config() if config_path is None else read_json(config_path)
     if not isinstance(config, dict) or "experiments" not in config:
         raise ConfigError("config must be an object with an 'experiments' list")
     seed = seed_override if seed_override is not None else config.get("seed", 0)

@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng as _rng
-from .matrices import BlockKind, RealJordanBlock
+from .errors import ConfigError, LevymixError, SamplingFailure
+from .matrices import (BlockKind, RealJordanBlock, assemble_jordan,
+                       matrix_from_json)
 
 
 def shear():
@@ -39,19 +41,19 @@ def named_matrix(name):
     try:
         return ALIASES[name]()
     except KeyError:
-        raise KeyError(f"unknown matrix alias {name!r}") from None
+        raise ConfigError(f"unknown matrix alias {name!r}") from None
 
 
-def assemble_jordan(blocks) -> np.ndarray:
-    """Block-diagonal real Jordan matrix from RealJordanBlock specs."""
-    mats = [b.materialize() for b in blocks]
-    d = sum(m.shape[0] for m in mats)
-    K = np.zeros((d, d))
-    off = 0
-    for m in mats:
-        K[off:off + m.shape[0], off:off + m.shape[0]] = m
-        off += m.shape[0]
-    return K
+def parse_matrix(obj):
+    """Matrix from an alias name or a {"rows": ..., "d": ...} object."""
+    if isinstance(obj, str):
+        return named_matrix(obj)
+    if not (isinstance(obj, dict) and "rows" in obj):
+        raise ConfigError("matrix: expected an alias string or a rows object")
+    try:
+        return matrix_from_json(obj)
+    except (LevymixError, TypeError, ValueError) as exc:
+        raise ConfigError(f"matrix: {exc}") from exc
 
 
 def random_det1(d, rng, cond=50.0):
@@ -91,7 +93,7 @@ def _separated_values(existing, draw, rng, min_gap=0.4, tries=200):
                  for u in existing)
         if ok:
             return v
-    raise RuntimeError("could not separate eigenvalues")
+    raise SamplingFailure("could not separate eigenvalues")
 
 
 def random_jordan_matrix(d, rng, cond=50.0, unit_moduli=False):

@@ -36,10 +36,10 @@ __all__ = [
     "RealJordanDecomposition",
     "NoncompactCertificate",
     "as_matrix",
+    "assemble_jordan",
     "matrix_to_json",
     "matrix_from_json",
     "eigen_spectrum",
-    "complex_jordan_form",
     "real_jordan_form",
     "jordan_block_power_apply",
     "classify_noncompact_blocks",
@@ -71,8 +71,9 @@ def matrix_to_json(A) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """Matrix from {"rows": [[...], ...]}, checked against "d" when given."""
     A = as_matrix(obj["rows"])
-    if A.shape[0] != int(obj["d"]):
+    if A.shape[0] != int(obj.get("d", A.shape[0])):
         raise DimensionMismatch("declared order does not match row count")
     return A
 
@@ -160,13 +161,6 @@ def eigen_spectrum(A, cluster_tol=DEFAULT_TOLS.cluster_tol):
 
 class _StructureError(Exception):
     """Internal: candidate eigenvalue clustering is inconsistent."""
-
-
-def _nullspace(M, abs_tol):
-    """Orthonormal basis of the numerical nullspace of M."""
-    _, s, Vh = np.linalg.svd(M)
-    null_mask = np.concatenate([s <= abs_tol, np.ones(M.shape[1] - len(s), bool)])
-    return Vh[null_mask].conj().T
 
 
 def _jordan_chains(A, lam, alg):
@@ -279,58 +273,6 @@ def _cluster_guard_ok(clusters, delta):
     return True
 
 
-def complex_jordan_form(A, tol=DEFAULT_TOLS.reconstruction_tol,
-                        cluster_tol=DEFAULT_TOLS.cluster_tol):
-    """Complex Jordan form of A.
-
-    Returns (S, blocks) with S invertible complex, blocks a list of
-    (size, eigenvalue) pairs, and ||A - S J S^-1|| <= tol * ||A||.
-
-    Defective eigenvalues scatter numerically like eps**(1/r), so the
-    clustering radius is escalated through a geometric ladder until the
-    reconstruction validates; if no radius works the input is rejected
-    as IllConditioned.
-    """
-    A = as_matrix(A)
-    normA = max(_opnorm(A), np.finfo(float).tiny)
-    last_err = "no clustering radius produced a consistent structure"
-    for delta in _delta_ladder(cluster_tol):
-        clusters = eigen_spectrum(A, delta)
-        if not _cluster_guard_ok(clusters, delta):
-            continue
-        try:
-            cols, blocks = [], []
-            for cl in clusters:
-                for chain in _jordan_chains(A, cl.value, cl.algebraic_mult):
-                    cols.extend(chain)
-                    blocks.append((len(chain), cl.value))
-        except _StructureError as exc:
-            last_err = str(exc)
-            continue
-        S = np.column_stack(cols).astype(complex)
-        J = _assemble_complex_jordan(blocks)
-        try:
-            Sinv = np.linalg.inv(S)
-        except np.linalg.LinAlgError:
-            continue
-        resid = _opnorm(A - (S @ J @ Sinv).real) / normA
-        if resid <= tol:
-            return S, blocks
-        last_err = f"residual {resid:.3e} above tolerance at radius {delta:.1e}"
-    raise IllConditioned(last_err)
-
-
-def _assemble_complex_jordan(blocks):
-    d = sum(size for size, _ in blocks)
-    J = np.zeros((d, d), dtype=complex)
-    off = 0
-    for size, lam in blocks:
-        J[off:off + size, off:off + size] = (
-            lam * np.eye(size) + np.eye(size, k=1))
-        off += size
-    return J
-
-
 # ---------------------------------------------------------------------------
 # real Jordan form
 
@@ -374,6 +316,17 @@ class RealJordanBlock:
         return K
 
 
+def assemble_jordan(blocks) -> np.ndarray:
+    """Block-diagonal real Jordan matrix of a RealJordanBlock sequence."""
+    d = sum(b.rows for b in blocks)
+    K = np.zeros((d, d))
+    off = 0
+    for b in blocks:
+        K[off:off + b.rows, off:off + b.rows] = b.materialize()
+        off += b.rows
+    return K
+
+
 @dataclass(frozen=True)
 class RealJordanDecomposition:
     """Conjugator T, canonical block list, and relative residual."""
@@ -387,13 +340,7 @@ class RealJordanDecomposition:
         return self.conjugator.shape[0]
 
     def jordan_matrix(self) -> np.ndarray:
-        d = self.order
-        K = np.zeros((d, d))
-        off = 0
-        for b in self.blocks:
-            K[off:off + b.rows, off:off + b.rows] = b.materialize()
-            off += b.rows
-        return K
+        return assemble_jordan(self.blocks)
 
     def block_offsets(self):
         offs, off = [], 0
@@ -430,6 +377,11 @@ def real_jordan_form(A, tol=DEFAULT_TOLS.reconstruction_tol,
     Blocks are ordered canonically: real blocks first, sorted by
     (|eta| descending, size descending), then complex-pair blocks by
     (|kappa| descending, size descending).
+
+    Defective eigenvalues scatter numerically like eps**(1/r), so the
+    clustering radius is escalated through a geometric ladder until the
+    reconstruction validates; if no radius works the input is rejected
+    as IllConditioned.
     """
     A = as_matrix(A)
     d = A.shape[0]
@@ -444,16 +396,13 @@ def real_jordan_form(A, tol=DEFAULT_TOLS.reconstruction_tol,
         except _StructureError as exc:
             last_err = str(exc)
             continue
-        if items is None:
-            continue
         items = _canonical_block_sort(items)
         blocks = tuple(b for b, _ in items)
         if sum(b.rows for b in blocks) != d:
             last_err = "block rows do not sum to the order"
             continue
         T = np.hstack([cols for _, cols in items])
-        dec = RealJordanDecomposition(T, blocks, 0.0)
-        K = dec.jordan_matrix()
+        K = assemble_jordan(blocks)
         try:
             Tinv = np.linalg.inv(T)
         except np.linalg.LinAlgError:
@@ -466,7 +415,7 @@ def real_jordan_form(A, tol=DEFAULT_TOLS.reconstruction_tol,
 
 
 def _real_blocks_at_radius(A, clusters, rank_rtol):
-    """Candidate (RealJordanBlock, real column block) pairs, or None."""
+    """Candidate (RealJordanBlock, real column block) pairs."""
     items = []
     used = set()
     cl_by_id = list(enumerate(clusters))
@@ -592,7 +541,42 @@ def cyclic_closure_compact(A, tol=DEFAULT_TOLS.reconstruction_tol,
 
 
 def _dedup_key(M, quantum=1e-9):
-    return np.round(M / quantum).astype(np.int64).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.round(M / quantum) + 0.0  # + 0.0 maps -0.0 to 0.0
+    if not np.all(np.isfinite(q)):
+        raise NotCompact("word entries overflow; the group is unbounded")
+    return q.tobytes()
+
+
+def _words(generators, max_len=None):
+    """Distinct words in the generators and their inverses, shortest first.
+
+    Breadth-first up to length max_len (None: until no new word
+    appears): each word of one length is extended on the left by the
+    letters g1, g1^-1, g2, g2^-1, ... in turn.  Words equal up to
+    _dedup_key appear once; the identity (the empty word) is not yielded.
+    """
+    gens = [as_matrix(g) for g in generators]
+    d = gens[0].shape[0]
+    letters = []
+    for g in gens:
+        letters.append(g)
+        letters.append(np.linalg.inv(g))
+    seen = {_dedup_key(np.eye(d))}
+    frontier = [np.eye(d)]
+    length = 0
+    while frontier and (max_len is None or length < max_len):
+        nxt = []
+        for w in frontier:
+            for g in letters:
+                cand = g @ w
+                key = _dedup_key(cand)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(cand)
+                    yield cand
+        frontier = nxt
+        length += 1
 
 
 def find_noncompact_witness(generators, max_word_len=6,
@@ -607,29 +591,12 @@ def find_noncompact_witness(generators, max_word_len=6,
     for g in gens:
         if not in_measure_preserving_group(g, det_tol):
             raise InvalidGenerator("generator must have |det| = 1")
-    d = gens[0].shape[0]
-    letters = []
-    for g in gens:
-        letters.append(g)
-        letters.append(np.linalg.inv(g))
-    seen = {_dedup_key(np.eye(d))}
-    frontier = [np.eye(d)]
-    for _ in range(max_word_len):
-        nxt = []
-        for w in frontier:
-            for g in letters:
-                cand = g @ w
-                key = _dedup_key(cand)
-                if key in seen:
-                    continue
-                seen.add(key)
-                try:
-                    if not cyclic_closure_compact(cand):
-                        return cand
-                except IllConditioned:
-                    pass  # borderline word; keep searching
-                nxt.append(cand)
-        frontier = nxt
+    for w in _words(gens, max_word_len):
+        try:
+            if not cyclic_closure_compact(w):
+                return w
+        except IllConditioned:
+            pass  # borderline word; keep searching
     return None
 
 
@@ -637,39 +604,14 @@ def find_noncompact_witness(generators, max_word_len=6,
 # Weyl's trick
 
 
-def _enumerate_finite_group(generators, cap=10_000):
-    gens = [as_matrix(g) for g in generators]
-    d = gens[0].shape[0]
-    letters = []
-    for g in gens:
-        letters.append(g)
-        letters.append(np.linalg.inv(g))
-    elements = {_dedup_key(np.eye(d)): np.eye(d)}
-    frontier = [np.eye(d)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in letters:
-                cand = g @ w
-                key = _dedup_key(cand)
-                if key not in elements:
-                    if len(elements) >= cap:
-                        raise GroupTooLarge(
-                            f"group enumeration exceeded cap of {cap}")
-                    elements[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    return list(elements.values())
-
-
-def _cesaro_gram_average(A, max_terms, conv_tol, guard=1e8, chunk=1024):
+def _cesaro_gram_average(A, conv_tol, guard=1e8, chunk=1024):
     """Cesaro limit over m of the averaged Gram matrices (A^m)^T A^m.
 
     The running average converges only like 1/M, far too slow for the
     1e-8 orthogonality post-condition downstream, so the limit is
     evaluated exactly instead: it equals the spectral projection of the
     identity onto the fixed space of X -> A^T X A, an eigenproblem on
-    kron(A^T, A^T).  A short plain running average (capped by max_terms)
+    kron(A^T, A^T).  A plain running average over 2^14 powers
     cross-checks the result at its own coarse 1/M accuracy.
     """
     A = as_matrix(A)
@@ -699,7 +641,7 @@ def _cesaro_gram_average(A, max_terms, conv_tol, guard=1e8, chunk=1024):
             f"invariant form residual {resid:.3e} exceeds tolerance")
 
     # coarse cross-check against the literal running average
-    m_check = int(min(max_terms, 1 << 14))
+    m_check = 1 << 14
     chunk = min(chunk, m_check)
     powers = np.empty((chunk, d, d))
     powers[0] = np.eye(d)
@@ -720,17 +662,22 @@ def _cesaro_gram_average(A, max_terms, conv_tol, guard=1e8, chunk=1024):
     return S
 
 
-def haar_average_form(generators, mode="finite", M=1 << 20, conv_tol=1e-9,
+def haar_average_form(generators, mode="finite", conv_tol=1e-9,
                       group_cap=10_000):
     """Haar average S of g^T g over the generated compact group.
 
     mode="finite": enumerate the group closure (cap group_cap) and
     average exactly.  mode="cesaro": single generator with compact
-    cyclic closure; average Gram matrices of powers until the running
-    average stabilizes below conv_tol (M caps the term count).
+    cyclic closure; the Cesaro limit of the Gram matrices of its powers,
+    with an invariant-form residual below conv_tol.
     """
     if mode == "finite":
-        elements = _enumerate_finite_group(generators, cap=group_cap)
+        elements = [np.eye(as_matrix(generators[0]).shape[0])]
+        for g in _words(generators):
+            if len(elements) >= group_cap:
+                raise GroupTooLarge(
+                    f"group enumeration exceeded cap of {group_cap}")
+            elements.append(g)
         S = np.zeros_like(elements[0])
         for g in elements:
             S += g.T @ g
@@ -739,7 +686,7 @@ def haar_average_form(generators, mode="finite", M=1 << 20, conv_tol=1e-9,
     if mode == "cesaro":
         if len(generators) != 1:
             raise InvalidGenerator("cesaro mode takes exactly one generator")
-        return _cesaro_gram_average(as_matrix(generators[0]), M, conv_tol)
+        return _cesaro_gram_average(as_matrix(generators[0]), conv_tol)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -755,7 +702,7 @@ def spd_sqrt_inverse(S) -> np.ndarray:
     return (V * (1.0 / np.sqrt(w))) @ V.T
 
 
-def weyl_conjugator(generators, mode="finite", M=1 << 20, tol=1e-8,
+def weyl_conjugator(generators, mode="finite", tol=1e-8,
                     conv_tol=1e-9, group_cap=10_000) -> np.ndarray:
     """Matrix h with h^-1 g h orthogonal for every generator g.
 
@@ -763,7 +710,7 @@ def weyl_conjugator(generators, mode="finite", M=1 << 20, tol=1e-8,
     orthogonality defect of every conjugated generator is checked
     against tol.
     """
-    S = haar_average_form(generators, mode=mode, M=M, conv_tol=conv_tol,
+    S = haar_average_form(generators, mode=mode, conv_tol=conv_tol,
                           group_cap=group_cap)
     h = spd_sqrt_inverse(S)
     hinv = np.linalg.inv(h)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .errors import NonGaussian, UnsupportedKind
+from .errors import NonGaussian, SamplingFailure, UnsupportedKind
 from .matrices import as_matrix
 from .regions import AtomTable, Region, atomize, intersection_volume, volume
 
@@ -111,7 +111,7 @@ def _sample_points_in_atom(atoms, atom_index, regions, count, rng,
         out = np.vstack([out, pts[hit]])
         tries += 1
     if len(out) < count:
-        raise RuntimeError("rejection sampling inside atom failed")
+        raise SamplingFailure("rejection sampling inside atom failed")
     return out[:count]
 
 

@@ -16,10 +16,13 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import (
+    ConfigError,
     DimensionMismatch,
+    LevymixError,
     NotAxisAligned,
     OverlapUnknown,
     SingularMatrix,
+    UnboundedRegion,
 )
 from .matrices import as_matrix, matrix_to_json
 
@@ -134,10 +137,18 @@ class Region:
 
     @staticmethod
     def from_json(obj):
-        pieces = [Piece(np.asarray(e["frame"], dtype=float),
-                        np.asarray(e["box"], dtype=float))
-                  for e in obj["pieces"]]
-        return Region(tuple(pieces), disjoint=bool(obj.get("disjoint", True)))
+        """Region from {"box": [[lo, hi], ...]} or a to_json() object."""
+        if not isinstance(obj, dict) or not {"box", "pieces"} & obj.keys():
+            raise ConfigError("region: expected a box or pieces object")
+        try:
+            if "box" in obj:
+                return box_region(obj["box"])
+            pieces = [Piece(np.asarray(e["frame"], dtype=float),
+                            np.asarray(e["box"], dtype=float))
+                      for e in obj["pieces"]]
+            return Region(tuple(pieces), disjoint=bool(obj.get("disjoint", True)))
+        except (LevymixError, LookupError, TypeError, ValueError) as exc:
+            raise ConfigError(f"region: {exc}") from exc
 
 
 def box_region(bounds):
@@ -164,6 +175,19 @@ def _stratified_uniform(bounds, n, rng):
     return pts.reshape(-1, d), cells.shape[0], m
 
 
+def _stratified_hits(bounds, inside, n, seed, label):
+    """(value, stderr) of the measure of {inside} within the box `bounds`,
+    by stratified hit counting on the stream (seed, label)."""
+    vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
+    rng = _rng.stream(seed, label)
+    pts, k, m = _stratified_uniform(bounds, n, rng)
+    hits = inside(pts).reshape(k, m)
+    p_hat = hits.mean(axis=1)
+    est = vbox * float(p_hat.mean())
+    var = float(np.sum(p_hat * (1 - p_hat) / max(m - 1, 1))) / k**2
+    return est, vbox * np.sqrt(var)
+
+
 def volume(region: Region, method="exact", n=100_000, seed=0):
     """(value, stderr) of the Lebesgue measure of the region.
 
@@ -175,15 +199,8 @@ def volume(region: Region, method="exact", n=100_000, seed=0):
             raise OverlapUnknown("exact volume requires disjoint pieces")
         return sum(p.volume() for p in region.pieces), 0.0
     if method == "mc":
-        bounds = region.bounding_box()
-        vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
-        rng = _rng.stream(seed, "volume")
-        pts, k, m = _stratified_uniform(bounds, n, rng)
-        hits = region.contains(pts).reshape(k, m)
-        p_hat = hits.mean(axis=1)
-        est = vbox * float(p_hat.mean())
-        var = float(np.sum(p_hat * (1 - p_hat) / max(m - 1, 1))) / k**2
-        return est, vbox * np.sqrt(var)
+        return _stratified_hits(region.bounding_box(), region.contains, n,
+                                seed, "volume")
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -224,15 +241,9 @@ def intersection_volume(r1: Region, r2: Region, method="auto",
             raise NotAxisAligned("axis-exact overlap needs axis-aligned frames")
         return _axis_overlap(r1, r2), 0.0
     if method == "mc":
-        bounds = r1.bounding_box()
-        vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
-        rng = _rng.stream(seed, "overlap")
-        pts, k, m = _stratified_uniform(bounds, n, rng)
-        hits = (r1.contains(pts) & r2.contains(pts)).reshape(k, m)
-        p_hat = hits.mean(axis=1)
-        est = vbox * float(p_hat.mean())
-        var = float(np.sum(p_hat * (1 - p_hat) / max(m - 1, 1))) / k**2
-        return est, vbox * np.sqrt(var)
+        return _stratified_hits(
+            r1.bounding_box(), lambda pts: r1.contains(pts) & r2.contains(pts),
+            n, seed, "overlap")
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -254,7 +265,6 @@ class AtomTable:
     measures: np.ndarray
     stderrs: np.ndarray
     bounding_box: np.ndarray
-    n_regions: int
     exact: bool
 
     def region_measure(self, region_index):
@@ -265,18 +275,11 @@ class AtomTable:
     def atoms_of_region(self, region_index):
         return [i for i, sig in enumerate(self.signatures) if sig[region_index]]
 
-    def to_csv_rows(self):
-        rows = ["signature,measure,stderr"]
-        for sig, m, s in zip(self.signatures, self.measures, self.stderrs):
-            tag = "".join("1" if b else "0" for b in sig)
-            rows.append(f"{tag},{m!r},{s!r}")
-        return rows
-
 
 def _common_bounding_box(regions):
     bounds = Region(tuple(p for r in regions for p in r.pieces)).bounding_box()
     if not np.all(np.isfinite(bounds)):
-        raise ValueError("regions do not admit a finite bounding box")
+        raise UnboundedRegion("regions do not admit a finite bounding box")
     return bounds
 
 
@@ -304,7 +307,7 @@ def _atomize_axis_exact(regions, bounds):
     signatures = tuple(sorted(table.keys(), reverse=True))
     measures = np.array([table[s] for s in signatures])
     return AtomTable(signatures, measures, np.zeros_like(measures),
-                     bounds, len(regions), exact=True)
+                     bounds, exact=True)
 
 
 def atomize(regions, n=100_000, seed=0, method="auto"):
@@ -340,4 +343,4 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
         measures.append(meas)
         stderrs.append(vbox * np.sqrt(p * (1 - p) / n_total))
     return AtomTable(tuple(signatures), np.array(measures), np.array(stderrs),
-                     bounds, len(regions), exact=False)
+                     bounds, exact=False)

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import rng as _rng
 from .config import DEFAULT_TOLS
-from .errors import CompactClosure, DimensionMismatch, NotReached
+from .errors import (CompactClosure, DimensionMismatch, InvalidGenerator,
+                     NotReached, SamplingFailure)
 from .matrices import (
     BlockKind,
     RealJordanDecomposition,
@@ -73,6 +74,9 @@ def build_family(A, tol=DEFAULT_TOLS.reconstruction_tol,
     cert = classify_noncompact_blocks(dec, unit_tol=unit_tol)
     if cert.compact:
         raise CompactClosure("matrix has compact cyclic closure")
+    if not cert.case_tags:
+        raise InvalidGenerator("|det| > 1: no Jordan block contracts or is "
+                               "defective on the unit circle")
     case, idx = min(cert.case_tags, key=lambda tag: tag[1])
     block = dec.blocks[idx]
     offset = dec.block_offsets()[idx]
@@ -150,7 +154,7 @@ def _sample_in_family(fam, t, n, rng, tail_floor=0.01, max_tries=1000):
         if got >= n:
             break
     if got < n:
-        raise RuntimeError("rejection sampling failed to fill the sample")
+        raise SamplingFailure("rejection sampling failed to fill the sample")
     return np.vstack(out)[:n]
 
 

@@ -217,6 +217,22 @@ def test_run_all_config_errors(tmp_path):
          "C": {"box": [[0, 1], [0, 1]]}}]}))
     with pytest.raises(errors.ConfigError, match="no-such-matrix"):
         run_all(str(alias), out_override=str(tmp_path))
+    unit = {"box": [[0, 1], [0, 1]]}
+    for entry, match in (
+            ({"kind": "mixing_curve", "C": unit}, "missing 'g'"),
+            ({"kind": "tail_triviality_decay", "g": "shear"}, "missing 'C'"),
+            ({"kind": "equivariance_check", "g": "shear", "C": unit},
+             "missing 'B'"),
+            ({"kind": "tail_triviality_decay", "g": "shear", "C": unit,
+              "f": "cube"}, "unknown function"),
+            ({"kind": "mixing_curve", "g": {"rows": [[1, 0]]}, "C": unit},
+             "square"),
+            ({"kind": "mixing_curve", "g": "shear", "C": {"box": "x"}}, "C:"),
+            ({"kind": "mixing_curve", "g": "shear", "C": unit,
+              "n_reps": "many"}, "n_reps")):
+        bad.write_text(json.dumps({"experiments": [entry]}))
+        with pytest.raises(errors.ConfigError, match=match):
+            run_all(str(bad), out_override=str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +317,26 @@ def test_cli_experiment_run(tmp_path):
     res = runner.invoke(main, ["experiment", "run", "--config",
                                str(tmp_path / "missing.json")])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["jordan", "--matrix", "nope.json"],
+    ["classify", "--matrix", "nope.json"],
+    ["sets", "verify", "--matrix", "rotation"],
+    ["simulate", "--spec", "cauchy", "--regions", "regions.json"],
+    ["simulate", "--spec", "poisson:x", "--regions", "regions.json"],
+    ["simulate", "--regions", "nope.json"],
+    ["witness", "--generators", "bad.json"],
+    ["weyl", "--generators", "squeeze"],
+])
+def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "regions.json").write_text(json.dumps([{"box": [[0, 1], [0, 1]]}]))
+    (tmp_path / "bad.json").write_text(json.dumps([{"rows": [[1.0, 0.0]]}]))
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.output
 
 
 def test_cli_experiment_run_uses_config_seed_and_out(tmp_path, monkeypatch):

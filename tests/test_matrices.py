@@ -17,6 +17,8 @@ from levymix.gallery import (
 from levymix.matrices import (
     BlockKind,
     RealJordanBlock,
+    _jordan_chains,
+    _words,
     as_matrix,
     in_measure_preserving_group,
     matrix_from_json,
@@ -94,30 +96,19 @@ def test_eigen_spectrum_rejects_bad_tol():
 
 
 # ---------------------------------------------------------------------------
-# complex Jordan form
+# Jordan chains over the complex numbers
 
 
 def test_complex_jordan_shear():
-    S, blocks = lm.complex_jordan_form(shear())
-    assert [(size, lam) for size, lam in blocks] == [(2, 1.0 + 0.0j)]
-
-
-def test_complex_jordan_scrambled_pair_blocks():
-    # real form of J_2(i) + J_2(-i), scrambled by a det-1 integer basis
-    C = assemble_jordan([RealJordanBlock(BlockKind.COMPLEX_PAIR, 2, 1j)])
-    P = np.array([[1.0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
-    assert round(np.linalg.det(P)) == 1
-    A = P @ C @ np.linalg.inv(P)
-    _, blocks = lm.complex_jordan_form(A)
-    got = sorted((size, round(lam.imag)) for size, lam in blocks)
-    assert got == [(2, -1), (2, 1)]
-
-
-def test_complex_jordan_reconstruction_residual():
-    rng = stream(3, "cjf")
-    A = random_det1(4, rng) @ np.diag([2.0, 1.0, -1.0, 0.25])
-    S, blocks = lm.complex_jordan_form(A @ np.eye(4))
-    assert sum(size for size, _ in blocks) == 4
+    # the complex path of the chain builder: one chain of length 2 at 1
+    A = shear().astype(complex)
+    (chain,) = _jordan_chains(A, 1.0 + 0.0j, 2)
+    assert len(chain) == 2
+    M = A - np.eye(2)
+    u1, u2 = chain
+    assert np.linalg.norm(M @ u1) <= 1e-10
+    assert np.linalg.norm(M @ u2 - u1) <= 1e-10
+    assert np.linalg.norm(u1) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +126,26 @@ def test_real_jordan_squeeze_canonical_order():
     dec = lm.real_jordan_form(squeeze())
     assert [b.eigen.real for b in dec.blocks] == [2.0, 0.5]
     assert dec.block_offsets() == [0, 1]
+
+
+def test_real_jordan_scrambled_pair_block():
+    # real form of J_2(i) + J_2(-i), scrambled by a det-1 integer basis
+    C = assemble_jordan([RealJordanBlock(BlockKind.COMPLEX_PAIR, 2, 1j)])
+    P = np.array([[1.0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+    assert round(np.linalg.det(P)) == 1
+    dec = lm.real_jordan_form(P @ C @ np.linalg.inv(P))
+    (b,) = dec.blocks
+    assert b.kind is BlockKind.COMPLEX_PAIR and b.size == 2
+    assert abs(b.eigen - 1j) <= 1e-6
+    assert dec.residual <= 1e-6
+
+
+def test_real_jordan_generic_matrix_residual():
+    # a product, not a similarity transform: no block structure built in
+    A = random_det1(4, stream(3, "cjf")) @ np.diag([2.0, 1.0, -1.0, 0.25])
+    dec = lm.real_jordan_form(A)
+    assert sum(b.rows for b in dec.blocks) == 4
+    assert dec.residual <= 1e-6
 
 
 def test_real_jordan_rotation_pair_block():
@@ -279,6 +290,21 @@ def test_haar_average_trivial_groups():
 def test_haar_average_group_too_large():
     with pytest.raises(errors.GroupTooLarge):
         lm.haar_average_form([shear()], mode="finite")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_haar_average_finite_rejects_unbounded_group():
+    # the squeeze's powers grow without bound: the walk must stop there,
+    # not merge distinct huge words into a small "finite group"
+    with pytest.raises((errors.NotCompact, errors.GroupTooLarge)):
+        lm.haar_average_form([squeeze()], mode="finite")
+
+
+def test_word_walk_enumerates_dihedral_groups():
+    for n in range(3, 13):
+        words = list(_words(dihedral_generators(n)))
+        assert len(words) + 1 == 2 * n  # plus the identity
+    assert len(list(_words([shear()], max_len=3))) == 6
 
 
 def test_haar_average_cesaro_not_compact():

@@ -3,12 +3,13 @@ import pytest
 from scipy import stats
 
 from levymix import errors
-from levymix.gallery import rotation
+from levymix.gallery import _separated_values, rotation, shear
 from levymix.noise import (
     DETERMINISTIC,
     GAUSSIAN,
     POISSON,
     NoiseSpec,
+    _sample_points_in_atom,
     apply_transform,
     conditional_expectation_gaussian,
     gaussian_conditional_samples,
@@ -17,6 +18,7 @@ from levymix.noise import (
 )
 from levymix.regions import atomize, box_region, transform, unit_box
 from levymix.rng import stream
+from levymix.shrinking import _sample_in_family, build_family
 
 
 def _boxes():
@@ -78,6 +80,20 @@ def test_pushforward_and_points_require_poisson():
         apply_transform(np.eye(2), real)
     with pytest.raises(errors.UnsupportedKind):
         real.points()
+
+
+def test_rejection_samplers_raise_sampling_failure():
+    regions = list(_boxes())
+    atoms = atomize(regions, n=0)
+    with pytest.raises(errors.SamplingFailure):
+        _sample_points_in_atom(atoms, 0, regions, 5, stream(0, "s"), max_tries=0)
+    with pytest.raises(errors.SamplingFailure):
+        _sample_in_family(build_family(shear()), 1.0, 5, stream(0, "s"),
+                          max_tries=0)
+    with pytest.raises(errors.SamplingFailure) as info:
+        _separated_values([1.0], lambda r: 1.0, stream(0, "s"))
+    # a RuntimeError too, which callers that redraw gallery forms catch
+    assert isinstance(info.value, RuntimeError)
 
 
 def test_realize_masses_shape_and_determinism():

@@ -107,6 +107,16 @@ def test_region_json_round_trip():
     assert np.array_equal(r.contains(pts), r2.contains(pts))
 
 
+def test_region_from_json_box_form_and_errors():
+    r = Region.from_json({"box": [[0.0, 2.0], [1.0, 2.0]]})
+    assert r.is_axis_aligned() and volume(r) == (2.0, 0.0)
+    for bad in ({"box": [[1.0, 0.0], [0.0, 1.0]]}, {"box": 3}, {"pieces": [{}]},
+                {"pieces": [{"frame": [[1, 0], [0, 1]], "box": [[0, 1]]}]},
+                {"circle": 1.0}, [[0.0, 1.0]]):
+        with pytest.raises(errors.ConfigError):
+            Region.from_json(bad)
+
+
 def test_axis_intersection_exact():
     a = box_region(np.array([[0.0, 1.0], [0.0, 1.0]]))
     b = box_region(np.array([[0.5, 1.5], [0.0, 2.0]]))
@@ -164,13 +174,6 @@ def test_atomize_rotation90_powers_exact():
         assert atoms.exact
         assert atoms.signatures == ((True, True),)
         assert atoms.measures.tolist() == [4.0]
-
-
-def test_atom_table_csv_rows():
-    atoms = atomize([unit_box(2)], n=0)
-    rows = atoms.to_csv_rows()
-    assert rows[0] == "signature,measure,stderr"
-    assert any(r.startswith("1,") for r in rows[1:])
 
 
 def test_atomize_unbounded_rejected():

@@ -35,6 +35,12 @@ def test_build_family_rejects_compact():
         lm.build_family(rotation(1.0))
 
 
+def test_build_family_rejects_expanding_map():
+    # non-compact, but no block contracts or is defective on the circle
+    with pytest.raises(errors.InvalidGenerator, match="det"):
+        lm.build_family(np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+
 def test_pair_block_family_uses_coordinate_pair():
     A = assemble_jordan([RealJordanBlock(BlockKind.COMPLEX_PAIR, 2,
                                          np.exp(1j * 0.7))])
