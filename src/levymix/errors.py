@@ -79,3 +79,7 @@ class ConfigError(LevymixError):
 
 class SamplingFailure(LevymixError, RuntimeError):
     """A rejection sampler ran out of tries before drawing what was asked."""
+
+
+class InvalidArgument(LevymixError, ValueError):
+    """An argument is out of range or names no known option."""

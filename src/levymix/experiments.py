@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import (ApproximationTooCoarse, ConfigError, GroupTooLarge,
-                     InvalidGenerator, OverlapUnknown)
+                     InvalidArgument, InvalidGenerator, OverlapUnknown)
 from .gallery import parse_matrix
 from .matrices import (
     as_matrix,
@@ -401,6 +401,14 @@ def _function(name):
     return _FUNCTIONS[name]
 
 
+def _replicates(value):
+    """A replicate count: an integer of at least 2, so a variance exists."""
+    n = int(value)
+    if n < 2:
+        raise InvalidArgument(f"need at least 2 replicates, got {n}")
+    return n
+
+
 def read_json(path):
     """Contents of a JSON file; ConfigError if unreadable or malformed."""
     try:
@@ -455,22 +463,22 @@ def _run_one(entry, master_seed):
         return name, mixing_curve(
             field("g", parse_matrix), field("C", Region.from_json),
             m_range=(0, field("m_max", int, 8)),
-            n_reps=field("n_reps", int, 10_000), seed=seed)
+            n_reps=field("n_reps", _replicates, 10_000), seed=seed)
     if kind == "tail_triviality_decay":
         return name, tail_triviality_decay(
             field("g", parse_matrix), f=field("f", _function, "identity"),
             C=field("C", Region.from_json),
             t_grid=field("t_grid", tuple, (5.0, 2.0, 1.0, 0.5, 0.2, 0.1)),
-            n_reps=field("n_reps", int, 10_000), seed=seed)
+            n_reps=field("n_reps", _replicates, 10_000), seed=seed)
     if kind == "equivariance_check":
         return name, equivariance_check(
             field("g", parse_matrix), field("C", Region.from_json),
             field("B", Region.from_json), f=field("f", _function, "tanh"),
-            n_reps=field("n_reps", int, 10_000), seed=seed)
+            n_reps=field("n_reps", _replicates, 10_000), seed=seed)
     if kind == "compact_invariant_demo":
         return name, compact_invariant_demo(
             field("generators", lambda gs: [parse_matrix(g) for g in gs]),
-            n_reps=field("n_reps", int, 10_000), seed=seed)
+            n_reps=field("n_reps", _replicates, 10_000), seed=seed)
     raise ConfigError(f"unknown experiment kind {kind!r}")
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng as _rng
-from .errors import ConfigError, LevymixError, SamplingFailure
+from .errors import (ConfigError, InvalidArgument, LevymixError,
+                     SamplingFailure)
 from .matrices import (BlockKind, RealJordanBlock, assemble_jordan,
                        matrix_from_json)
 
@@ -160,7 +161,7 @@ def conjugated_rotation(theta, rng, d=2, cond=10.0):
         R = rotation(theta)
     else:
         if d % 2 != 0:
-            raise ValueError("d must be even")
+            raise InvalidArgument("d must be even")
         R = np.zeros((d, d))
         for j in range(d // 2):
             R[2 * j:2 * j + 2, 2 * j:2 * j + 2] = rotation(theta * (j + 1) / 2.0

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     GroupTooLarge,
     IllConditioned,
+    InvalidArgument,
     InvalidGenerator,
     NonFiniteInput,
     NotCompact,
@@ -135,7 +136,7 @@ def eigen_spectrum(A, cluster_tol=DEFAULT_TOLS.cluster_tol):
     """
     A = as_matrix(A)
     if cluster_tol <= 0:
-        raise ValueError("cluster_tol must be positive")
+        raise InvalidArgument("cluster_tol must be positive")
     d = A.shape[0]
     try:
         w = np.linalg.eigvals(A)
@@ -472,7 +473,7 @@ def jordan_block_power_apply(block: RealJordanBlock, h: int, x) -> np.ndarray:
     if block.kind is not BlockKind.REAL:
         raise DimensionMismatch("closed-form power applies to REAL blocks only")
     if h < 0:
-        raise ValueError("h must be a non-negative integer")
+        raise InvalidArgument("h must be a non-negative integer")
     x = np.asarray(x, dtype=float)
     a = block.size
     if x.shape != (a,):
@@ -687,7 +688,7 @@ def haar_average_form(generators, mode="finite", conv_tol=1e-9,
         if len(generators) != 1:
             raise InvalidGenerator("cesaro mode takes exactly one generator")
         return _cesaro_gram_average(as_matrix(generators[0]), conv_tol)
-    raise ValueError(f"unknown mode {mode!r}")
+    raise InvalidArgument(f"unknown mode {mode!r}")
 
 
 def spd_sqrt_inverse(S) -> np.ndarray:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .errors import NonGaussian, SamplingFailure, UnsupportedKind
+from .errors import (InvalidArgument, NonGaussian, SamplingFailure,
+                     UnsupportedKind)
 from .matrices import as_matrix
 from .regions import AtomTable, Region, atomize, intersection_volume, volume
 
@@ -38,7 +39,7 @@ class NoiseSpec:
         if self.kind not in (GAUSSIAN, POISSON, DETERMINISTIC):
             raise UnsupportedKind(f"unknown noise kind {self.kind!r}")
         if self.kind == POISSON and self.intensity <= 0:
-            raise ValueError("poisson intensity must be positive")
+            raise InvalidArgument("poisson intensity must be positive")
 
     def sample_mass(self, measure, rng, size=None):
         """Draw from the marginal law at parameter `measure`."""
@@ -205,7 +206,7 @@ def conditional_expectation_gaussian(f, C: Region, B: Region, quad_nodes=32,
     if spec is not None and spec.kind != GAUSSIAN:
         raise NonGaussian("conditional expectation requires gaussian noise")
     if quad_nodes < 8:
-        raise ValueError("quad_nodes must be at least 8")
+        raise InvalidArgument("quad_nodes must be at least 8")
     s, _ = intersection_volume(C, B, method=measure_method, n=measure_n,
                                seed=_rng.stream_key(seed, "ce-overlap") % 2**31)
     total, _ = volume(C, method="exact") if C.disjoint else \

@@ -18,6 +18,7 @@ from . import rng as _rng
 from .errors import (
     ConfigError,
     DimensionMismatch,
+    InvalidArgument,
     LevymixError,
     NotAxisAligned,
     OverlapUnknown,
@@ -40,7 +41,7 @@ class Piece:
         if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] != self.frame.shape[0]:
             raise DimensionMismatch("box must be a d x 2 interval array")
         if np.any(box[:, 0] > box[:, 1]):
-            raise ValueError("interval lo must not exceed hi")
+            raise InvalidArgument("interval lo must not exceed hi")
         object.__setattr__(self, "box", box)
 
     @cached_property
@@ -82,6 +83,12 @@ class Piece:
     def contains(self, points):
         """Boolean membership for an (n, d) array of points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        iv = self._intervals
+        if iv is not None:  # closed bounds, one contiguous coordinate at a time
+            out = np.ones(pts.shape[0], dtype=bool)
+            for col, (lo, hi) in zip(np.ascontiguousarray(pts.T), iv):
+                out &= (col >= lo) & (col <= hi)
+            return out
         try:
             y = np.linalg.solve(self.frame, pts.T).T
         except np.linalg.LinAlgError as exc:
@@ -104,7 +111,7 @@ class Region:
         pieces = tuple(p if isinstance(p, Piece) else Piece(*p)
                        for p in self.pieces)
         if not pieces:
-            raise ValueError("region needs at least one piece")
+            raise InvalidArgument("region needs at least one piece")
         d = pieces[0].dim
         if any(p.dim != d for p in pieces):
             raise DimensionMismatch("pieces have mixed dimensions")
@@ -201,7 +208,7 @@ def volume(region: Region, method="exact", n=100_000, seed=0):
     if method == "mc":
         return _stratified_hits(region.bounding_box(), region.contains, n,
                                 seed, "volume")
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidArgument(f"unknown method {method!r}")
 
 
 def transform(g, region: Region) -> Region:
@@ -244,7 +251,7 @@ def intersection_volume(r1: Region, r2: Region, method="auto",
         return _stratified_hits(
             r1.bounding_box(), lambda pts: r1.contains(pts) & r2.contains(pts),
             n, seed, "overlap")
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidArgument(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +290,35 @@ def _common_bounding_box(regions):
     return bounds
 
 
+def _signature_sums(regions, pts, weights=None):
+    """Membership signatures of the points in descending order, with the
+    number of points (or the sum of their weights) carrying each, as floats.
+
+    Each run of up to 64 regions folds into one unsigned code per point,
+    region 0 most significant, in the narrowest dtype that holds it; so
+    codes sort as signature tuples do, and bincount sums in input order.
+    """
+    words = []
+    for start in range(0, len(regions), 64):
+        group = regions[start:start + 64]
+        code = np.zeros(len(pts), np.min_scalar_type((1 << len(group)) - 1))
+        for r in group:
+            code <<= 1
+            code |= r.contains(pts)
+        words.append(code)
+    if len(words) == 1:
+        uniq, inverse = np.unique(words[0], return_inverse=True)
+        uniq = uniq[:, None]
+    else:  # rows of words, compared lexicographically
+        uniq, inverse = np.unique(np.stack(words, axis=1), axis=0,
+                                  return_inverse=True)
+    i = np.arange(len(regions))
+    shift = np.minimum(64, len(regions) - i // 64 * 64) - 1 - i % 64
+    bits = (uniq[::-1][:, i // 64] >> shift.astype(uniq.dtype)) & 1
+    return (tuple(map(tuple, (bits == 1).tolist())),
+            np.bincount(inverse, weights=weights).astype(float)[::-1])
+
+
 def _atomize_axis_exact(regions, bounds):
     d = regions[0].dim
     # sweep grid from every interval endpoint of every piece
@@ -300,12 +336,7 @@ def _atomize_axis_exact(regions, bounds):
     mesh = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1).reshape(-1, d)
     wmesh = np.stack(np.meshgrid(*widths, indexing="ij"), axis=-1).reshape(-1, d)
     cellvol = np.prod(wmesh, axis=1)
-    sigs = np.stack([r.contains(mesh) for r in regions], axis=1)
-    table = {}
-    for sig, v in zip(map(tuple, sigs), cellvol):
-        table[sig] = table.get(sig, 0.0) + float(v)
-    signatures = tuple(sorted(table.keys(), reverse=True))
-    measures = np.array([table[s] for s in signatures])
+    signatures, measures = _signature_sums(regions, mesh, weights=cellvol)
     return AtomTable(signatures, measures, np.zeros_like(measures),
                      bounds, exact=True)
 
@@ -328,19 +359,10 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
     rng = _rng.stream(seed, "atomize")
     pts, k, m = _stratified_uniform(bounds, n, rng)
     n_total = pts.shape[0]
-    sigs = np.stack([r.contains(pts) for r in regions], axis=1)
-    table = {}
-    for sig in map(tuple, sigs):
-        table[sig] = table.get(sig, 0) + 1
-    signatures, measures, stderrs = [], [], []
-    for sig in sorted(table.keys(), reverse=True):
-        cnt = table[sig]
-        p = cnt / n_total
-        meas = vbox * p
-        if meas < ATOM_DROP_FRACTION * vbox:
-            continue
-        signatures.append(sig)
-        measures.append(meas)
-        stderrs.append(vbox * np.sqrt(p * (1 - p) / n_total))
-    return AtomTable(tuple(signatures), np.array(measures), np.array(stderrs),
-                     bounds, exact=False)
+    signatures, counts = _signature_sums(regions, pts)
+    p = counts / n_total
+    measures = vbox * p
+    keep = measures >= ATOM_DROP_FRACTION * vbox
+    stderrs = vbox * np.sqrt(p * (1 - p) / n_total)
+    return AtomTable(tuple(s for s, kept in zip(signatures, keep) if kept),
+                     measures[keep], stderrs[keep], bounds, exact=False)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import rng as _rng
 from .config import DEFAULT_TOLS
-from .errors import (CompactClosure, DimensionMismatch, InvalidGenerator,
-                     NotReached, SamplingFailure)
+from .errors import (CompactClosure, DimensionMismatch, InvalidArgument,
+                     InvalidGenerator, NotReached, SamplingFailure)
 from .matrices import (
     BlockKind,
     RealJordanDecomposition,
@@ -52,7 +52,7 @@ class ShrinkingFamily:
         """Monotone map from t in (0, inf) to the block-level parameter."""
         t = float(t)
         if t <= 0:
-            raise ValueError("t must be positive")
+            raise InvalidArgument("t must be positive")
         return t / (1.0 + t) if self.uses_cone else t
 
     def to_json(self):
@@ -167,7 +167,7 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
     NotReached when h_max is insufficient.
     """
     if t_small <= 0 or t_large <= 0 or t_small > t_large:
-        raise ValueError("need 0 < t_small <= t_large")
+        raise InvalidArgument("need 0 < t_small <= t_large")
     if t_small == t_large:
         return 0, 0  # D_t'' is a subset of D_t' already; monotone convention
     rng = _rng.stream(seed, "absorption")
@@ -204,7 +204,7 @@ def null_boundary_check(fam: ShrinkingFamily, n_samples=100_000,
         bounding_box = np.column_stack([-np.ones(fam.dim), np.ones(fam.dim)])
     bounding_box = np.asarray(bounding_box, dtype=float)
     if np.any(bounding_box[:, 1] <= bounding_box[:, 0]):
-        raise ValueError("bounding box must have positive volume")
+        raise InvalidArgument("bounding box must have positive volume")
     rng = _rng.stream(seed, "nullcheck")
     pts = bounding_box[:, 0] + rng.random((n_samples, fam.dim)) * (
         bounding_box[:, 1] - bounding_box[:, 0])

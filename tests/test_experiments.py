@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from levymix import build_family, errors, rng
+from levymix import (build_family, errors, gallery, matrices, noise, rng,
+                     shrinking)
 from levymix.cli import main
 from levymix.experiments import (
     FAIL,
@@ -229,7 +230,9 @@ def test_run_all_config_errors(tmp_path):
              "square"),
             ({"kind": "mixing_curve", "g": "shear", "C": {"box": "x"}}, "C:"),
             ({"kind": "mixing_curve", "g": "shear", "C": unit,
-              "n_reps": "many"}, "n_reps")):
+              "n_reps": "many"}, "n_reps"),
+            ({"kind": "mixing_curve", "g": "shear", "C": unit,
+              "n_reps": -5}, "mixing_curve: n_reps")):
         bad.write_text(json.dumps({"experiments": [entry]}))
         with pytest.raises(errors.ConfigError, match=match):
             run_all(str(bad), out_override=str(tmp_path))
@@ -328,6 +331,7 @@ def test_cli_experiment_run(tmp_path):
     ["simulate", "--regions", "nope.json"],
     ["witness", "--generators", "bad.json"],
     ["weyl", "--generators", "squeeze"],
+    ["sets", "verify", "--matrix", "squeeze", "--t-grid", "0,1"],
 ])
 def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -337,6 +341,30 @@ def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("error: ")
     assert "Traceback" not in res.output
+
+
+def test_argument_checks_raise_invalid_argument():
+    fam = build_family(squeeze())
+    block = matrices.real_jordan_form(shear()).blocks[0]
+    calls = [
+        lambda: volume(UNIT, method="grid"),
+        lambda: intersection_volume(UNIT, UNIT, method="grid"),
+        lambda: gallery.conjugated_rotation(0.5, np.random.default_rng(0), d=3),
+        lambda: fam.param(0.0),
+        lambda: shrinking.absorption_lag(fam, 0.0, 1.0),
+        lambda: shrinking.null_boundary_check(fam, bounding_box=[[0, 0], [0, 1]]),
+        lambda: matrices.eigen_spectrum(squeeze(), cluster_tol=0.0),
+        lambda: matrices.jordan_block_power_apply(block, -1, np.ones(2)),
+        lambda: matrices.haar_average_form([rotation(0.5)], mode="haar"),
+        lambda: noise.NoiseSpec(noise.POISSON, -1.0),
+        lambda: noise.conditional_expectation_gaussian(np.tanh, UNIT, UNIT,
+                                                       quad_nodes=4),
+    ]
+    for call in calls:
+        with pytest.raises(errors.InvalidArgument) as info:
+            call()
+        assert isinstance(info.value, errors.LevymixError)
+        assert isinstance(info.value, ValueError)
 
 
 def test_cli_experiment_run_uses_config_seed_and_out(tmp_path, monkeypatch):

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levymix import errors
+from levymix import rng as _rng
 from levymix.gallery import rotation, shear, squeeze
 from levymix.regions import (
+    ATOM_DROP_FRACTION,
     AtomTable,
     Piece,
     Region,
+    _stratified_uniform,
     atomize,
     box_region,
     intersection_volume,
@@ -21,7 +26,7 @@ from levymix.regions import (
 def test_piece_validation():
     with pytest.raises(errors.DimensionMismatch):
         Piece(np.eye(2), np.array([[0.0, 1.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.InvalidArgument):
         Piece(np.eye(2), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
@@ -65,7 +70,7 @@ def test_rotated_and_sheared_frames_not_axis_aligned():
 
 
 def test_region_requires_pieces_and_consistent_dims():
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.InvalidArgument):
         Region(())
     with pytest.raises(errors.DimensionMismatch):
         Region((Piece(np.eye(2), np.zeros((2, 2)) + [0, 1]),
@@ -177,8 +182,150 @@ def test_atomize_rotation90_powers_exact():
 
 
 def test_atomize_unbounded_rejected():
-    class Fake:
-        pass
-
-    with pytest.raises(Exception):
+    half_strip = box_region(np.array([[0.0, np.inf], [0.0, 1.0]]))
+    with pytest.raises(errors.UnboundedRegion):
+        atomize([unit_box(2), half_strip], n=10)
+    with pytest.raises(errors.LevymixError):
         atomize([], n=10)
+
+
+# ---------------------------------------------------------------------------
+# membership of axis pieces and signature counting
+
+
+def _solve_contains(piece, pts):
+    """Membership through the inverse frame, for any invertible frame."""
+    y = np.linalg.solve(piece.frame, pts.T).T
+    return np.all((y >= piece.box[:, 0]) & (y <= piece.box[:, 1]), axis=1)
+
+
+@pytest.mark.parametrize("frame", [
+    np.eye(1), np.eye(2), np.eye(3), [[0.0, 2.0], [-0.5, 0.0]],
+    [[-1.0, 0.0], [0.0, 4.0]], [[0.0, 0.0, -0.25], [2.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
+])
+def test_axis_membership_matches_solve(frame):
+    frame = np.asarray(frame, dtype=float)
+    d = frame.shape[0]
+    box = np.column_stack([np.linspace(-1.0, 0.5, d), np.linspace(0.25, 2.0, d)])
+    p = Piece(frame, box)
+    # each closed bound, its float neighbours on both sides, and the middle
+    axes = [[lo, hi, (lo + hi) / 2] + [np.nextafter(v, s * np.inf)
+                                       for v in (lo, hi) for s in (-1, 1)]
+            for lo, hi in p.intervals()]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    want = _solve_contains(p, pts)
+    assert want.any() and not want.all()
+    assert np.array_equal(p.contains(pts), want)
+
+
+def test_singular_diagonal_frame_still_raises():
+    p = Piece(np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 1.0]]))
+    assert not p.is_axis_aligned()
+    with pytest.raises(errors.SingularMatrix):
+        p.contains(np.array([[0.5, 0.0]]))
+
+
+def test_axis_family_never_solves(monkeypatch):
+    square = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    family = [box_region(square),
+              transform(np.linalg.matrix_power(rotation(math.pi / 2), 3),
+                        box_region(square + [[0.5], [0.0]])),
+              Region((Piece(np.array([[0.0, 2.0], [-0.5, 0.0]]), square),
+                      Piece(np.eye(2), square + 3.0)))]
+    pts = np.random.default_rng(0).uniform(-3.0, 5.0, size=(2_000, 2))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called for axis pieces")
+
+    monkeypatch.setattr("levymix.regions.np.linalg.solve", no_solve)
+    assert all(r.contains(pts).any() for r in family)
+    assert atomize(family).exact
+    assert not atomize(family, method="mc", n=2_000, seed=1).exact
+
+
+def _dict_atoms(regions, bounds, exact, n, seed):
+    """(signatures, measures, stderrs) from a dict of signature tuples over
+    the points atomize classifies: sweep-cell centres weighted by cell
+    volume, or the stratified samples of the "atomize" stream."""
+    d = bounds.shape[0]
+    if exact:
+        cuts = []
+        for k in range(d):
+            ends = {bounds[k, 0], bounds[k, 1]}
+            for r in regions:
+                for p in r.pieces:
+                    ends.update(float(v) for v in p.intervals()[k])
+            cuts.append(np.array(sorted(ends)))
+        grid = [0.5 * (c[1:] + c[:-1]) for c in cuts]
+        pts = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, d)
+        wgrid = np.meshgrid(*[np.diff(c) for c in cuts], indexing="ij")
+        weights = np.prod(np.stack(wgrid, axis=-1).reshape(-1, d), axis=1)
+    else:
+        pts, _, _ = _stratified_uniform(bounds, n, _rng.stream(seed, "atomize"))
+        weights = np.ones(len(pts), dtype=int)
+    table = {}
+    member = np.stack([r.contains(pts) for r in regions], axis=1)
+    for sig, w in zip(map(tuple, member), weights.tolist()):
+        table[sig] = table.get(sig, 0) + w
+    sigs = sorted(table, reverse=True)
+    if exact:
+        return sigs, [table[s] for s in sigs], [0.0] * len(sigs)
+    vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
+    out = ([], [], [])
+    for sig in sigs:
+        p = table[sig] / len(pts)
+        if vbox * p >= ATOM_DROP_FRACTION * vbox:
+            for col, v in zip(out, (sig, vbox * p,
+                                    vbox * np.sqrt(p * (1 - p) / len(pts)))):
+                col.append(v)
+    return out
+
+
+def _assert_matches_dict_atoms(regions, method, n, seed):
+    atoms = atomize(regions, n=n, seed=seed, method=method)
+    sigs, measures, stderrs = _dict_atoms(regions, atoms.bounding_box,
+                                          atoms.exact, n, seed)
+    assert atoms.signatures == tuple(sigs)
+    assert all(len(s) == len(regions) for s in atoms.signatures)
+    assert atoms.measures.tobytes() == np.array(measures, dtype=float).tobytes()
+    assert atoms.stderrs.tobytes() == np.array(stderrs, dtype=float).tobytes()
+    return atoms
+
+
+@st.composite
+def _families(draw):
+    d = draw(st.integers(1, 3))
+    skew = d > 1 and draw(st.booleans())
+
+    def piece():
+        lo = np.array(draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d)))
+        ext = np.array(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+        frame = np.zeros((d, d))
+        frame[np.arange(d), draw(st.permutations(range(d)))] = draw(st.lists(
+            st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+            min_size=d, max_size=d))
+        if skew and draw(st.booleans()):
+            frame[0] += draw(st.floats(0.2, 1.0)) * frame[1]
+        return Piece(frame, 0.25 * np.column_stack([lo, lo + ext]))
+
+    return [Region(tuple(piece() for _ in range(draw(st.integers(1, 3)))),
+                   disjoint=False)
+            for _ in range(draw(st.integers(1, 9)))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(family=_families(), method=st.sampled_from(["auto", "mc"]),
+       seed=st.integers(0, 2**31 - 1))
+def test_atomize_matches_dict_counting(family, method, seed):
+    _assert_matches_dict_atoms(family, method, 3_000, seed)
+
+
+@pytest.mark.parametrize("n_regions", [1, 8, 9, 16, 17, 64, 70])
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_atomize_code_widths_match_dict_counting(n_regions, method):
+    rng = np.random.default_rng(n_regions)
+    lo = rng.uniform(0.0, 3.0, size=(n_regions, 2))
+    family = [box_region(np.column_stack([a, a + rng.uniform(0.5, 2.0, 2)]))
+              for a in lo]
+    atoms = _assert_matches_dict_atoms(family, method, 5_000, n_regions)
+    assert len(atoms.signatures) >= n_regions
