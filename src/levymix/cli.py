@@ -133,7 +133,10 @@ def sets():
 def verify(matrix_spec, t_grid, n_samples, h_max, seed, out_dir):
     """Verify absorption and null-boundary properties; emit a CSV report."""
     fam = _shrinking.build_family(_load_matrix(matrix_spec))
-    grid = sorted(float(t) for t in t_grid.split(","))
+    try:
+        grid = sorted(float(t) for t in t_grid.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--t-grid {t_grid}: {exc}") from exc
     rows = ["t_small,t_large,h0,violations"]
     for i, t1 in enumerate(grid):
         for t2 in grid[i + 1:]:

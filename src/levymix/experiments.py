@@ -37,7 +37,9 @@ from .regions import (
     Region,
     atomize,
     box_region,
+    clip_polygon,
     intersection_volume,
+    polygon_area,
     transform,
     volume,
 )
@@ -150,19 +152,6 @@ def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000, seed=0,
 # exact measure of C n D_t in the plane
 
 
-def _clip(poly, a, b):
-    """Part of the convex polygon `poly` (one vertex per row) where a.x <= b."""
-    f = poly @ a - b
-    out = []
-    for k in range(len(poly)):
-        if (f[k] <= 0) != (f[k - 1] <= 0):
-            out.append(poly[k - 1] + f[k - 1] / (f[k - 1] - f[k])
-                       * (poly[k] - poly[k - 1]))
-        if f[k] <= 0:
-            out.append(poly[k])
-    return np.array(out).reshape(-1, 2)
-
-
 def family_overlap(fam: ShrinkingFamily, t, C: Region) -> float:
     """Exact measure of C n D_t for a shrinking family in the plane.
 
@@ -188,11 +177,10 @@ def family_overlap(fam: ShrinkingFamily, t, C: Region) -> float:
     total = 0.0
     for piece in C.pieces:
         for cell in cells:
-            poly = piece.corners()[[0, 1, 3, 2]]  # corners in cyclic order
+            poly = piece.polygon()
             for a, b in cell:
-                poly = _clip(poly, a @ fam.basis_inv, b)
-            x, y = poly[:, 0], poly[:, 1]  # shoelace; 0 for < 3 vertices
-            total += 0.5 * abs(x @ np.roll(y, -1) - y @ np.roll(x, -1))
+                poly = clip_polygon(poly, a @ fam.basis_inv, b)
+            total += polygon_area(poly)
     return float(total)
 
 

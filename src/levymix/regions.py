@@ -4,7 +4,10 @@ A Region is a finite union of linear images of axis-aligned boxes.
 Volumes are exact per piece (|det M| times the box volume).  A piece
 whose frame is a signed permutation times a diagonal is itself an axis
 box; unions of such pieces get exact overlaps and an exact sweep-grid
-atomization, and anything involving other frames is Monte Carlo.
+atomization.  Overlaps of other planar pieces are exact too: each piece
+is clipped against the four half-planes of the other (Sutherland-Hodgman)
+and the shoelace areas are summed.  Overlaps in d >= 3 with other frames,
+and the atoms of any family that is not all axis boxes, are Monte Carlo.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from .errors import (
     UnboundedRegion,
 )
 from .matrices import as_matrix, matrix_to_json
-
-ATOM_DROP_FRACTION = 1e-9  # atoms below this fraction of the box volume are null
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,21 @@ class Piece:
                                     indexing="ij"), axis=-1).reshape(-1, d)
         return grid @ self.frame.T
 
+    def polygon(self):
+        """The four corners of a planar piece in cyclic order."""
+        return self.corners()[[0, 1, 3, 2]]
+
+    @cached_property
+    def _halfplanes(self):
+        """Pairs (a, b) whose half-spaces a.x <= b cut out the piece:
+        (F^-1)_k.x <= hi_k and -(F^-1)_k.x <= -lo_k for each axis k."""
+        try:
+            inv = np.linalg.inv(self.frame)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix("piece frame is singular") from exc
+        return list(zip(np.vstack([inv, -inv]),
+                        np.concatenate([self.box[:, 1], -self.box[:, 0]])))
+
 
 @dataclass(frozen=True)
 class Region:
@@ -170,6 +186,8 @@ def unit_box(d):
 
 def _stratified_uniform(bounds, n, rng):
     """About n stratified-uniform points in the box `bounds`."""
+    if not n >= 1:
+        raise InvalidArgument(f"need at least one sample point, got n={n}")
     d = bounds.shape[0]
     s = max(int(np.floor(n ** (1.0 / d))), 1)
     m = max(int(np.ceil(n / s**d)), 1)
@@ -220,6 +238,25 @@ def transform(g, region: Region) -> Region:
                   disjoint=region.disjoint)
 
 
+def clip_polygon(poly, a, b):
+    """Part of the convex polygon `poly` (one vertex per row) where a.x <= b."""
+    f = poly @ a - b
+    out = []
+    for k in range(len(poly)):
+        if (f[k] <= 0) != (f[k - 1] <= 0):
+            out.append(poly[k - 1] + f[k - 1] / (f[k - 1] - f[k])
+                       * (poly[k] - poly[k - 1]))
+        if f[k] <= 0:
+            out.append(poly[k])
+    return np.array(out).reshape(-1, 2)
+
+
+def polygon_area(poly):
+    """Shoelace area of a polygon with vertices in cyclic order; 0 below 3."""
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(x @ np.roll(y, -1) - y @ np.roll(x, -1))
+
+
 def _axis_overlap(r1: Region, r2: Region):
     total = 0.0
     for p1 in r1.pieces:
@@ -233,19 +270,46 @@ def _axis_overlap(r1: Region, r2: Region):
     return total
 
 
+def _planar_overlap(r1: Region, r2: Region):
+    total = 0.0
+    bounds2 = [p2.bounds() for p2 in r2.pieces]
+    for p1 in r1.pieces:
+        b1, poly1 = p1.bounds(), p1.polygon()
+        for p2, b2 in zip(r2.pieces, bounds2):
+            if np.any(np.maximum(b1[:, 0], b2[:, 0])
+                      >= np.minimum(b1[:, 1], b2[:, 1])):
+                continue  # bounding boxes do not meet
+            poly = poly1
+            for a, b in p2._halfplanes:
+                poly = clip_polygon(poly, a, b)
+            total += polygon_area(poly)
+    return float(total)
+
+
 def intersection_volume(r1: Region, r2: Region, method="auto",
                         n=100_000, seed=0):
     """(value, stderr) of the measure of the intersection of two regions.
 
-    "axis" is exact for axis-aligned regions with disjoint pieces; "mc"
-    samples in the bounding box of r1; "auto" picks axis when possible.
+    "axis" is exact for axis-aligned regions; "mc" samples in the bounding
+    box of r1.  "auto" takes the axis sweep when both regions are
+    axis-aligned, else clips every planar piece pair exactly when d = 2,
+    else Monte Carlo.  The exact paths need both regions' disjoint flag,
+    since they sum over piece pairs; without it "axis" raises
+    OverlapUnknown and "auto" falls back to Monte Carlo.
     """
+    if r1.dim != r2.dim:
+        raise DimensionMismatch("regions have different dimensions")
+    disjoint = r1.disjoint and r2.disjoint
+    axis = r1.is_axis_aligned() and r2.is_axis_aligned()
     if method == "auto":
-        method = "axis" if (r1.is_axis_aligned() and r2.is_axis_aligned()) \
-            else "mc"
+        if disjoint and not axis and r1.dim == 2:
+            return _planar_overlap(r1, r2), 0.0
+        method = "axis" if disjoint and axis else "mc"
     if method == "axis":
-        if not (r1.is_axis_aligned() and r2.is_axis_aligned()):
+        if not axis:
             raise NotAxisAligned("axis-exact overlap needs axis-aligned frames")
+        if not disjoint:
+            raise OverlapUnknown("exact overlap requires disjoint pieces")
         return _axis_overlap(r1, r2), 0.0
     if method == "mc":
         return _stratified_hits(
@@ -346,8 +410,9 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
 
     method="exact" (axis-aligned families only) classifies the cells of
     the endpoint sweep grid; method="mc" classifies n stratified-uniform
-    samples; "auto" prefers exact when available.  MC atoms below
-    ATOM_DROP_FRACTION of the box volume are dropped as null.
+    samples; "auto" prefers exact when available.  Every signature that
+    occurs among the samples is an atom, so each MC atom has a measure of
+    at least the box volume over the number of samples.
     """
     regions = list(regions)
     bounds = _common_bounding_box(regions)
@@ -361,8 +426,5 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
     n_total = pts.shape[0]
     signatures, counts = _signature_sums(regions, pts)
     p = counts / n_total
-    measures = vbox * p
-    keep = measures >= ATOM_DROP_FRACTION * vbox
     stderrs = vbox * np.sqrt(p * (1 - p) / n_total)
-    return AtomTable(tuple(s for s, kept in zip(signatures, keep) if kept),
-                     measures[keep], stderrs[keep], bounds, exact=False)
+    return AtomTable(signatures, vbox * p, stderrs, bounds, exact=False)

@@ -332,10 +332,15 @@ def test_cli_experiment_run(tmp_path):
     ["witness", "--generators", "bad.json"],
     ["weyl", "--generators", "squeeze"],
     ["sets", "verify", "--matrix", "squeeze", "--t-grid", "0,1"],
+    ["sets", "verify", "--matrix", "squeeze", "--t-grid", "0.5,x"],
+    ["simulate", "--regions", "rotated.json", "--n", "-5"],
+    ["simulate", "--regions", "rotated.json", "--n", "0"],
 ])
 def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "regions.json").write_text(json.dumps([{"box": [[0, 1], [0, 1]]}]))
+    (tmp_path / "rotated.json").write_text(json.dumps([{"pieces": [
+        {"frame": [[0.6, -0.8], [0.8, 0.6]], "box": [[0, 1], [0, 1]]}]}]))
     (tmp_path / "bad.json").write_text(json.dumps([{"rows": [[1.0, 0.0]]}]))
     res = CliRunner().invoke(main, argv)
     assert res.exit_code == 2, res.output
@@ -349,6 +354,7 @@ def test_argument_checks_raise_invalid_argument():
     calls = [
         lambda: volume(UNIT, method="grid"),
         lambda: intersection_volume(UNIT, UNIT, method="grid"),
+        lambda: volume(UNIT, method="mc", n=0),
         lambda: gallery.conjugated_rotation(0.5, np.random.default_rng(0), d=3),
         lambda: fam.param(0.0),
         lambda: shrinking.absorption_lag(fam, 0.0, 1.0),
