@@ -1,6 +1,5 @@
 """Matrix-group compactness, shrinking sets, and noise mixing experiments."""
 
-from .config import DEFAULT_TOLS, Tolerances
 from .matrices import (
     BlockKind,
     EigenCluster,
@@ -21,7 +20,6 @@ from .noise import (
     NoiseRealization,
     NoiseSpec,
     apply_transform,
-    conditional_expectation_gaussian,
     realize,
 )
 from .regions import (

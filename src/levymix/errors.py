@@ -65,10 +65,6 @@ class UnsupportedKind(LevymixError):
     """Operation not defined for this noise kind."""
 
 
-class NonGaussian(LevymixError):
-    """Gaussian-only operation invoked on a non-Gaussian noise spec."""
-
-
 class ApproximationTooCoarse(LevymixError):
     """No polygonal or box construction of a set exists for this input."""
 

@@ -46,6 +46,8 @@ from .regions import (
 from .shrinking import ShrinkingFamily, build_family
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
+MC_SAMPLES = 200_000  # points per Monte Carlo overlap or atom table
+KS_ALPHA = 0.01       # level of the equivariance KS test
 
 
 @dataclass
@@ -87,8 +89,8 @@ def _cov_stderr(v1, v2, c, n):
 # mixing curve
 
 
-def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000, seed=0,
-                 atom_samples=200_000) -> ExperimentReport:
+def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000,
+                 seed=0) -> ExperimentReport:
     """Overlap measure and empirical mass covariance along powers of g.
 
     For each m the overlap of C with g^m C is estimated, together with
@@ -100,7 +102,7 @@ def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000, seed=0,
     if not in_measure_preserving_group(g, det_tol=1e-6):
         raise InvalidGenerator("mixing map must have |det| = 1")
     compact = cyclic_closure_compact(g)
-    lam_C, _ = volume(C, method="exact")
+    lam_C = volume(C)
     spec = NoiseSpec(GAUSSIAN)
     report = ExperimentReport(
         "mixing_curve",
@@ -114,8 +116,8 @@ def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000, seed=0,
         Cm = transform(gm, C) if m else C
         sub = _rng.stream_key(seed, "mix", m) % 2**31
         overlap, ov_err = intersection_volume(C, Cm, method="auto",
-                                              n=atom_samples, seed=sub)
-        atoms = atomize([C, Cm], n=atom_samples, seed=sub)
+                                              n=MC_SAMPLES, seed=sub)
+        atoms = atomize([C, Cm], n=MC_SAMPLES, seed=sub)
         masses = realize_masses(spec, atoms, n_reps, seed=sub)
         in0 = np.array([sig[0] for sig in atoms.signatures])
         in1 = np.array([sig[1] for sig in atoms.signatures])
@@ -204,7 +206,7 @@ def tail_triviality_decay(g, f=None, C: Region = None,
     if f is None:
         f = lambda v: v
     fam = build_family(as_matrix(g))
-    lam_C, _ = volume(C, method="exact")
+    lam_C = volume(C)
     report = ExperimentReport(
         "tail_triviality_decay",
         {"g": as_matrix(g).tolist(), "C": C.to_json(),
@@ -221,9 +223,8 @@ def tail_triviality_decay(g, f=None, C: Region = None,
     variances, verrs = [], []
     for t in t_sorted:
         s = family_overlap(fam, t, C)
-        r = max(lam_C - s, 0.0)
         rng = _rng.stream(seed, "tail", t)
-        samples = gaussian_conditional_samples(f, s, r, n_reps, rng)
+        samples = gaussian_conditional_samples(f, s, lam_C, n_reps, rng)
         var = float(samples.var(ddof=1))
         verr = var * np.sqrt(2.0 / (n_reps - 1))
         report.add("overlap", t, s, 0.0)
@@ -246,7 +247,7 @@ def tail_triviality_decay(g, f=None, C: Region = None,
 
 
 def equivariance_check(g, C: Region, B: Region, f=None, n_reps=10_000,
-                       seed=0, alpha=0.01, measure_n=200_000) -> ExperimentReport:
+                       seed=0) -> ExperimentReport:
     """Two-sample KS test of conditional-expectation laws for (C, B) vs (gC, gB)."""
     from scipy import stats  # only user of scipy.stats; keeps imports light
 
@@ -255,29 +256,29 @@ def equivariance_check(g, C: Region, B: Region, f=None, n_reps=10_000,
         raise InvalidGenerator("map must have |det| = 1")
     if f is None:
         f = np.tanh
-    lam_C, _ = volume(C, method="exact")
-    s1, e1 = intersection_volume(C, B, method="auto", n=measure_n,
+    lam_C = volume(C)
+    s1, e1 = intersection_volume(C, B, method="auto", n=MC_SAMPLES,
                                  seed=_rng.stream_key(seed, "eq", 0) % 2**31)
     gC, gB = transform(g, C), transform(g, B)
-    s2, e2 = intersection_volume(gC, gB, method="auto", n=measure_n,
+    s2, e2 = intersection_volume(gC, gB, method="auto", n=MC_SAMPLES,
                                  seed=_rng.stream_key(seed, "eq", 1) % 2**31)
     rng1 = _rng.stream(seed, "eq-samples", 0)
     rng2 = _rng.stream(seed, "eq-samples", 1)
-    x1 = gaussian_conditional_samples(f, s1, max(lam_C - s1, 0.0), n_reps, rng1)
-    x2 = gaussian_conditional_samples(f, s2, max(lam_C - s2, 0.0), n_reps, rng2)
+    x1 = gaussian_conditional_samples(f, s1, lam_C, n_reps, rng1)
+    x2 = gaussian_conditional_samples(f, s2, lam_C, n_reps, rng2)
     ks = stats.ks_2samp(x1, x2)
     overlap_ok = abs(s2 - s1) <= 3.0 * np.hypot(e1, e2) + 1e-9
     report = ExperimentReport(
         "equivariance_check",
         {"g": g.tolist(), "C": C.to_json(), "B": B.to_json(),
-         "n_reps": n_reps, "seed": seed, "alpha": alpha},
+         "n_reps": n_reps, "seed": seed, "alpha": KS_ALPHA},
     )
     report.add("overlap", 0, s1, e1)
     report.add("overlap", 1, s2, e2)
     report.add("ks_statistic", 0, float(ks.statistic))
     report.add("ks_pvalue", 0, float(ks.pvalue))
-    report.verdict = PASS if (ks.pvalue >= alpha and overlap_ok) else FAIL
-    report.criterion = (f"KS p-value >= {alpha} and transformed overlap within "
+    report.verdict = PASS if (ks.pvalue >= KS_ALPHA and overlap_ok) else FAIL
+    report.criterion = (f"KS p-value >= {KS_ALPHA} and transformed overlap within "
                         "3 sigma of the original")
     return report
 
@@ -300,49 +301,40 @@ def _disc_strips(radius, n_strips):
     return Region(tuple(pieces), disjoint=True)
 
 
-def _is_signed_permutation(Q, tol=1e-8):
-    P = np.abs(Q)
-    return (np.all(np.abs(P - np.round(P)) <= tol)
-            and np.all(np.round(P).sum(axis=0) == 1)
-            and np.all(np.round(P).sum(axis=1) == 1))
-
-
-def compact_invariant_demo(generators, n_reps=10_000, seed=0, mode="auto",
-                           n_strips=400, check_points=10_000,
-                           mismatch_tol=0.01) -> ExperimentReport:
+def compact_invariant_demo(generators, n_reps=10_000,
+                           seed=0) -> ExperimentReport:
     """Invariant region with non-degenerate mass for a compact group.
 
-    Conjugates the group into the orthogonal group, builds an invariant
-    region (an exactly invariant box when the orthogonal form consists
-    of signed permutations, otherwise the image of a strip-approximated
-    disc), and checks invariance pointwise plus positivity of the mass
-    variance.
+    Conjugates the group into the orthogonal group, finite-group average
+    first and Cesaro average when the group is too large to enumerate.
+    Builds an invariant region: the cube [-1, 1]^d, exactly invariant
+    when every conjugated generator maps it to an axis box (the rule of
+    Piece.is_axis_aligned), otherwise the image of a disc approximated by
+    400 strips.  Checks invariance at 10 000 points (within 1% for the
+    disc) and positivity of the mass variance.
     """
     gens = [as_matrix(g) for g in generators]
-    if mode == "auto":
-        try:
-            h = weyl_conjugator(gens, mode="finite")
-            mode_used = "finite"
-        except GroupTooLarge:
-            h = weyl_conjugator(gens, mode="cesaro")
-            mode_used = "cesaro"
-    else:
-        h = weyl_conjugator(gens, mode=mode)
-        mode_used = mode
+    try:
+        h = weyl_conjugator(gens, mode="finite")
+        mode_used = "finite"
+    except GroupTooLarge:
+        h = weyl_conjugator(gens, mode="cesaro")
+        mode_used = "cesaro"
     hinv = np.linalg.inv(h)
-    qs = [hinv @ g @ h for g in gens]
-    exact_box = all(_is_signed_permutation(Q) for Q in qs)
     d = gens[0].shape[0]
+    cube = np.column_stack([-np.ones(d), np.ones(d)])
+    exact_box = all(Piece(hinv @ g @ h, cube).is_axis_aligned() for g in gens)
     if exact_box:
-        base = box_region(np.column_stack([-np.ones(d), np.ones(d)]))
+        base = box_region(cube)
         tol_frac = 0.0
     else:
         if d != 2:
             raise ApproximationTooCoarse("disc approximation implemented for d=2")
-        base = _disc_strips(1.0, n_strips)
-        tol_frac = mismatch_tol
+        base = _disc_strips(1.0, 400)
+        tol_frac = 0.01
+    check_points = 10_000
     region = transform(h, base)
-    lam, _ = volume(region, method="exact")
+    lam = volume(region)
     report = ExperimentReport(
         "compact_invariant_demo",
         {"generators": [g.tolist() for g in gens], "mode": mode_used,
@@ -358,7 +350,7 @@ def compact_invariant_demo(generators, n_reps=10_000, seed=0, mode="auto",
         mismatch = float(np.mean(base_member != Rg.contains(pts)))
         report.add("membership_mismatch", i, mismatch,
                    np.sqrt(mismatch * (1 - mismatch) / check_points))
-        vg, _ = volume(Rg, method="exact")
+        vg = volume(Rg)
         report.add("volume_ratio", i, vg / lam)
         if mismatch > tol_frac + 3.0 * np.sqrt(max(tol_frac, 1e-4) / check_points):
             invariant = False
@@ -389,12 +381,31 @@ def _function(name):
     return _FUNCTIONS[name]
 
 
-def _replicates(value):
-    """A replicate count: an integer of at least 2, so a variance exists."""
-    n = int(value)
-    if n < 2:
-        raise InvalidArgument(f"need at least 2 replicates, got {n}")
-    return n
+def _at_least(low):
+    """Parser of an integer no smaller than `low`."""
+    def parse(value):
+        n = int(value)
+        if n < low:
+            raise InvalidArgument(f"need an integer of at least {low}, got {n}")
+        return n
+    return parse
+
+
+def _positive(t):
+    """t unchanged, if positive and finite.  Not converted to float: the
+    tail experiment keys its random streams by the text of t."""
+    if not 0.0 < float(t) < np.inf:
+        raise InvalidArgument(f"need a positive number, got {t!r}")
+    return t
+
+
+def _nonempty_list(parse):
+    """Parser of a non-empty list, applying `parse` to each item."""
+    def parse_list(value):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"need a non-empty list, got {value!r}")
+        return [parse(v) for v in value]
+    return parse_list
 
 
 def read_json(path):
@@ -444,29 +455,32 @@ def _run_one(entry, master_seed):
             raise ConfigError(f"{name}: missing {key!r}")
         try:
             return parse(entry.get(key, default))
-        except (ConfigError, TypeError, ValueError) as exc:
+        except (ConfigError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name}: {key}: {exc}") from exc
+
+    replicates = _at_least(2)  # the fewest samples that have a variance
 
     if kind == "mixing_curve":
         return name, mixing_curve(
             field("g", parse_matrix), field("C", Region.from_json),
-            m_range=(0, field("m_max", int, 8)),
-            n_reps=field("n_reps", _replicates, 10_000), seed=seed)
+            m_range=(0, field("m_max", _at_least(0), 8)),
+            n_reps=field("n_reps", replicates, 10_000), seed=seed)
     if kind == "tail_triviality_decay":
         return name, tail_triviality_decay(
             field("g", parse_matrix), f=field("f", _function, "identity"),
             C=field("C", Region.from_json),
-            t_grid=field("t_grid", tuple, (5.0, 2.0, 1.0, 0.5, 0.2, 0.1)),
-            n_reps=field("n_reps", _replicates, 10_000), seed=seed)
+            t_grid=field("t_grid", _nonempty_list(_positive),
+                         (5.0, 2.0, 1.0, 0.5, 0.2, 0.1)),
+            n_reps=field("n_reps", replicates, 10_000), seed=seed)
     if kind == "equivariance_check":
         return name, equivariance_check(
             field("g", parse_matrix), field("C", Region.from_json),
             field("B", Region.from_json), f=field("f", _function, "tanh"),
-            n_reps=field("n_reps", _replicates, 10_000), seed=seed)
+            n_reps=field("n_reps", replicates, 10_000), seed=seed)
     if kind == "compact_invariant_demo":
         return name, compact_invariant_demo(
-            field("generators", lambda gs: [parse_matrix(g) for g in gs]),
-            n_reps=field("n_reps", _replicates, 10_000), seed=seed)
+            field("generators", _nonempty_list(parse_matrix)),
+            n_reps=field("n_reps", replicates, 10_000), seed=seed)
     raise ConfigError(f"unknown experiment kind {kind!r}")
 
 

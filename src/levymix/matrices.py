@@ -16,7 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -30,26 +29,21 @@ from .errors import (
     SingularMatrix,
 )
 
-__all__ = [
-    "EigenCluster",
-    "BlockKind",
-    "RealJordanBlock",
-    "RealJordanDecomposition",
-    "NoncompactCertificate",
-    "as_matrix",
-    "assemble_jordan",
-    "matrix_to_json",
-    "matrix_from_json",
-    "eigen_spectrum",
-    "real_jordan_form",
-    "jordan_block_power_apply",
-    "classify_noncompact_blocks",
-    "cyclic_closure_compact",
-    "find_noncompact_witness",
-    "haar_average_form",
-    "spd_sqrt_inverse",
-    "weyl_conjugator",
-]
+
+# Numerical thresholds.  CLUSTER_TOL drives both eigenvalue clustering and
+# the singular-value threshold in rank decisions; UNIT_TOL decides when a
+# modulus counts as 1; RECONSTRUCTION_TOL bounds the relative residual of
+# a Jordan decomposition; DET_TOL is the |det| = 1 membership slack.
+CLUSTER_TOL = 1e-6
+UNIT_TOL = 1e-8
+RECONSTRUCTION_TOL = 1e-6
+DET_TOL = 1e-8
+# Weyl's trick: finite groups are enumerated up to GROUP_CAP elements; the
+# Cesaro form must be invariant to FORM_RESIDUAL_TOL relative, and every
+# conjugated generator orthogonal to ORTHOGONALITY_TOL.
+GROUP_CAP = 10_000
+FORM_RESIDUAL_TOL = 1e-9
+ORTHOGONALITY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +77,7 @@ def _opnorm(A):
     return float(np.linalg.norm(A, 2))
 
 
-def in_measure_preserving_group(A, det_tol=DEFAULT_TOLS.det_tol) -> bool:
+def in_measure_preserving_group(A, det_tol=DET_TOL) -> bool:
     """|det A| = 1 within det_tol."""
     return abs(abs(float(np.linalg.det(as_matrix(A)))) - 1.0) <= det_tol
 
@@ -127,7 +121,7 @@ def _numerical_rank(M, threshold):
     return int(np.sum(s > threshold))
 
 
-def eigen_spectrum(A, cluster_tol=DEFAULT_TOLS.cluster_tol):
+def eigen_spectrum(A, cluster_tol=CLUSTER_TOL):
     """Clustered eigenvalues of A with algebraic and geometric multiplicities.
 
     Raw eigenvalues within cluster_tol of each other (single linkage) are
@@ -253,12 +247,12 @@ def _jordan_chains(A, lam, alg):
     return chains
 
 
-def _delta_ladder(cluster_tol):
+def _delta_ladder():
     # coarse to fine: over-merged clusters fail the chain structure checks,
     # while a split defective cluster can pass the residual check with an
     # ill-conditioned conjugator, so the coarsest consistent radius wins
     deltas = []
-    delta = cluster_tol
+    delta = CLUSTER_TOL
     while delta <= 0.2:
         deltas.append(delta)
         delta *= 10.0
@@ -371,8 +365,7 @@ def _canonical_block_sort(items):
     return sorted(items, key=key)
 
 
-def real_jordan_form(A, tol=DEFAULT_TOLS.reconstruction_tol,
-                     cluster_tol=DEFAULT_TOLS.cluster_tol):
+def real_jordan_form(A):
     """Real Jordan decomposition A = T K T^-1.
 
     Blocks are ordered canonically: real blocks first, sorted by
@@ -388,12 +381,12 @@ def real_jordan_form(A, tol=DEFAULT_TOLS.reconstruction_tol,
     d = A.shape[0]
     normA = max(_opnorm(A), np.finfo(float).tiny)
     last_err = "no clustering radius produced a consistent structure"
-    for delta in _delta_ladder(cluster_tol):
+    for delta in _delta_ladder():
         clusters = eigen_spectrum(A, delta)
         if not _cluster_guard_ok(clusters, delta):
             continue
         try:
-            items = _real_blocks_at_radius(A, clusters, max(cluster_tol, delta))
+            items = _real_blocks_at_radius(A, clusters, delta)
         except _StructureError as exc:
             last_err = str(exc)
             continue
@@ -409,7 +402,7 @@ def real_jordan_form(A, tol=DEFAULT_TOLS.reconstruction_tol,
         except np.linalg.LinAlgError:
             continue
         resid = _opnorm(A - T @ K @ Tinv) / normA
-        if resid <= tol:
+        if resid <= RECONSTRUCTION_TOL:
             return RealJordanDecomposition(T, blocks, float(resid))
         last_err = f"residual {resid:.3e} above tolerance at radius {delta:.1e}"
     raise IllConditioned(last_err)
@@ -508,37 +501,33 @@ class NoncompactCertificate:
     compact: bool
 
 
-def classify_noncompact_blocks(dec: RealJordanDecomposition,
-                               unit_tol=DEFAULT_TOLS.unit_tol):
+def classify_noncompact_blocks(dec: RealJordanDecomposition):
     tags = []
     for i, b in enumerate(dec.blocks):
         mod = abs(b.eigen)
-        on_circle = abs(mod - 1.0) <= unit_tol
+        on_circle = abs(mod - 1.0) <= UNIT_TOL
         if b.kind is BlockKind.REAL:
             if b.size >= 2 and on_circle:
                 tags.append(("A", i))
-            elif mod < 1.0 - unit_tol:
+            elif mod < 1.0 - UNIT_TOL:
                 tags.append(("C", i))
         else:
             if b.size >= 2 and on_circle:
                 tags.append(("B", i))
-            elif mod < 1.0 - unit_tol:
+            elif mod < 1.0 - UNIT_TOL:
                 tags.append(("D", i))
     compact = (not tags
                and all(b.size == 1 for b in dec.blocks)
-               and all(abs(abs(b.eigen) - 1.0) <= unit_tol for b in dec.blocks))
+               and all(abs(abs(b.eigen) - 1.0) <= UNIT_TOL for b in dec.blocks))
     return NoncompactCertificate(tuple(tags), compact)
 
 
-def cyclic_closure_compact(A, tol=DEFAULT_TOLS.reconstruction_tol,
-                           cluster_tol=DEFAULT_TOLS.cluster_tol,
-                           unit_tol=DEFAULT_TOLS.unit_tol) -> bool:
+def cyclic_closure_compact(A) -> bool:
     """True iff {A^h : h in Z} is bounded (A similar to an orthogonal matrix)."""
     A = as_matrix(A)
     if abs(np.linalg.det(A)) < 1e-12:
         raise SingularMatrix("cyclic closure is defined for invertible matrices")
-    dec = real_jordan_form(A, tol=tol, cluster_tol=cluster_tol)
-    return classify_noncompact_blocks(dec, unit_tol=unit_tol).compact
+    return classify_noncompact_blocks(real_jordan_form(A)).compact
 
 
 def _dedup_key(M, quantum=1e-9):
@@ -580,8 +569,7 @@ def _words(generators, max_len=None):
         length += 1
 
 
-def find_noncompact_witness(generators, max_word_len=6,
-                            det_tol=DEFAULT_TOLS.det_tol):
+def find_noncompact_witness(generators, max_word_len=6):
     """Breadth-first search for a word with non-compact cyclic closure.
 
     Returns the first such word as a matrix, or None if no word up to
@@ -590,7 +578,7 @@ def find_noncompact_witness(generators, max_word_len=6,
     """
     gens = [as_matrix(g) for g in generators]
     for g in gens:
-        if not in_measure_preserving_group(g, det_tol):
+        if not in_measure_preserving_group(g):
             raise InvalidGenerator("generator must have |det| = 1")
     for w in _words(gens, max_word_len):
         try:
@@ -605,15 +593,15 @@ def find_noncompact_witness(generators, max_word_len=6,
 # Weyl's trick
 
 
-def _cesaro_gram_average(A, conv_tol, guard=1e8, chunk=1024):
+def _cesaro_gram_average(A):
     """Cesaro limit over m of the averaged Gram matrices (A^m)^T A^m.
 
     The running average converges only like 1/M, far too slow for the
     1e-8 orthogonality post-condition downstream, so the limit is
     evaluated exactly instead: it equals the spectral projection of the
     identity onto the fixed space of X -> A^T X A, an eigenproblem on
-    kron(A^T, A^T).  A plain running average over 2^14 powers
-    cross-checks the result at its own coarse 1/M accuracy.
+    kron(A^T, A^T).  The result must be positive definite and invariant
+    to FORM_RESIDUAL_TOL.
     """
     A = as_matrix(A)
     d = A.shape[0]
@@ -622,7 +610,7 @@ def _cesaro_gram_average(A, conv_tol, guard=1e8, chunk=1024):
     P = np.eye(d)
     for _ in range(200):
         P = P @ A
-        if np.max(np.abs(P)) > guard:
+        if np.max(np.abs(P)) > 1e8:
             raise NotCompact("matrix powers diverge; no Haar average exists")
 
     K = np.kron(A.T, A.T)
@@ -637,47 +625,26 @@ def _cesaro_gram_average(A, conv_tol, guard=1e8, chunk=1024):
     if np.min(np.linalg.eigvalsh(S)) <= 0:
         raise NotCompact("Haar average is degenerate; closure is not compact")
     resid = _opnorm(A.T @ S @ A - S) / _opnorm(S)
-    if resid > max(conv_tol, 1e-10):
+    if resid > FORM_RESIDUAL_TOL:
         raise ConvergenceFailure(
             f"invariant form residual {resid:.3e} exceeds tolerance")
-
-    # coarse cross-check against the literal running average
-    m_check = 1 << 14
-    chunk = min(chunk, m_check)
-    powers = np.empty((chunk, d, d))
-    powers[0] = np.eye(d)
-    for j in range(1, chunk):
-        powers[j] = powers[j - 1] @ A
-    step = powers[chunk - 1] @ A
-    S0 = np.zeros((d, d))
-    lead = np.eye(d)
-    count = 0
-    while count < m_check:
-        C = np.einsum("ij,mjk->mik", lead, powers)
-        S0 += np.einsum("mji,mjk->ik", C, C)
-        lead = lead @ step
-        count += chunk
-    if _opnorm(S0 / count - S) > 0.5 * _opnorm(S):
-        raise ConvergenceFailure(
-            "running Gram average disagrees with the invariant form")
     return S
 
 
-def haar_average_form(generators, mode="finite", conv_tol=1e-9,
-                      group_cap=10_000):
+def haar_average_form(generators, mode="finite"):
     """Haar average S of g^T g over the generated compact group.
 
-    mode="finite": enumerate the group closure (cap group_cap) and
+    mode="finite": enumerate the group closure (cap GROUP_CAP) and
     average exactly.  mode="cesaro": single generator with compact
     cyclic closure; the Cesaro limit of the Gram matrices of its powers,
-    with an invariant-form residual below conv_tol.
+    with an invariant-form residual below FORM_RESIDUAL_TOL.
     """
     if mode == "finite":
         elements = [np.eye(as_matrix(generators[0]).shape[0])]
         for g in _words(generators):
-            if len(elements) >= group_cap:
+            if len(elements) >= GROUP_CAP:
                 raise GroupTooLarge(
-                    f"group enumeration exceeded cap of {group_cap}")
+                    f"group enumeration exceeded cap of {GROUP_CAP}")
             elements.append(g)
         S = np.zeros_like(elements[0])
         for g in elements:
@@ -687,7 +654,7 @@ def haar_average_form(generators, mode="finite", conv_tol=1e-9,
     if mode == "cesaro":
         if len(generators) != 1:
             raise InvalidGenerator("cesaro mode takes exactly one generator")
-        return _cesaro_gram_average(as_matrix(generators[0]), conv_tol)
+        return _cesaro_gram_average(as_matrix(generators[0]))
     raise InvalidArgument(f"unknown mode {mode!r}")
 
 
@@ -703,22 +670,20 @@ def spd_sqrt_inverse(S) -> np.ndarray:
     return (V * (1.0 / np.sqrt(w))) @ V.T
 
 
-def weyl_conjugator(generators, mode="finite", tol=1e-8,
-                    conv_tol=1e-9, group_cap=10_000) -> np.ndarray:
+def weyl_conjugator(generators, mode="finite") -> np.ndarray:
     """Matrix h with h^-1 g h orthogonal for every generator g.
 
     h is the inverse SPD square root of the Haar average of g^T g; the
     orthogonality defect of every conjugated generator is checked
-    against tol.
+    against ORTHOGONALITY_TOL.
     """
-    S = haar_average_form(generators, mode=mode, conv_tol=conv_tol,
-                          group_cap=group_cap)
+    S = haar_average_form(generators, mode=mode)
     h = spd_sqrt_inverse(S)
     hinv = np.linalg.inv(h)
     for g in generators:
         Q = hinv @ as_matrix(g) @ h
         defect = _opnorm(Q.T @ Q - np.eye(Q.shape[0]))
-        if defect > tol:
+        if defect > ORTHOGONALITY_TOL:
             raise ConvergenceFailure(
                 f"conjugated generator has orthogonality defect {defect:.3e}")
     return h

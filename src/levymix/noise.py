@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .errors import (InvalidArgument, NonGaussian, SamplingFailure,
-                     UnsupportedKind)
+from .errors import InvalidArgument, SamplingFailure, UnsupportedKind
 from .matrices import as_matrix
-from .regions import AtomTable, Region, atomize, intersection_volume, volume
+from .regions import AtomTable, Region, atomize
 
 GAUSSIAN = "gaussian"
 POISSON = "poisson"
@@ -178,40 +177,20 @@ def apply_transform(g, realization: NoiseRealization) -> NoiseRealization:
                             moved, realization.seed)
 
 
-def gaussian_conditional_samples(f, s, r, n, rng, quad_nodes=32):
-    """Samples of the Gaussian smooth of f at scale sqrt(r), evaluated at
-    v ~ Normal(0, s).  This is E[f(v + Z)] with Z ~ Normal(0, r)."""
+def gaussian_conditional_samples(f, s, lam_C, n, rng):
+    """Samples of E[f(mass(C)) | the noise inside B], where s is the
+    overlap measure of C with B and lam_C the measure of C.
+
+    mass(C) splits into the part measurable in B, v ~ Normal(0, s), and
+    an independent remainder of variance r = lam_C - s; the conditional
+    expectation at v is the Gaussian smooth of f at scale sqrt(r),
+    evaluated by 32-node Gauss-Hermite quadrature.
+    """
+    r = max(lam_C - s, 0.0)
     v = rng.normal(0.0, np.sqrt(max(s, 0.0)), size=n)
     if r <= 1e-14:
         return np.asarray(f(v), dtype=float)
-    nodes, weights = np.polynomial.hermite.hermgauss(quad_nodes)
+    nodes, weights = np.polynomial.hermite.hermgauss(32)
     shifted = v[:, None] + np.sqrt(2.0 * r) * nodes[None, :]
     vals = np.asarray(f(shifted), dtype=float)
     return (vals @ weights) / np.sqrt(np.pi)
-
-
-def conditional_expectation_gaussian(f, C: Region, B: Region, quad_nodes=32,
-                                     realization_samples=1000, seed=0,
-                                     spec: NoiseSpec = None,
-                                     measure_method="auto", measure_n=200_000):
-    """Samples of E[f(mass(C)) | information generated inside B].
-
-    Splits mass(C) into the part measurable in B (variance s, the
-    overlap measure) and an independent remainder (variance r); the
-    conditional expectation at observed value v is the Gaussian smooth
-    of f at scale sqrt(r), evaluated by Gauss-Hermite quadrature.
-    Returns an array of realization_samples values of that smooth at
-    v ~ Normal(0, s).
-    """
-    if spec is not None and spec.kind != GAUSSIAN:
-        raise NonGaussian("conditional expectation requires gaussian noise")
-    if quad_nodes < 8:
-        raise InvalidArgument("quad_nodes must be at least 8")
-    s, _ = intersection_volume(C, B, method=measure_method, n=measure_n,
-                               seed=_rng.stream_key(seed, "ce-overlap") % 2**31)
-    total, _ = volume(C, method="exact") if C.disjoint else \
-        volume(C, method="mc", n=measure_n, seed=seed)
-    r = max(total - s, 0.0)
-    rng = _rng.stream(seed, "ce-draws")
-    return gaussian_conditional_samples(f, s, r, realization_samples, rng,
-                                        quad_nodes=quad_nodes)

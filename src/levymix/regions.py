@@ -1,10 +1,10 @@
 """Parallelotope regions, Lebesgue measure, and linear transformation.
 
 A Region is a finite union of linear images of axis-aligned boxes.
-Volumes are exact per piece (|det M| times the box volume).  A piece
-whose frame is a signed permutation times a diagonal is itself an axis
-box; unions of such pieces get exact overlaps and an exact sweep-grid
-atomization.  Overlaps of other planar pieces are exact too: each piece
+Volumes are exact: |det M| times the box volume, summed over the pieces
+of a region flagged disjoint.  A piece whose frame is a signed
+permutation times a diagonal is itself an axis box; unions of such
+pieces get exact overlaps and an exact sweep-grid atomization.  Overlaps of other planar pieces are exact too: each piece
 is clipped against the four half-planes of the other (Sutherland-Hodgman)
 and the shoelace areas are summed.  Overlaps in d >= 3 with other frames,
 and the atoms of any family that is not all axis boxes, are Monte Carlo.
@@ -213,20 +213,12 @@ def _stratified_hits(bounds, inside, n, seed, label):
     return est, vbox * np.sqrt(var)
 
 
-def volume(region: Region, method="exact", n=100_000, seed=0):
-    """(value, stderr) of the Lebesgue measure of the region.
-
-    method="exact" sums per-piece volumes (requires the disjoint flag);
-    method="mc" does stratified hit counting over the bounding box.
-    """
-    if method == "exact":
-        if not region.disjoint:
-            raise OverlapUnknown("exact volume requires disjoint pieces")
-        return sum(p.volume() for p in region.pieces), 0.0
-    if method == "mc":
-        return _stratified_hits(region.bounding_box(), region.contains, n,
-                                seed, "volume")
-    raise InvalidArgument(f"unknown method {method!r}")
+def volume(region: Region) -> float:
+    """Exact Lebesgue measure of the region: the sum of its per-piece
+    volumes, which requires the disjoint flag."""
+    if not region.disjoint:
+        raise OverlapUnknown("exact volume requires disjoint pieces")
+    return sum(p.volume() for p in region.pieces)
 
 
 def transform(g, region: Region) -> Region:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .config import DEFAULT_TOLS
 from .errors import (CompactClosure, DimensionMismatch, InvalidArgument,
                      InvalidGenerator, NotReached, SamplingFailure)
 from .matrices import (
@@ -27,9 +26,6 @@ from .matrices import (
     matrix_to_json,
     real_jordan_form,
 )
-
-__all__ = ["ShrinkingFamily", "build_family", "contains", "contains_many",
-           "absorption_lag", "null_boundary_check"]
 
 
 @dataclass(frozen=True)
@@ -65,13 +61,11 @@ class ShrinkingFamily:
         }
 
 
-def build_family(A, tol=DEFAULT_TOLS.reconstruction_tol,
-                 cluster_tol=DEFAULT_TOLS.cluster_tol,
-                 unit_tol=DEFAULT_TOLS.unit_tol) -> ShrinkingFamily:
+def build_family(A) -> ShrinkingFamily:
     """Shrinking family attached to the first tagged Jordan block of A."""
     A = as_matrix(A)
-    dec = real_jordan_form(A, tol=tol, cluster_tol=cluster_tol)
-    cert = classify_noncompact_blocks(dec, unit_tol=unit_tol)
+    dec = real_jordan_form(A)
+    cert = classify_noncompact_blocks(dec)
     if cert.compact:
         raise CompactClosure("matrix has compact cyclic closure")
     if not cert.case_tags:
@@ -159,7 +153,7 @@ def _sample_in_family(fam, t, n, rng, tail_floor=0.01, max_tries=1000):
 
 
 def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
-                   h_max=200, seed=0, tail_floor=0.01):
+                   h_max=200, seed=0):
     """Smallest h0 with A^h D_{t_large} samples inside D_{t_small} for h >= h0.
 
     Returns (h0, violations); violations counts (sample, h) failures at
@@ -171,7 +165,7 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
     if t_small == t_large:
         return 0, 0  # D_t'' is a subset of D_t' already; monotone convention
     rng = _rng.stream(seed, "absorption")
-    X = _sample_in_family(fam, t_large, n_samples, rng, tail_floor=tail_floor)
+    X = _sample_in_family(fam, t_large, n_samples, rng)
     A = fam.witness
     member = np.empty((n_samples, h_max + 1), dtype=bool)
     cur = X

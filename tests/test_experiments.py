@@ -120,7 +120,7 @@ def test_family_overlap_multi_piece_matches_mc():
             est += piece.volume() * frac
             var += piece.volume() ** 2 * frac * (1 - frac) / n
         got = family_overlap(fam, t, C)
-        assert 0.0 < got < volume(C)[0]
+        assert 0.0 < got < volume(C)
         assert abs(got - est) <= 4.0 * np.sqrt(var)
 
 
@@ -162,6 +162,14 @@ def test_compact_invariant_demo_signed_permutation():
     assert rep.inputs["exact_box"]
     for _, est, _ in rep.rows("volume_ratio"):
         assert est == pytest.approx(1.0)
+
+
+def test_compact_invariant_demo_signed_permutation_in_3d():
+    cycle = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    rep = compact_invariant_demo([cycle], n_reps=3_000, seed=0)
+    assert rep.verdict == PASS
+    assert rep.inputs["exact_box"] and rep.inputs["mode"] == "finite"
+    assert [est for _, est, _ in rep.rows("membership_mismatch")] == [0.0]
 
 
 def test_compact_invariant_demo_disc_path():
@@ -232,10 +240,32 @@ def test_run_all_config_errors(tmp_path):
             ({"kind": "mixing_curve", "g": "shear", "C": unit,
               "n_reps": "many"}, "n_reps"),
             ({"kind": "mixing_curve", "g": "shear", "C": unit,
-              "n_reps": -5}, "mixing_curve: n_reps")):
+              "n_reps": -5}, "mixing_curve: n_reps"),
+            ({"kind": "mixing_curve", "g": "shear", "C": unit,
+              "n_reps": float("inf")}, "mixing_curve: n_reps"),
+            ({"kind": "mixing_curve", "g": "shear", "C": unit,
+              "m_max": -1}, "mixing_curve: m_max"),
+            ({"kind": "tail_triviality_decay", "g": "shear", "C": unit,
+              "t_grid": []}, "t_grid: need a non-empty list"),
+            ({"kind": "tail_triviality_decay", "g": "shear", "C": unit,
+              "t_grid": "ab"}, "t_grid: need a non-empty list"),
+            ({"kind": "tail_triviality_decay", "g": "shear", "C": unit,
+              "t_grid": "52"}, "t_grid: need a non-empty list"),
+            ({"kind": "tail_triviality_decay", "g": "shear", "C": unit,
+              "t_grid": [1.0, "x"]}, "tail_triviality_decay: t_grid"),
+            ({"kind": "tail_triviality_decay", "g": "shear", "C": unit,
+              "t_grid": [1.0, 0.0]}, "tail_triviality_decay: t_grid"),
+            ({"kind": "compact_invariant_demo", "generators": "rotation90"},
+             "compact_invariant_demo: generators: need a non-empty list"),
+            ({"kind": "compact_invariant_demo", "generators": []},
+             "compact_invariant_demo: generators: need a non-empty list")):
         bad.write_text(json.dumps({"experiments": [entry]}))
         with pytest.raises(errors.ConfigError, match=match):
             run_all(str(bad), out_override=str(tmp_path))
+        res = CliRunner().invoke(main, ["experiment", "run", "--config",
+                                        str(bad), "--out", str(tmp_path)])
+        assert res.exit_code == 2 and res.stderr.startswith("error: ")
+        assert match in res.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +382,8 @@ def test_argument_checks_raise_invalid_argument():
     fam = build_family(squeeze())
     block = matrices.real_jordan_form(shear()).blocks[0]
     calls = [
-        lambda: volume(UNIT, method="grid"),
         lambda: intersection_volume(UNIT, UNIT, method="grid"),
-        lambda: volume(UNIT, method="mc", n=0),
+        lambda: intersection_volume(UNIT, UNIT, method="mc", n=0),
         lambda: gallery.conjugated_rotation(0.5, np.random.default_rng(0), d=3),
         lambda: fam.param(0.0),
         lambda: shrinking.absorption_lag(fam, 0.0, 1.0),
@@ -363,8 +392,6 @@ def test_argument_checks_raise_invalid_argument():
         lambda: matrices.jordan_block_power_apply(block, -1, np.ones(2)),
         lambda: matrices.haar_average_form([rotation(0.5)], mode="haar"),
         lambda: noise.NoiseSpec(noise.POISSON, -1.0),
-        lambda: noise.conditional_expectation_gaussian(np.tanh, UNIT, UNIT,
-                                                       quad_nodes=4),
     ]
     for call in calls:
         with pytest.raises(errors.InvalidArgument) as info:

@@ -350,6 +350,15 @@ def test_weyl_conjugator_finite_and_cesaro():
     assert _defect(h, A) <= 1e-8
 
 
+def test_cesaro_average_matches_finite_group_average():
+    # for a finite cyclic group the Cesaro limit is the group average
+    for n in range(3, 13):
+        g = conjugated_rotation(2 * np.pi / n, stream(n, "cesaro"), cond=8)
+        finite = lm.haar_average_form([g], mode="finite")
+        cesaro = lm.haar_average_form([g], mode="cesaro")
+        assert np.linalg.norm(cesaro - finite, 2) <= 1e-9 * np.linalg.norm(finite, 2)
+
+
 def test_weyl_conjugation_preserves_determinant():
     rng = stream(8, "det")
     P = random_det1(2, rng, cond=5)

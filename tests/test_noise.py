@@ -11,12 +11,11 @@ from levymix.noise import (
     NoiseSpec,
     _sample_points_in_atom,
     apply_transform,
-    conditional_expectation_gaussian,
     gaussian_conditional_samples,
     realize,
     realize_masses,
 )
-from levymix.regions import atomize, box_region, transform, unit_box
+from levymix.regions import atomize, box_region, transform
 from levymix.rng import stream
 from levymix.shrinking import _sample_in_family, build_family
 
@@ -146,32 +145,22 @@ def test_gaussian_covariance_matches_overlap():
 
 def test_conditional_samples_identity_and_degenerate():
     rng = stream(3, "cond")
-    v = gaussian_conditional_samples(lambda x: x, 0.7, 0.3, 5_000, rng)
+    v = gaussian_conditional_samples(lambda x: x, 0.7, 1.0, 5_000, rng)
     # identity smooths to itself: samples are N(0, s)
     assert abs(v.var(ddof=1) - 0.7) <= 5 * 0.7 * np.sqrt(2 / 4_999)
-    rng = stream(3, "cond2")
-    w = gaussian_conditional_samples(np.tanh, 0.5, 0.0, 1_000, rng)
-    rng = stream(3, "cond2")
-    base = rng.normal(0, np.sqrt(0.5), size=1_000)
-    assert np.allclose(w, np.tanh(base))
+    # s = lam_C leaves no remainder, and s > lam_C (an overlap estimate
+    # above the measure of C) is clamped to none: samples are f(v) exactly
+    base = stream(3, "cond2").normal(0, np.sqrt(0.5), size=1_000)
+    for lam_C in (0.5, 0.4):
+        w = gaussian_conditional_samples(np.tanh, 0.5, lam_C, 1_000,
+                                         stream(3, "cond2"))
+        assert np.array_equal(w, np.tanh(base))
 
 
 def test_conditional_smoothing_shrinks_variance():
     rng1 = stream(4, "a")
-    full = gaussian_conditional_samples(np.tanh, 1.0, 0.0, 20_000, rng1)
+    full = gaussian_conditional_samples(np.tanh, 1.0, 1.0, 20_000, rng1)
     rng2 = stream(4, "b")
-    part = gaussian_conditional_samples(np.tanh, 0.2, 0.8, 20_000, rng2)
+    part = gaussian_conditional_samples(np.tanh, 0.2, 1.0, 20_000, rng2)
     assert part.var(ddof=1) < full.var(ddof=1)
 
-
-def test_conditional_expectation_interface():
-    C = unit_box(2)
-    B = box_region(np.array([[0.5, 1.5], [0.0, 1.0]]))
-    out = conditional_expectation_gaussian(np.tanh, C, B,
-                                           realization_samples=500, seed=1)
-    assert out.shape == (500,)
-    with pytest.raises(errors.NonGaussian):
-        conditional_expectation_gaussian(np.tanh, C, B,
-                                         spec=NoiseSpec(POISSON))
-    with pytest.raises(ValueError):
-        conditional_expectation_gaussian(np.tanh, C, B, quad_nodes=4)
