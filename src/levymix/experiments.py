@@ -101,6 +101,8 @@ def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000,
     g = as_matrix(g)
     if not in_measure_preserving_group(g, det_tol=1e-6):
         raise InvalidGenerator("mixing map must have |det| = 1")
+    if m_range[0] > m_range[1]:
+        raise InvalidArgument(f"m_range {tuple(m_range)} holds no power")
     compact = cyclic_closure_compact(g)
     lam_C = volume(C)
     spec = NoiseSpec(GAUSSIAN)
@@ -201,6 +203,8 @@ def tail_triviality_decay(g, f=None, C: Region = None,
     with the conditional variance implied by that overlap.  The series
     must decay to below 10% of the unconditional variance.
     """
+    if not len(t_grid):
+        raise InvalidArgument("t_grid holds no t")
     if C is None:
         C = box_region([[0.0, 1.0], [0.0, 1.0]])
     if f is None:
@@ -314,6 +318,8 @@ def compact_invariant_demo(generators, n_reps=10_000,
     disc) and positivity of the mass variance.
     """
     gens = [as_matrix(g) for g in generators]
+    if not gens:
+        raise InvalidArgument("need at least one generator")
     try:
         h = weyl_conjugator(gens, mode="finite")
         mode_used = "finite"

@@ -4,10 +4,16 @@ A Region is a finite union of linear images of axis-aligned boxes.
 Volumes are exact: |det M| times the box volume, summed over the pieces
 of a region flagged disjoint.  A piece whose frame is a signed
 permutation times a diagonal is itself an axis box; unions of such
-pieces get exact overlaps and an exact sweep-grid atomization.  Overlaps of other planar pieces are exact too: each piece
-is clipped against the four half-planes of the other (Sutherland-Hodgman)
-and the shoelace areas are summed.  Overlaps in d >= 3 with other frames,
-and the atoms of any family that is not all axis boxes, are Monte Carlo.
+pieces get exact overlaps and an exact sweep-grid atomization.  Overlaps
+of other planar pieces are exact too: each piece is clipped against the
+four half-planes of the other (Sutherland-Hodgman) and the shoelace areas
+are summed.  Overlaps in d >= 3 with other frames, and the atoms of any
+family that is not all axis boxes, are Monte Carlo.
+
+Membership is closed at every face.  An axis box compares coordinates
+with its intervals; any other piece maps points to box coordinates
+through its inverse frame, computed once per piece, and a singular frame
+raises SingularMatrix there.
 """
 
 from __future__ import annotations
@@ -29,6 +35,15 @@ from .errors import (
     UnboundedRegion,
 )
 from .matrices import as_matrix, matrix_to_json
+
+
+def _columns(points, d):
+    """An (n, d) array of points, or one point, as d contiguous rows."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise DimensionMismatch(
+            f"points must form an (n, {d}) array, got shape {pts.shape}")
+    return np.ascontiguousarray(pts.T)
 
 
 @dataclass(frozen=True)
@@ -81,20 +96,34 @@ class Piece:
         corners = self.corners()
         return np.column_stack([corners.min(axis=0), corners.max(axis=0)])
 
-    def contains(self, points):
-        """Boolean membership for an (n, d) array of points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        iv = self._intervals
-        if iv is not None:  # closed bounds, one contiguous coordinate at a time
-            out = np.ones(pts.shape[0], dtype=bool)
-            for col, (lo, hi) in zip(np.ascontiguousarray(pts.T), iv):
-                out &= (col >= lo) & (col <= hi)
-            return out
+    @cached_property
+    def _inverse(self):
+        """The inverse frame, computed once; SingularMatrix if there is none."""
         try:
-            y = np.linalg.solve(self.frame, pts.T).T
+            return np.linalg.inv(self.frame)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix("piece frame is singular") from exc
-        return np.all((y >= self.box[:, 0]) & (y <= self.box[:, 1]), axis=1)
+
+    def contains(self, points):
+        """Boolean membership for an (n, d) array of points.
+
+        The bounds are closed.  An axis box compares the coordinates with
+        its intervals; any other piece maps the points to box coordinates
+        through its cached inverse frame, and a singular frame raises
+        SingularMatrix.  Points of another dimension raise
+        DimensionMismatch.
+        """
+        return self._contains_columns(_columns(points, self.dim))
+
+    def _contains_columns(self, cols):
+        """Membership of the points given as d contiguous coordinate rows."""
+        bounds = self._intervals
+        if bounds is None:
+            cols, bounds = self._inverse @ cols, self.box
+        out = np.ones(cols.shape[1], dtype=bool)
+        for row, (lo, hi) in zip(cols, bounds):
+            out &= (row >= lo) & (row <= hi)
+        return out
 
     def corners(self):
         d = self.dim
@@ -110,10 +139,7 @@ class Piece:
     def _halfplanes(self):
         """Pairs (a, b) whose half-spaces a.x <= b cut out the piece:
         (F^-1)_k.x <= hi_k and -(F^-1)_k.x <= -lo_k for each axis k."""
-        try:
-            inv = np.linalg.inv(self.frame)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix("piece frame is singular") from exc
+        inv = self._inverse
         return list(zip(np.vstack([inv, -inv]),
                         np.concatenate([self.box[:, 1], -self.box[:, 0]])))
 
@@ -138,10 +164,11 @@ class Region:
         return self.pieces[0].dim
 
     def contains(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(pts.shape[0], dtype=bool)
+        """Boolean membership for an (n, d) array of points; see Piece.contains."""
+        cols = _columns(points, self.dim)
+        out = np.zeros(cols.shape[1], dtype=bool)
         for p in self.pieces:
-            out |= p.contains(pts)
+            out |= p._contains_columns(cols)
         return out
 
     def bounding_box(self):
@@ -185,19 +212,21 @@ def unit_box(d):
 
 
 def _stratified_uniform(bounds, n, rng):
-    """About n stratified-uniform points in the box `bounds`."""
+    """About n stratified-uniform points in the box `bounds`: m >= 2 in
+    each of s**d strata, s the largest integer with s**d < n (at least 1),
+    so that the strata give a variance.  Returns (points, s**d, m)."""
     if not n >= 1:
         raise InvalidArgument(f"need at least one sample point, got n={n}")
     d = bounds.shape[0]
-    s = max(int(np.floor(n ** (1.0 / d))), 1)
-    m = max(int(np.ceil(n / s**d)), 1)
-    edges = [np.linspace(bounds[k, 0], bounds[k, 1], s + 1) for k in range(d)]
-    cells = np.stack(np.meshgrid(*[np.arange(s)] * d, indexing="ij"),
-                     axis=-1).reshape(-1, d)
-    lo = np.stack([edges[k][cells[:, k]] for k in range(d)], axis=1)
-    width = (bounds[:, 1] - bounds[:, 0]) / s
-    pts = lo[:, None, :] + rng.random((cells.shape[0], m, d)) * width
-    return pts.reshape(-1, d), cells.shape[0], m
+    s = max(int(np.ceil(n ** (1.0 / d))) - 1, 1)
+    m = max(int(np.ceil(n / s**d)), 2)
+    pts = rng.random((s**d, m, d))
+    pts *= (bounds[:, 1] - bounds[:, 0]) / s
+    cells = pts.reshape((s,) * d + (m, d))  # stratum index per axis, ij order
+    for k in range(d):
+        lo = np.linspace(bounds[k, 0], bounds[k, 1], s + 1)[:-1]
+        cells[..., k] += lo.reshape((1,) * k + (s,) + (1,) * (d - k))
+    return pts.reshape(-1, d), s**d, m
 
 
 def _stratified_hits(bounds, inside, n, seed, label):
@@ -209,8 +238,8 @@ def _stratified_hits(bounds, inside, n, seed, label):
     hits = inside(pts).reshape(k, m)
     p_hat = hits.mean(axis=1)
     est = vbox * float(p_hat.mean())
-    var = float(np.sum(p_hat * (1 - p_hat) / max(m - 1, 1))) / k**2
-    return est, vbox * np.sqrt(var)
+    var = float(np.sum(p_hat * (1 - p_hat) / (m - 1))) / k**2
+    return est, vbox * float(np.sqrt(var))
 
 
 def volume(region: Region) -> float:

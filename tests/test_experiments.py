@@ -400,6 +400,17 @@ def test_argument_checks_raise_invalid_argument():
         assert isinstance(info.value, ValueError)
 
 
+def test_experiments_reject_empty_inputs():
+    calls = [
+        lambda: mixing_curve(squeeze(), UNIT, m_range=(3, 1)),
+        lambda: tail_triviality_decay(shear(), t_grid=()),
+        lambda: compact_invariant_demo([]),
+    ]
+    for call in calls:
+        with pytest.raises(errors.InvalidArgument):
+            call()
+
+
 def test_cli_experiment_run_uses_config_seed_and_out(tmp_path, monkeypatch):
     monkeypatch.delenv("LEVYMIX_SEED", raising=False)
     monkeypatch.delenv("LEVYMIX_OUT", raising=False)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levymix import errors
+from levymix import errors, noise
 from levymix import rng as _rng
 from levymix.gallery import rotation, shear, squeeze
 from levymix.regions import (
@@ -302,6 +302,8 @@ def test_singular_diagonal_frame_still_raises():
     assert not p.is_axis_aligned()
     with pytest.raises(errors.SingularMatrix):
         p.contains(np.array([[0.5, 0.0]]))
+    with pytest.raises(errors.SingularMatrix):
+        p._halfplanes
 
 
 def test_axis_family_never_solves(monkeypatch):
@@ -320,6 +322,126 @@ def test_axis_family_never_solves(monkeypatch):
     assert all(r.contains(pts).any() for r in family)
     assert atomize(family).exact
     assert not atomize(family, method="mc", n=2_000, seed=1).exact
+
+
+@pytest.mark.parametrize("frame", [
+    rotation(0.7), shear(), [[1.0, 0.0], [-1.3, 1.0]],
+    [[0.8, -0.3, 0.2], [0.1, 1.1, -0.4], [0.5, 0.2, 0.9]],
+])
+def test_non_axis_membership_matches_solve(frame):
+    frame = np.asarray(frame, dtype=float)
+    d = frame.shape[0]
+    p = Piece(frame, np.column_stack([np.linspace(-1.0, 0.5, d),
+                                      np.linspace(0.25, 2.0, d)]))
+    assert not p.is_axis_aligned()
+    bounds = p.bounds()
+    pts = np.random.default_rng(d).uniform(bounds[:, 0] - 0.5, bounds[:, 1] + 0.5,
+                                           size=(20_000, d))
+    y = np.linalg.solve(p.frame, pts.T).T
+    gap = np.minimum(np.abs(y - p.box[:, 0]), np.abs(y - p.box[:, 1])).min(axis=1)
+    pts = pts[gap >= 1e-9]  # off every face, where rounding cannot decide
+    want = _solve_contains(p, pts)
+    assert want.any() and not want.all()
+    assert np.array_equal(p.contains(pts), want)
+    assert np.array_equal(Region((p,)).contains(pts), want)
+
+
+def test_contains_rejects_points_of_another_dimension():
+    sheared = Region((Piece(shear(), np.array([[0.0, 1.0], [0.0, 1.0]])),))
+    for region in (unit_box(2), sheared):
+        for pts in ([[0.5, 0.5, 99.0]], [0.5], np.zeros((4, 1)), np.zeros((2, 2, 2))):
+            with pytest.raises(errors.DimensionMismatch):
+                region.contains(pts)
+            with pytest.raises(errors.DimensionMismatch):
+                region.pieces[0].contains(pts)
+        assert region.contains([0.5, 0.5]).tolist() == [True]
+        assert region.contains(np.empty((0, 2))).shape == (0,)
+
+
+def _rotated_sheared_family():
+    return [transform(rotation(0.5), unit_box(2)),
+            Region((Piece(np.array([[1.0, 0.7], [0.0, 1.0]]),
+                          np.array([[0.25, 1.25], [0.0, 1.0]])),)),
+            box_region(np.array([[0.5, 1.5], [0.25, 1.0]]))]
+
+
+def test_mc_family_never_solves_and_inverts_each_frame_once(monkeypatch):
+    family = _rotated_sheared_family()
+    inv_calls = []
+    inv = np.linalg.inv
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called for membership")
+
+    def counted_inv(a):
+        inv_calls.append(a)
+        return inv(a)
+
+    monkeypatch.setattr("levymix.regions.np.linalg.solve", no_solve)
+    monkeypatch.setattr("levymix.regions.np.linalg.inv", counted_inv)
+    atoms = atomize(family, n=2_000, seed=1)
+    assert not atoms.exact
+    real = noise.realize(noise.NoiseSpec(noise.POISSON, 50.0), family,
+                         seed=1, atoms=atoms)
+    assert all(real.count_in(r) == real.value(i) for i, r in enumerate(family))
+    for r in family[:2]:
+        r.pieces[0]._halfplanes
+    assert len(inv_calls) == 2  # one per rotated or sheared piece
+
+
+def test_mc_hit_counts_pinned():
+    # integer hit counts per atom of one seeded MC atomization, as the
+    # meshgrid sampler and solve-based membership gave them; a change to
+    # either that moves a single point shows here
+    atoms = atomize(_rotated_sheared_family(), n=20_000, seed=7, method="mc")
+    n_total = 141 * 141 * 2  # 141**2 strata of two points each
+    vbox = float(np.prod(atoms.bounding_box[:, 1] - atoms.bounding_box[:, 0]))
+    counts = atoms.measures / vbox * n_total
+    assert np.allclose(counts, np.rint(counts), rtol=0.0, atol=1e-6)
+    assert list(atoms.signatures) == [
+        (True, True, True), (True, True, False), (True, False, True),
+        (True, False, False), (False, True, True), (False, True, False),
+        (False, False, True), (False, False, False)]
+    assert np.rint(counts).astype(int).tolist() == [
+        824, 50, 1137, 10060, 6423, 4765, 658, 15845]
+
+
+# ---------------------------------------------------------------------------
+# the stratified sampler
+
+
+def _meshgrid_stratified(bounds, s, m, u):
+    """The strata laid out by a meshgrid of cell indices: lower corner of
+    each stratum plus the scaled draw u of shape (s**d, m, d)."""
+    d = bounds.shape[0]
+    edges = [np.linspace(bounds[k, 0], bounds[k, 1], s + 1) for k in range(d)]
+    cells = np.stack(np.meshgrid(*[np.arange(s)] * d, indexing="ij"),
+                     axis=-1).reshape(-1, d)
+    lo = np.stack([edges[k][cells[:, k]] for k in range(d)], axis=1)
+    return (lo[:, None, :] + u * ((bounds[:, 1] - bounds[:, 0]) / s)).reshape(-1, d)
+
+
+@pytest.mark.parametrize("d, n", [(1, 7), (1, 100), (2, 9_999), (2, 10_000),
+                                  (2, 100_000), (2, 200_000), (3, 1_000), (3, 5_000)])
+def test_stratified_uniform_layout(d, n):
+    bounds = np.column_stack([np.linspace(-1.0, 0.5, d), np.linspace(0.3, 4.0, d)])
+    pts, k, m = _stratified_uniform(bounds, n, _rng.stream(3, "strata"))
+    # s is the largest with s**d < n; so the 100_000 and 200_000 defaults
+    # keep their 316**2 and 447**2 strata of two points
+    s = round(k ** (1.0 / d))
+    assert k == s**d < n <= (s + 1) ** d
+    assert m == max(math.ceil(n / k), 2)
+    u = _rng.stream(3, "strata").random((k, m, d))
+    assert np.array_equal(pts, _meshgrid_stratified(bounds, s, m, u))
+
+
+@pytest.mark.parametrize("n", [9_999, 10_000, 40_000])
+def test_mc_stderr_positive_at_every_sample_size(n):
+    tilted = transform(rotation(0.3), unit_box(2))
+    est, err = intersection_volume(tilted, unit_box(2), method="mc", n=n, seed=0)
+    assert type(err) is float and err > 0.0
+    exact, _ = intersection_volume(tilted, unit_box(2))
+    assert abs(est - exact) <= 5.0 * err
 
 
 # A null-atom rule at 1e-9 of the box volume.  An atom seen in the sample
