@@ -14,7 +14,13 @@ class ConvergenceFailure(LevymixError):
 
 
 class IllConditioned(LevymixError):
-    """Eigenvalue gaps or conditioning make the Jordan structure unreliable."""
+    """Eigenvalue gaps or conditioning make the Jordan structure unreliable.
+
+    `rungs` holds one (clustering radius, reason) pair per radius that
+    real_jordan_form tried, in ladder order; the message is the last reason.
+    """
+
+    rungs = ()
 
 
 class DimensionMismatch(LevymixError):

@@ -74,7 +74,8 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 def _opnorm(A):
-    return float(np.linalg.norm(A, 2))
+    # the largest singular value: np.linalg.norm(A, 2) without its wrapper
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def in_measure_preserving_group(A, det_tol=DET_TOL) -> bool:
@@ -121,6 +122,30 @@ def _numerical_rank(M, threshold):
     return int(np.sum(s > threshold))
 
 
+def _eigvals(A):
+    try:
+        return np.linalg.eigvals(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigenvalue iteration failed: {exc}") from exc
+
+
+def _cluster_values(w, delta):
+    """(value, algebraic multiplicity) of each cluster of w at radius delta.
+
+    Clusters are single-linkage groups; a value whose imaginary part is
+    within delta of 0 counts as real.  Sorted by modulus, multiplicity,
+    real and imaginary part, all descending.
+    """
+    out = []
+    for idx in _connected_clusters(w, delta):
+        val = complex(np.mean(w[idx]))
+        if abs(val.imag) <= delta:
+            val = complex(val.real, 0.0)
+        out.append((val, len(idx)))
+    out.sort(key=lambda c: (-abs(c[0]), -c[1], -c[0].real, -c[0].imag))
+    return out
+
+
 def eigen_spectrum(A, cluster_tol=CLUSTER_TOL):
     """Clustered eigenvalues of A with algebraic and geometric multiplicities.
 
@@ -129,25 +154,15 @@ def eigen_spectrum(A, cluster_tol=CLUSTER_TOL):
     singular-value threshold cluster_tol * ||A||.
     """
     A = as_matrix(A)
-    if cluster_tol <= 0:
-        raise InvalidArgument("cluster_tol must be positive")
+    if not 0 < cluster_tol < math.inf:
+        raise InvalidArgument("cluster_tol must be positive and finite")
     d = A.shape[0]
-    try:
-        w = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigenvalue iteration failed: {exc}") from exc
+    w = _eigvals(A)
     norm = max(_opnorm(A), np.finfo(float).tiny)
     clusters = []
-    for idx in _connected_clusters(w, cluster_tol):
-        val = complex(np.mean(w[idx]))
-        if abs(val.imag) <= cluster_tol:
-            val = complex(val.real, 0.0)
-        alg = len(idx)
+    for val, alg in _cluster_values(w, cluster_tol):
         geo = d - _numerical_rank(val * np.eye(d) - A, cluster_tol * norm)
-        geo = max(1, min(geo, alg))
-        clusters.append(EigenCluster(val, alg, geo))
-    clusters.sort(key=lambda c: (-abs(c.value), -c.algebraic_mult,
-                                 -c.value.real, -c.value.imag))
+        clusters.append(EigenCluster(val, alg, max(1, min(geo, alg))))
     return clusters
 
 
@@ -260,7 +275,7 @@ def _delta_ladder():
 
 
 def _cluster_guard_ok(clusters, delta):
-    vals = [c.value for c in clusters]
+    vals = [val for val, _ in clusters]
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
             if abs(vals[i] - vals[j]) < 10.0 * delta:
@@ -375,74 +390,85 @@ def real_jordan_form(A):
     Defective eigenvalues scatter numerically like eps**(1/r), so the
     clustering radius is escalated through a geometric ladder until the
     reconstruction validates; if no radius works the input is rejected
-    as IllConditioned.
+    as IllConditioned, whose `rungs` name the failure of every radius.
+    The eigenvalues are computed once and re-clustered at each radius.
     """
     A = as_matrix(A)
     d = A.shape[0]
     normA = max(_opnorm(A), np.finfo(float).tiny)
-    last_err = "no clustering radius produced a consistent structure"
+    w = _eigvals(A)
+    rungs = []  # (delta, why the rung failed), in ladder order
     for delta in _delta_ladder():
-        clusters = eigen_spectrum(A, delta)
+        clusters = _cluster_values(w, delta)
         if not _cluster_guard_ok(clusters, delta):
+            rungs.append((delta, f"eigenvalue clusters closer than 10 radii "
+                                 f"at radius {delta:.1e}"))
             continue
         try:
             items = _real_blocks_at_radius(A, clusters, delta)
         except _StructureError as exc:
-            last_err = str(exc)
+            rungs.append((delta, str(exc)))
             continue
         items = _canonical_block_sort(items)
         blocks = tuple(b for b, _ in items)
         if sum(b.rows for b in blocks) != d:
-            last_err = "block rows do not sum to the order"
+            rungs.append((delta, "block rows do not sum to the order"))
             continue
         T = np.hstack([cols for _, cols in items])
         K = assemble_jordan(blocks)
         try:
             Tinv = np.linalg.inv(T)
         except np.linalg.LinAlgError:
+            rungs.append((delta, "conjugator is singular"))
             continue
         resid = _opnorm(A - T @ K @ Tinv) / normA
         if resid <= RECONSTRUCTION_TOL:
             return RealJordanDecomposition(T, blocks, float(resid))
-        last_err = f"residual {resid:.3e} above tolerance at radius {delta:.1e}"
-    raise IllConditioned(last_err)
+        rungs.append((delta, f"residual {resid:.3e} above tolerance "
+                             f"at radius {delta:.1e}"))
+    exc = IllConditioned(rungs[-1][1])
+    exc.rungs = tuple(rungs)
+    raise exc
 
 
 def _real_blocks_at_radius(A, clusters, rank_rtol):
-    """Candidate (RealJordanBlock, real column block) pairs."""
+    """Candidate (RealJordanBlock, real column block) pairs.
+
+    clusters holds (value, algebraic multiplicity) pairs.
+    """
     items = []
     used = set()
     cl_by_id = list(enumerate(clusters))
-    for i, cl in cl_by_id:
+    for i, (val, alg) in cl_by_id:
         if i in used:
             continue
-        if cl.value.imag == 0.0:
+        if val.imag == 0.0:
             used.add(i)
-            eta = cl.value.real
-            for chain in _jordan_chains(A, complex(eta, 0.0),
-                                        cl.algebraic_mult):
+            eta = val.real
+            for chain in _jordan_chains(A, complex(eta, 0.0), alg):
                 cols = np.column_stack(chain).real
                 items.append((RealJordanBlock(BlockKind.REAL, len(chain),
                                               complex(eta, 0.0)), cols))
         else:
             # find the conjugate partner cluster
             partner = None
-            for j, other in cl_by_id:
+            for j, (other, _) in cl_by_id:
                 if j != i and j not in used and \
-                        abs(other.value - cl.value.conjugate()) <= \
-                        10 * rank_rtol + abs(cl.value.imag) * 1e-6:
+                        abs(other - val.conjugate()) <= \
+                        10 * rank_rtol + abs(val.imag) * 1e-6:
                     partner = j
                     break
             if partner is None:
                 raise _StructureError("complex eigenvalue without conjugate partner")
             used.add(i)
             used.add(partner)
-            if clusters[partner].algebraic_mult != cl.algebraic_mult:
+            partner_val, partner_alg = clusters[partner]
+            if partner_alg != alg:
                 raise _StructureError("conjugate clusters disagree in multiplicity")
-            kappa = 0.5 * (cl.value + clusters[partner].value.conjugate())
+            kappa = 0.5 * (val + partner_val.conjugate())
             if kappa.imag < 0:
                 kappa = kappa.conjugate()
-            for chain in _jordan_chains(A, kappa, cl.algebraic_mult):
+            for chain in _jordan_chains(A, kappa, alg):
                 cols = []
                 for u in chain:
                     cols.append(u.real)

@@ -11,6 +11,7 @@ the matrix map D_t'' into D_t' for any t' < t''.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class ShrinkingFamily:
     def param(self, t):
         """Monotone map from t in (0, inf) to the block-level parameter."""
         t = float(t)
-        if t <= 0:
-            raise InvalidArgument("t must be positive")
+        if not 0 < t < math.inf:
+            raise InvalidArgument("t must be positive and finite")
         return t / (1.0 + t) if self.uses_cone else t
 
     def to_json(self):
@@ -89,20 +90,35 @@ def build_family(A) -> ShrinkingFamily:
     )
 
 
+def _norms(rows):
+    """Euclidean norm of each column of a (k, n) array of coordinate rows.
+
+    Bit-equal to np.linalg.norm(rows.T, axis=1) on a row-major copy:
+    numpy adds fewer than 8 squares in order along either axis, and from
+    8 on sums a row-major axis pairwise, so only then is the copy made.
+    """
+    if rows.shape[0] >= 8:
+        return np.linalg.norm(rows.T.copy(), axis=1)
+    return np.sqrt(np.add.reduce(rows * rows, axis=0))
+
+
+def _in_family(fam: ShrinkingFamily, t, y) -> np.ndarray:
+    """Membership in D_t of points given as d Jordan-coordinate rows (d, n)."""
+    yb = y[fam.offset:fam.offset + fam.rows]
+    # closed sets: let boundary points in despite roundoff
+    slack = 1.0 + 1e-12
+    if fam.uses_cone:
+        tail = _norms(yb[-2:]) if fam.pair else np.abs(yb[-1])
+        return tail <= fam.param(t) * _norms(yb) * slack
+    return _norms(yb) <= fam.param(t) * slack
+
+
 def contains_many(fam: ShrinkingFamily, t, points) -> np.ndarray:
     """Vectorized membership of an (n, d) array in D_t (closed: boundary in)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != fam.dim:
         raise DimensionMismatch(f"points must have dimension {fam.dim}")
-    y = pts @ fam.basis_inv.T
-    yb = y[:, fam.offset:fam.offset + fam.rows]
-    # closed sets: let boundary points in despite roundoff
-    slack = 1.0 + 1e-12
-    if fam.uses_cone:
-        tail = np.linalg.norm(yb[:, -2:], axis=1) if fam.pair \
-            else np.abs(yb[:, -1])
-        return tail <= fam.param(t) * np.linalg.norm(yb, axis=1) * slack
-    return np.linalg.norm(yb, axis=1) <= fam.param(t) * slack
+    return _in_family(fam, t, fam.basis_inv @ np.ascontiguousarray(pts.T))
 
 
 def contains(fam: ShrinkingFamily, t, x) -> bool:
@@ -159,27 +175,33 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
     Returns (h0, violations); violations counts (sample, h) failures at
     or beyond the reported h0 and is zero by construction.  Raises
     NotReached when h_max is insufficient.
+
+    The sample is stepped by A in the original coordinates and mapped
+    to Jordan coordinates at each power, rather than stepped by the
+    Jordan matrix: T K T^-1 reproduces A only up to RECONSTRUCTION_TOL,
+    and that residual would compound over h_max powers.
     """
-    if t_small <= 0 or t_large <= 0 or t_small > t_large:
-        raise InvalidArgument("need 0 < t_small <= t_large")
+    if not 0 < t_small <= t_large < math.inf:
+        raise InvalidArgument("need 0 < t_small <= t_large < inf")
+    if n_samples < 1 or h_max < 0:
+        raise InvalidArgument("need n_samples >= 1 and h_max >= 0")
     if t_small == t_large:
         return 0, 0  # D_t'' is a subset of D_t' already; monotone convention
     rng = _rng.stream(seed, "absorption")
-    X = _sample_in_family(fam, t_large, n_samples, rng)
+    cur = np.ascontiguousarray(_sample_in_family(fam, t_large, n_samples, rng).T)
     A = fam.witness
-    member = np.empty((n_samples, h_max + 1), dtype=bool)
-    cur = X
+    member = np.empty((h_max + 1, n_samples), dtype=bool)
     for h in range(h_max + 1):
-        member[:, h] = contains_many(fam, t_small, cur)
+        member[h] = _in_family(fam, t_small, fam.basis_inv @ cur)
         if h < h_max:
-            cur = cur @ A.T
+            cur = A @ cur
     fails = ~member
-    last_fail = np.where(fails.any(axis=1),
-                         h_max - np.argmax(fails[:, ::-1], axis=1), -1)
+    last_fail = np.where(fails.any(axis=0),
+                         h_max - np.argmax(fails[::-1], axis=0), -1)
     h0 = int(last_fail.max()) + 1
     if h0 > h_max:
         raise NotReached(f"absorption not reached within h_max={h_max}")
-    violations = int(fails[:, h0:].sum())
+    violations = int(fails[h0:].sum())
     return h0, violations
 
 
@@ -194,6 +216,8 @@ def null_boundary_check(fam: ShrinkingFamily, n_samples=100_000,
     Both target Lebesgue-null limit sets, so both fractions should be
     small (up to the proxy gap).
     """
+    if n_samples < 1:
+        raise InvalidArgument("need n_samples >= 1")
     if bounding_box is None:
         bounding_box = np.column_stack([-np.ones(fam.dim), np.ones(fam.dim)])
     bounding_box = np.asarray(bounding_box, dtype=float)

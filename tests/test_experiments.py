@@ -378,6 +378,21 @@ def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-samples", "0", "n_samples >= 1"),
+    ("--h-max", "-1", "h_max >= 0"),
+    ("--t-grid", "nan,1", "t_small"),
+    ("--t-grid", "1,inf", "t_small"),
+])
+def test_cli_sets_verify_rejects_out_of_range(tmp_path, flag, value, message):
+    res = CliRunner().invoke(main, ["sets", "verify", "--matrix", "squeeze",
+                                    flag, value, "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: ") and message in res.stderr
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "sets_verify.csv").exists()
+
+
 def test_argument_checks_raise_invalid_argument():
     fam = build_family(squeeze())
     block = matrices.real_jordan_form(shear()).blocks[0]
@@ -386,8 +401,16 @@ def test_argument_checks_raise_invalid_argument():
         lambda: intersection_volume(UNIT, UNIT, method="mc", n=0),
         lambda: gallery.conjugated_rotation(0.5, np.random.default_rng(0), d=3),
         lambda: fam.param(0.0),
+        lambda: fam.param(float("nan")),
+        lambda: shrinking.contains_many(fam, float("inf"), np.zeros((1, 2))),
+        lambda: shrinking.null_boundary_check(fam, t_union=float("nan")),
         lambda: shrinking.absorption_lag(fam, 0.0, 1.0),
+        lambda: shrinking.absorption_lag(fam, float("nan"), 1.0),
+        lambda: shrinking.absorption_lag(fam, 1.0, float("inf")),
+        lambda: shrinking.absorption_lag(fam, 0.5, 1.0, n_samples=0),
+        lambda: shrinking.absorption_lag(fam, 0.5, 1.0, h_max=-1),
         lambda: shrinking.null_boundary_check(fam, bounding_box=[[0, 0], [0, 1]]),
+        lambda: shrinking.null_boundary_check(fam, n_samples=0),
         lambda: matrices.eigen_spectrum(squeeze(), cluster_tol=0.0),
         lambda: matrices.jordan_block_power_apply(block, -1, np.ones(2)),
         lambda: matrices.haar_average_form([rotation(0.5)], mode="haar"),

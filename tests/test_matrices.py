@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levymix as lm
 from levymix import errors
@@ -10,6 +12,7 @@ from levymix.gallery import (
     jordan_corpus,
     named_matrix,
     random_det1,
+    random_jordan_matrix,
     rotation,
     shear,
     squeeze,
@@ -91,8 +94,9 @@ def test_eigen_spectrum_defective_multiplicity():
 
 
 def test_eigen_spectrum_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        lm.eigen_spectrum(np.eye(2), cluster_tol=0.0)
+    for tol in (0.0, -1e-6, float("nan"), float("inf")):
+        with pytest.raises(errors.InvalidArgument):
+            lm.eigen_spectrum(np.diag([2.0, 1.0]), cluster_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +170,66 @@ def test_real_jordan_reconstruction_small_corpus():
                       round(abs(b.eigen.imag), 6)) for b in dec.blocks)
         assert got == want
         assert dec.residual <= 1e-6
+
+
+def _same_blocks(got, built):
+    """Equal kinds and sizes, eigenvalues within 1e-5, up to order."""
+    left = list(built)
+    for b in got:
+        match = next((c for c in left if (c.kind, c.size) == (b.kind, b.size)
+                      and abs(c.eigen - b.eigen) <= 1e-5), None)
+        if match is None:
+            return False
+        left.remove(match)
+    return not left
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(cond=st.floats(10.0, 200.0), seed=st.integers(0, 2**32 - 1))
+def test_real_jordan_recovers_built_blocks_or_refuses(cond, seed):
+    # a conjugated form comes back with its own blocks or is refused; a
+    # different structure that passes the residual check is never returned
+    for d in range(2, 7):
+        for unit_moduli in (False, True):
+            rng = np.random.default_rng([seed, d, unit_moduli])
+            try:
+                A, built = random_jordan_matrix(d, rng, cond=cond,
+                                                unit_moduli=unit_moduli)
+            except errors.SamplingFailure:
+                continue
+            try:
+                dec = lm.real_jordan_form(A)
+            except errors.IllConditioned:
+                continue
+            assert _same_blocks(dec.blocks, built), (dec.blocks, built)
+
+
+def test_ill_conditioned_names_every_rung():
+    # 1 and 1 + 5e-6 are too close for the finest radius and too far
+    # apart to merge into one eigenvalue at any coarser one
+    with pytest.raises(errors.IllConditioned) as info:
+        lm.real_jordan_form(np.diag([1.0, 1.0 + 5e-6, 2.0]))
+    rungs = info.value.rungs
+    deltas = [delta for delta, _ in rungs]
+    assert np.allclose(deltas, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6], rtol=1e-9)
+    assert deltas == sorted(deltas, reverse=True)
+    assert all(isinstance(reason, str) and reason for _, reason in rungs)
+    assert "clusters" in rungs[0][1]  # 0.1 is within 10 radii of 1 to 2
+    assert rungs[-1][1].startswith("eigenvalue clusters closer")
+    assert "residual 1.250e-06" in rungs[-2][1]
+    assert str(info.value) == rungs[-1][1]
+
+
+def test_ill_conditioned_records_singular_conjugator(monkeypatch):
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(errors.IllConditioned) as info:
+        lm.real_jordan_form(squeeze())
+    assert len(info.value.rungs) == 6
+    assert all(reason == "conjugator is singular"
+               for _, reason in info.value.rungs)
 
 
 def test_real_jordan_block_rows_sum_and_json():
