@@ -10,16 +10,16 @@ four half-planes of the other (Sutherland-Hodgman) and the shoelace areas
 are summed.  Overlaps in d >= 3 with other frames, and the atoms of any
 family that is not all axis boxes, are Monte Carlo.
 
-Membership is closed at every face.  An axis box compares coordinates
-with its intervals; any other piece maps points to box coordinates
-through its inverse frame, computed once per piece, and a singular frame
-raises SingularMatrix there.
+Membership is closed at every face.  Two or more axis boxes of a region
+are painted once on a table of the faces and cells their endpoints cut,
+read by one searchsorted pass per axis; any other piece maps points to
+box coordinates through its inverse frame, computed once per piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -29,12 +29,15 @@ from .errors import (
     DimensionMismatch,
     InvalidArgument,
     LevymixError,
+    NonFiniteInput,
     NotAxisAligned,
     OverlapUnknown,
     SingularMatrix,
     UnboundedRegion,
 )
 from .matrices import as_matrix, matrix_to_json
+
+TABLE_SIZE_CAP = 1 << 20  # elements of a region's membership table
 
 
 def _columns(points, d):
@@ -44,6 +47,23 @@ def _columns(points, d):
         raise DimensionMismatch(
             f"points must form an (n, {d}) array, got shape {pts.shape}")
     return np.ascontiguousarray(pts.T)
+
+
+def _cuts(ivs):
+    """Sorted distinct endpoints per axis of a (k, d, 2) interval array."""
+    return [np.array(sorted(set(a.ravel().tolist()))) for a in ivs.swapaxes(0, 1)]
+
+
+def _paint(intervals, cuts):
+    """Table of the elements that closed boxes with endpoints among the cuts
+    cover: 2j + 1 is the face at cut j, 2j + 2 the open cell after it, the
+    count searchsorted(edges, x, "right") gives for edges (cut, float up)."""
+    table = np.zeros(tuple(2 * len(c) + 1 for c in cuts), dtype=bool)
+    ends = np.stack([2 * np.searchsorted(c, intervals[:, k]) + 1
+                     for k, c in enumerate(cuts)], axis=1)
+    for box in ends:
+        table[tuple(slice(lo, hi + 1) for lo, hi in box)] = True
+    return table
 
 
 @dataclass(frozen=True)
@@ -56,6 +76,8 @@ class Piece:
         box = np.asarray(self.box, dtype=float)
         if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] != self.frame.shape[0]:
             raise DimensionMismatch("box must be a d x 2 interval array")
+        if np.any(np.isnan(box)):
+            raise NonFiniteInput("box entries must not be NaN")
         if np.any(box[:, 0] > box[:, 1]):
             raise InvalidArgument("interval lo must not exceed hi")
         object.__setattr__(self, "box", box)
@@ -163,11 +185,30 @@ class Region:
     def dim(self):
         return self.pieces[0].dim
 
+    @cached_property
+    def _axis_table(self):
+        """(edges, _paint table, other pieces) if 2+ axis pieces fit the cap."""
+        axis = [p._intervals for p in self.pieces if p._intervals is not None]
+        cuts = _cuts(np.stack(axis)) if len(axis) > 1 else ()
+        if not cuts or np.prod([2.0 * len(c) + 1 for c in cuts]) > TABLE_SIZE_CAP:
+            return None
+        ups = [np.where(np.isposinf(c), np.nan, np.nextafter(c, np.inf)) for c in cuts]
+        return ([np.column_stack(e).ravel() for e in zip(cuts, ups)],
+                _paint(np.stack(axis), cuts),
+                tuple(p for p in self.pieces if p._intervals is None))
+
     def contains(self, points):
         """Boolean membership for an (n, d) array of points; see Piece.contains."""
-        cols = _columns(points, self.dim)
-        out = np.zeros(cols.shape[1], dtype=bool)
-        for p in self.pieces:
+        return self._contains_columns(_columns(points, self.dim))
+
+    def _contains_columns(self, cols):
+        """Membership of the points given as d contiguous coordinate rows."""
+        out, pieces = np.zeros(cols.shape[1], dtype=bool), self.pieces
+        if self._axis_table is not None:
+            edges, table, pieces = self._axis_table
+            out = table[tuple(np.searchsorted(e, x, "right")
+                              for e, x in zip(edges, cols))]
+        for p in pieces:
             out |= p._contains_columns(cols)
         return out
 
@@ -214,7 +255,7 @@ def unit_box(d):
 def _stratified_uniform(bounds, n, rng):
     """About n stratified-uniform points in the box `bounds`: m >= 2 in
     each of s**d strata, s the largest integer with s**d < n (at least 1),
-    so that the strata give a variance.  Returns (points, s**d, m)."""
+    so that the strata give a variance.  Returns (points as d rows, s**d, m)."""
     if not n >= 1:
         raise InvalidArgument(f"need at least one sample point, got n={n}")
     d = bounds.shape[0]
@@ -226,7 +267,7 @@ def _stratified_uniform(bounds, n, rng):
     for k in range(d):
         lo = np.linspace(bounds[k, 0], bounds[k, 1], s + 1)[:-1]
         cells[..., k] += lo.reshape((1,) * k + (s,) + (1,) * (d - k))
-    return pts.reshape(-1, d), s**d, m
+    return np.ascontiguousarray(pts.reshape(-1, d).T), s**d, m
 
 
 def _stratified_hits(bounds, inside, n, seed, label):
@@ -234,8 +275,8 @@ def _stratified_hits(bounds, inside, n, seed, label):
     by stratified hit counting on the stream (seed, label)."""
     vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
     rng = _rng.stream(seed, label)
-    pts, k, m = _stratified_uniform(bounds, n, rng)
-    hits = inside(pts).reshape(k, m)
+    cols, k, m = _stratified_uniform(bounds, n, rng)
+    hits = inside(cols).reshape(k, m)
     p_hat = hits.mean(axis=1)
     est = vbox * float(p_hat.mean())
     var = float(np.sum(p_hat * (1 - p_hat) / (m - 1))) / k**2
@@ -334,7 +375,8 @@ def intersection_volume(r1: Region, r2: Region, method="auto",
         return _axis_overlap(r1, r2), 0.0
     if method == "mc":
         return _stratified_hits(
-            r1.bounding_box(), lambda pts: r1.contains(pts) & r2.contains(pts),
+            r1.bounding_box(),
+            lambda c: r1._contains_columns(c) & r2._contains_columns(c),
             n, seed, "overlap")
     raise InvalidArgument(f"unknown method {method!r}")
 
@@ -375,53 +417,46 @@ def _common_bounding_box(regions):
     return bounds
 
 
-def _signature_sums(regions, pts, weights=None):
-    """Membership signatures of the points in descending order, with the
-    number of points (or the sum of their weights) carrying each, as floats.
-
-    Each run of up to 64 regions folds into one unsigned code per point,
-    region 0 most significant, in the narrowest dtype that holds it; so
-    codes sort as signature tuples do, and bincount sums in input order.
-    """
+def _signature_words(members):
+    """Signatures of one boolean array per region, packed: each run of up to
+    64 regions folds into one code per point, region 0 most significant,
+    in the narrowest unsigned dtype; so codes sort as signatures do."""
     words = []
-    for start in range(0, len(regions), 64):
-        group = regions[start:start + 64]
-        code = np.zeros(len(pts), np.min_scalar_type((1 << len(group)) - 1))
-        for r in group:
+    for start in range(0, len(members), 64):
+        group = members[start:start + 64]
+        code = np.zeros(len(group[0]), np.min_scalar_type((1 << len(group)) - 1))
+        for member in group:
             code <<= 1
-            code |= r.contains(pts)
+            code |= member
         words.append(code)
+    return words
+
+
+def _signature_sums(members, weights=None):
+    """Signatures in descending order, with the number of points (or the
+    sum of their weights, in order) carrying each, as floats."""
+    words = _signature_words(members)
     if len(words) == 1:
         uniq, inverse = np.unique(words[0], return_inverse=True)
         uniq = uniq[:, None]
     else:  # rows of words, compared lexicographically
         uniq, inverse = np.unique(np.stack(words, axis=1), axis=0,
                                   return_inverse=True)
-    i = np.arange(len(regions))
-    shift = np.minimum(64, len(regions) - i // 64 * 64) - 1 - i % 64
+    i = np.arange(len(members))
+    shift = np.minimum(64, len(members) - i // 64 * 64) - 1 - i % 64
     bits = (uniq[::-1][:, i // 64] >> shift.astype(uniq.dtype)) & 1
     return (tuple(map(tuple, (bits == 1).tolist())),
             np.bincount(inverse, weights=weights).astype(float)[::-1])
 
 
 def _atomize_axis_exact(regions, bounds):
-    d = regions[0].dim
-    # sweep grid from every interval endpoint of every piece
-    cuts = []
-    for k in range(d):
-        pts = {bounds[k, 0], bounds[k, 1]}
-        for r in regions:
-            for p in r.pieces:
-                iv = p.intervals()
-                pts.add(float(iv[k, 0]))
-                pts.add(float(iv[k, 1]))
-        cuts.append(np.array(sorted(pts)))
-    centers = [0.5 * (c[1:] + c[:-1]) for c in cuts]
-    widths = [np.diff(c) for c in cuts]
-    mesh = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1).reshape(-1, d)
-    wmesh = np.stack(np.meshgrid(*widths, indexing="ij"), axis=-1).reshape(-1, d)
-    cellvol = np.prod(wmesh, axis=1)
-    signatures, measures = _signature_sums(regions, mesh, weights=cellvol)
+    # each region painted on the grid of every endpoint, open cells only
+    intervals = [np.stack([p.intervals() for p in r.pieces]) for r in regions]
+    cuts = _cuts(np.concatenate(intervals))
+    cells = (slice(2, -1, 2),) * len(cuts)
+    members = [_paint(iv, cuts)[cells].ravel() for iv in intervals]
+    cellvol = reduce(np.multiply.outer, [np.diff(c) for c in cuts]).ravel()
+    signatures, measures = _signature_sums(members, weights=cellvol)
     return AtomTable(signatures, measures, np.zeros_like(measures),
                      bounds, exact=True)
 
@@ -429,13 +464,17 @@ def _atomize_axis_exact(regions, bounds):
 def atomize(regions, n=100_000, seed=0, method="auto"):
     """AtomTable for the family of regions over their common bounding box.
 
-    method="exact" (axis-aligned families only) classifies the cells of
-    the endpoint sweep grid; method="mc" classifies n stratified-uniform
+    method="exact" (axis-aligned families only) paints the regions on the
+    endpoint sweep grid; method="mc" classifies n stratified-uniform
     samples; "auto" prefers exact when available.  Every signature that
     occurs among the samples is an atom, so each MC atom has a measure of
     at least the box volume over the number of samples.
     """
     regions = list(regions)
+    if method not in ("auto", "exact", "mc"):
+        raise InvalidArgument(f"unknown method {method!r}")
+    if not regions:
+        raise InvalidArgument("atomize needs at least one region, got an empty family")
     bounds = _common_bounding_box(regions)
     if method == "auto":
         method = "exact" if all(r.is_axis_aligned() for r in regions) else "mc"
@@ -443,9 +482,9 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
         return _atomize_axis_exact(regions, bounds)
     vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
     rng = _rng.stream(seed, "atomize")
-    pts, k, m = _stratified_uniform(bounds, n, rng)
-    n_total = pts.shape[0]
-    signatures, counts = _signature_sums(regions, pts)
+    cols, _, _ = _stratified_uniform(bounds, n, rng)
+    n_total = cols.shape[1]
+    signatures, counts = _signature_sums([r._contains_columns(cols) for r in regions])
     p = counts / n_total
     stderrs = vbox * np.sqrt(p * (1 - p) / n_total)
     return AtomTable(signatures, vbox * p, stderrs, bounds, exact=False)

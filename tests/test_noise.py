@@ -15,7 +15,7 @@ from levymix.noise import (
     realize,
     realize_masses,
 )
-from levymix.regions import atomize, box_region, transform
+from levymix.regions import Region, atomize, box_region, transform
 from levymix.rng import stream
 from levymix.shrinking import _sample_in_family, build_family
 
@@ -164,3 +164,34 @@ def test_conditional_smoothing_shrinks_variance():
     part = gaussian_conditional_samples(np.tanh, 0.2, 1.0, 20_000, rng2)
     assert part.var(ddof=1) < full.var(ddof=1)
 
+
+
+def _stack_rejection(atoms, atom_index, regions, count, rng):
+    """Rejection by comparing each point's stack of region memberships with
+    the atom's signature, one region at a time."""
+    bounds = atoms.bounding_box
+    d = bounds.shape[0]
+    sig = np.array(atoms.signatures[atom_index])
+    out = np.empty((0, d))
+    while len(out) < count:
+        batch = max(64, 4 * (count - len(out)))
+        pts = bounds[:, 0] + rng.random((batch, d)) * (bounds[:, 1] - bounds[:, 0])
+        memb = np.stack([r.contains(pts) for r in regions], axis=1)
+        out = np.vstack([out, pts[np.all(memb == sig, axis=1)]])
+    return out[:count]
+
+
+@pytest.mark.parametrize("n_regions", [3, 70])
+def test_atom_sampler_matches_signature_stack(n_regions):
+    rng = np.random.default_rng(n_regions)
+    regions = [transform(rotation(0.4), box_region([[0.0, 1.5], [0.0, 1.0]]))]
+    for _ in range(n_regions - 1):
+        lo = rng.uniform(0.0, 2.0, size=(2, 2))
+        regions.append(Region(tuple(
+            box_region(np.column_stack([a, a + rng.uniform(0.3, 1.0, 2)])).pieces[0]
+            for a in lo), disjoint=False))
+    atoms = atomize(regions, n=2_000, seed=1)
+    for i in np.argsort(atoms.measures)[::-1][:8]:  # the largest atoms
+        got = _sample_points_in_atom(atoms, i, regions, 7, stream(5, "a", i))
+        want = _stack_rejection(atoms, i, regions, 7, stream(5, "a", i))
+        assert got.tobytes() == want.tobytes()

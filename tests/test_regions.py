@@ -9,6 +9,7 @@ from levymix import errors, noise
 from levymix import rng as _rng
 from levymix.gallery import rotation, shear, squeeze
 from levymix.regions import (
+    TABLE_SIZE_CAP,
     AtomTable,
     Piece,
     Region,
@@ -432,7 +433,9 @@ def test_stratified_uniform_layout(d, n):
     assert k == s**d < n <= (s + 1) ** d
     assert m == max(math.ceil(n / k), 2)
     u = _rng.stream(3, "strata").random((k, m, d))
-    assert np.array_equal(pts, _meshgrid_stratified(bounds, s, m, u))
+    # the points come as d contiguous coordinate rows
+    assert pts.shape == (d, k * m) and pts.flags.c_contiguous
+    assert np.array_equal(pts.T, _meshgrid_stratified(bounds, s, m, u))
 
 
 @pytest.mark.parametrize("n", [9_999, 10_000, 40_000])
@@ -450,10 +453,25 @@ def test_mc_stderr_positive_at_every_sample_size(n):
 ATOM_DROP_FRACTION = 1e-9
 
 
+def _piecewise_contains(region, pts):
+    """Membership one piece at a time: a closed compare with the intervals
+    of each axis piece, the piece's own inverse-frame test otherwise."""
+    out = np.zeros(len(pts), dtype=bool)
+    for p in region.pieces:
+        if p.is_axis_aligned():
+            iv = p.intervals()
+            out |= np.all((pts >= iv[:, 0]) & (pts <= iv[:, 1]), axis=1)
+        else:
+            out |= p.contains(pts)
+    return out
+
+
 def _dict_atoms(regions, bounds, exact, n, seed):
     """(signatures, measures, stderrs) from a dict of signature tuples over
-    the points atomize classifies: sweep-cell centres weighted by cell
-    volume, or the stratified samples of the "atomize" stream."""
+    the points classified one piece at a time: the centres of the sweep
+    cells weighted by cell volume (the mesh-centre classification the
+    painted sweep replaced), or the stratified samples of the "atomize"
+    stream."""
     d = bounds.shape[0]
     if exact:
         cuts = []
@@ -468,10 +486,10 @@ def _dict_atoms(regions, bounds, exact, n, seed):
         wgrid = np.meshgrid(*[np.diff(c) for c in cuts], indexing="ij")
         weights = np.prod(np.stack(wgrid, axis=-1).reshape(-1, d), axis=1)
     else:
-        pts, _, _ = _stratified_uniform(bounds, n, _rng.stream(seed, "atomize"))
+        pts = _stratified_uniform(bounds, n, _rng.stream(seed, "atomize"))[0].T
         weights = np.ones(len(pts), dtype=int)
     table = {}
-    member = np.stack([r.contains(pts) for r in regions], axis=1)
+    member = np.stack([_piecewise_contains(r, pts) for r in regions], axis=1)
     for sig, w in zip(map(tuple, member), weights.tolist()):
         table[sig] = table.get(sig, 0) + w
     sigs = sorted(table, reverse=True)
@@ -499,23 +517,33 @@ def _assert_matches_dict_atoms(regions, method, n, seed):
     return atoms
 
 
+_SCALES = [-2.0, -1.0, -0.5, 0.5, 1.0, 3.0]
+
+
+@st.composite
+def _axis_pieces(draw, d, count, skew=False):
+    """Signed-permutation images of boxes on a quarter lattice, some of
+    zero width on an axis; with `skew`, some frames are sheared too.  The
+    lattice leaves no sweep cell one ulp wide, where a computed cell
+    centre could round onto a face."""
+    pieces = []
+    for _ in range(count):
+        lo = np.array(draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d)))
+        ext = np.array(draw(st.lists(st.integers(0, 4), min_size=d, max_size=d)))
+        frame = np.zeros((d, d))
+        frame[np.arange(d), draw(st.permutations(range(d)))] = draw(
+            st.lists(st.sampled_from(_SCALES), min_size=d, max_size=d))
+        if skew and draw(st.booleans()):
+            frame[0] += draw(st.floats(0.2, 1.0)) * frame[1]
+        pieces.append(Piece(frame, 0.25 * np.column_stack([lo, lo + ext])))
+    return pieces
+
+
 @st.composite
 def _families(draw):
     d = draw(st.integers(1, 3))
     skew = d > 1 and draw(st.booleans())
-
-    def piece():
-        lo = np.array(draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d)))
-        ext = np.array(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
-        frame = np.zeros((d, d))
-        frame[np.arange(d), draw(st.permutations(range(d)))] = draw(st.lists(
-            st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
-            min_size=d, max_size=d))
-        if skew and draw(st.booleans()):
-            frame[0] += draw(st.floats(0.2, 1.0)) * frame[1]
-        return Piece(frame, 0.25 * np.column_stack([lo, lo + ext]))
-
-    return [Region(tuple(piece() for _ in range(draw(st.integers(1, 3)))),
+    return [Region(tuple(draw(_axis_pieces(d, draw(st.integers(1, 3)), skew))),
                    disjoint=False)
             for _ in range(draw(st.integers(1, 9)))]
 
@@ -536,3 +564,143 @@ def test_atomize_code_widths_match_dict_counting(n_regions, method):
               for a in lo]
     atoms = _assert_matches_dict_atoms(family, method, 5_000, n_regions)
     assert len(atoms.signatures) >= n_regions
+
+
+# ---------------------------------------------------------------------------
+# membership tables of axis-box unions and the painted sweep
+
+
+def test_piece_rejects_nan_box_and_keeps_infinite_boxes():
+    for box in ([[0.0, np.nan], [0.0, 1.0]], [[np.nan, np.nan], [0.0, 1.0]]):
+        with pytest.raises(errors.NonFiniteInput):
+            Piece(np.eye(2), box)
+    with pytest.raises(errors.ConfigError):
+        Region.from_json({"box": [[0.0, float("nan")], [0.0, 1.0]]})
+    strip = Region((Piece(np.eye(2), [[0.0, np.inf], [0.0, 1.0]]),
+                    Piece(np.eye(2), [[-np.inf, -1.0], [0.0, 1.0]])))
+    assert strip._axis_table is not None
+    pts = [[np.inf, 1.0], [-np.inf, 0.0], [5.0, 0.5], [-0.5, 0.5], [np.nan, 0.5]]
+    assert strip.contains(pts).tolist() == [True, True, True, False, False]
+    with pytest.raises(errors.UnboundedRegion):
+        atomize([strip])
+
+
+def test_atomize_rejects_unknown_method_and_empty_family():
+    with pytest.raises(errors.InvalidArgument, match="unknown method 'bogus'"):
+        atomize([unit_box(2)], method="bogus")
+    with pytest.raises(errors.InvalidArgument, match="empty family"):
+        atomize([])
+    with pytest.raises(errors.InvalidArgument, match="empty family"):
+        atomize(iter(()), method="mc")
+
+
+@st.composite
+def _staircases(draw):
+    d = draw(st.integers(1, 3))
+    pieces = draw(_axis_pieces(d, draw(st.integers(2, 8 if d < 3 else 4))))
+    if d > 1 and draw(st.booleans()):  # mixed: a rotated or sheared piece too
+        frame = np.eye(d)
+        frame[:2, :2] = (rotation(draw(st.floats(0.1, 1.4))) if draw(st.booleans())
+                         else [[1.0, draw(st.floats(0.2, 1.0))], [0.0, 1.0]])
+        pieces.insert(draw(st.integers(0, len(pieces))),
+                      Piece(frame, np.column_stack([-np.ones(d), np.ones(d)])))
+    return Region(tuple(pieces), disjoint=False)
+
+
+def _face_points(region, rng, cap=30_000):
+    """Every combination of per-axis coordinates, or `cap` random ones when
+    there are more: each cut, its float neighbours, the midpoints, points
+    beyond the ends, NaN and both infinities."""
+    d = region.dim
+    axes = []
+    for k in range(d):
+        ends = np.unique(region.bounding_box()[k].tolist() + [
+            v for p in region.pieces if p.is_axis_aligned() for v in p.intervals()[k]])
+        axes.append(np.concatenate([
+            ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf),
+            0.5 * (ends[1:] + ends[:-1]), [ends[0] - 1.0, ends[-1] + 1.0],
+            [np.nan, np.inf, -np.inf]]))
+    if np.prod([len(a) for a in axes]) <= cap:
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    return np.stack([a[rng.integers(0, len(a), cap)] for a in axes], axis=1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(region=_staircases())
+def test_table_membership_matches_closed_intervals(region):
+    pts = _face_points(region, np.random.default_rng(0))
+    n_axis = sum(p.is_axis_aligned() for p in region.pieces)
+    assert (region._axis_table is not None) == (n_axis >= 2)
+    with np.errstate(invalid="ignore"):  # infinite points in rotated pieces
+        want = _piecewise_contains(region, pts)
+        assert np.array_equal(region.contains(pts), want)
+        # and one point at a time
+        for i in np.random.default_rng(1).choice(len(pts), min(20, len(pts)),
+                                                 replace=False):
+            assert region.contains(pts[i]).tolist() == [want[i]]
+
+
+def test_table_membership_above_the_size_cap():
+    # 40 boxes with distinct endpoints cut each of three axes 80 times, so
+    # the table would hold at least 161**3 elements
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(0.0, 4.0, size=(40, 3))
+    frames = [np.diag(rng.choice([-1.0, 2.0], 3)) for _ in range(40)]
+    pieces = [Piece(f, np.column_stack([a, a + 1.0])) for f, a in zip(frames, lo)]
+    big = Region(tuple(pieces) + (Piece(np.eye(3), [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]),))
+    assert 161**3 > TABLE_SIZE_CAP and big._axis_table is None
+    pts = np.concatenate([_face_points(big, rng, cap=20_000),
+                          rng.uniform(-5.0, 10.0, size=(20_000, 3))])
+    assert np.array_equal(big.contains(pts), _piecewise_contains(big, pts))
+    small = Region(tuple(pieces[:8]))
+    assert small._axis_table is not None
+    assert np.array_equal(small.contains(pts), _piecewise_contains(small, pts))
+
+
+def test_painted_sweep_over_64_staircases():
+    # 70 regions of two signed-permutation boxes in d = 3, some of zero
+    # width, whose endpoints come from 12 random floats per axis, so that
+    # cell volumes round as the products of the mesh-centre sweep did
+    rng = np.random.default_rng(70)
+    ends = np.sort(rng.uniform(-2.0, 2.0, size=(3, 12)), axis=1)
+    family = []
+    for _ in range(70):
+        pieces = []
+        for _ in range(2):
+            iv = np.take_along_axis(ends, np.sort(rng.integers(0, 12, (3, 2))), axis=1)
+            perm, sign = rng.permutation(3), rng.choice([-1.0, 1.0], 3)
+            frame, box = np.zeros((3, 3)), np.zeros((3, 2))
+            frame[np.arange(3), perm] = sign
+            box[perm] = np.sort(sign[:, None] * iv, axis=1)
+            pieces.append(Piece(frame, box))
+            assert np.array_equal(pieces[-1].intervals(), iv)
+        family.append(Region(tuple(pieces), disjoint=False))
+    assert all(r._axis_table is not None for r in family)
+    atoms = _assert_matches_dict_atoms(family, "exact", 0, 0)
+    assert len(atoms.signatures[0]) == 70
+    _assert_matches_dict_atoms(family, "mc", 4_000, 3)
+
+
+def test_axis_unions_make_no_piece_compares(monkeypatch):
+    square = np.array([[0.0, 1.0], [0.0, 1.0]])
+    family = [Region((Piece(np.eye(2), square), Piece(np.eye(2), square + 1.5))),
+              Region((Piece(np.array([[0.0, 2.0], [-1.0, 0.0]]), square),
+                      Piece(np.diag([-1.0, 0.5]), square + 0.25),
+                      Piece(np.eye(2), square + [[2.0], [0.0]]))),
+              Region(tuple(Piece(np.eye(2), square * 0.5 + 0.5 * k) for k in range(5)))]
+    pts = np.random.default_rng(2).uniform(-2.0, 3.0, size=(3_000, 2))
+    want = [_piecewise_contains(r, pts) for r in family]
+
+    def no_compare(*args, **kwargs):
+        raise AssertionError("Piece._contains_columns called for a table region")
+
+    monkeypatch.setattr(Piece, "_contains_columns", no_compare)
+    assert all(np.array_equal(r.contains(pts), w) for r, w in zip(family, want))
+    atoms = atomize(family, method="mc", n=3_000, seed=4)
+    assert not atoms.exact
+    real = noise.realize(noise.NoiseSpec(noise.POISSON, 20.0), family, seed=4)
+    assert real.atoms.exact and len(real.points()) > 0
+    assert all(real.count_in(r) == real.value(i) for i, r in enumerate(family))
+    real = noise.realize(noise.NoiseSpec(noise.POISSON, 20.0), family, seed=4,
+                         atoms=atoms)
+    assert all(real.count_in(r) == real.value(i) for i, r in enumerate(family))
