@@ -16,7 +16,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import InvalidArgument, SamplingFailure, UnsupportedKind
 from .matrices import as_matrix
-from .regions import AtomTable, Region, _signature_words, atomize
+from .regions import AtomTable, Region, atomize
 
 GAUSSIAN = "gaussian"
 POISSON = "poisson"
@@ -97,18 +97,18 @@ class NoiseRealization:
 
 def _sample_points_in_atom(atoms, atom_index, regions, count, rng,
                            max_tries=10_000):
-    """Uniform points in one atom via rejection against its packed code."""
+    """Uniform points in one atom via rejection against its signature."""
     bounds = atoms.bounding_box
     d = bounds.shape[0]
-    target = _signature_words(np.array(atoms.signatures[atom_index])[:, None])
+    sig = atoms.signatures[atom_index]
     out = np.empty((0, d))
     tries = 0
     while len(out) < count and tries < max_tries:
         batch = max(64, 4 * (count - len(out)))
         pts = bounds[:, 0] + rng.random((batch, d)) * (bounds[:, 1] - bounds[:, 0])
         cols = np.ascontiguousarray(pts.T)
-        words = _signature_words([r._contains_columns(cols) for r in regions])
-        hit = np.logical_and.reduce([w == t for w, t in zip(words, target)])
+        hit = np.logical_and.reduce([r._contains_columns(cols) == s
+                                     for r, s in zip(regions, sig)])
         out = np.vstack([out, pts[hit]])
         tries += 1
     if len(out) < count:

@@ -11,9 +11,10 @@ are summed.  Overlaps in d >= 3 with other frames, and the atoms of any
 family that is not all axis boxes, are Monte Carlo.
 
 Membership is closed at every face.  Two or more axis boxes of a region
-are painted once on a table of the faces and cells their endpoints cut,
-read by one searchsorted pass per axis; any other piece maps points to
-box coordinates through its inverse frame, computed once per piece.
+are painted once on a table of the faces and cells their endpoints cut;
+up to TABLE_POINTS points per box are looked up in it by one searchsorted
+pass per axis, more points are compared box by box.  Any other piece maps
+points to box coordinates through its inverse frame, computed once.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
 from .matrices import as_matrix, matrix_to_json
 
 TABLE_SIZE_CAP = 1 << 20  # elements of a region's membership table
+TABLE_POINTS = 128  # a table is read for up to this many points per axis box
 
 
 def _columns(points, d):
@@ -202,10 +204,12 @@ class Region:
         return self._contains_columns(_columns(points, self.dim))
 
     def _contains_columns(self, cols):
-        """Membership of the points given as d contiguous coordinate rows."""
+        """Membership of the points given as d contiguous coordinate rows.  A
+        table read costs tens of box compares per point, so few points use it."""
         out, pieces = np.zeros(cols.shape[1], dtype=bool), self.pieces
-        if self._axis_table is not None:
-            edges, table, pieces = self._axis_table
+        axis = self._axis_table
+        if axis and cols.shape[1] <= TABLE_POINTS * (len(pieces) - len(axis[2])):
+            edges, table, pieces = axis
             out = table[tuple(np.searchsorted(e, x, "right")
                               for e, x in zip(edges, cols))]
         for p in pieces:
@@ -417,33 +421,28 @@ def _common_bounding_box(regions):
     return bounds
 
 
-def _signature_words(members):
-    """Signatures of one boolean array per region, packed: each run of up to
-    64 regions folds into one code per point, region 0 most significant,
-    in the narrowest unsigned dtype; so codes sort as signatures do."""
-    words = []
-    for start in range(0, len(members), 64):
-        group = members[start:start + 64]
-        code = np.zeros(len(group[0]), np.min_scalar_type((1 << len(group)) - 1))
-        for member in group:
-            code <<= 1
-            code |= member
-        words.append(code)
-    return words
-
-
-def _signature_sums(members, weights=None):
+def _signature_sums(members, count, weights=None):
     """Signatures in descending order, with the number of points (or the
-    sum of their weights, in order) carrying each, as floats."""
-    words = _signature_words(members)
+    sum of their weights, in order) carrying each, as floats.  `members`
+    yields one boolean array per region, `count` in all, and each is folded
+    in as it comes: every run of up to 64 regions makes one code per point,
+    region 0 most significant, in the narrowest unsigned dtype, so codes
+    sort as signatures do."""
+    words = []
+    for i, member in enumerate(members):
+        if i % 64 == 0:
+            width = (1 << min(64, count - i)) - 1
+            words.append(np.zeros(len(member), np.min_scalar_type(width)))
+        words[-1] <<= 1
+        words[-1] |= member
     if len(words) == 1:
         uniq, inverse = np.unique(words[0], return_inverse=True)
         uniq = uniq[:, None]
     else:  # rows of words, compared lexicographically
         uniq, inverse = np.unique(np.stack(words, axis=1), axis=0,
                                   return_inverse=True)
-    i = np.arange(len(members))
-    shift = np.minimum(64, len(members) - i // 64 * 64) - 1 - i % 64
+    i = np.arange(count)
+    shift = np.minimum(64, count - i // 64 * 64) - 1 - i % 64
     bits = (uniq[::-1][:, i // 64] >> shift.astype(uniq.dtype)) & 1
     return (tuple(map(tuple, (bits == 1).tolist())),
             np.bincount(inverse, weights=weights).astype(float)[::-1])
@@ -454,9 +453,9 @@ def _atomize_axis_exact(regions, bounds):
     intervals = [np.stack([p.intervals() for p in r.pieces]) for r in regions]
     cuts = _cuts(np.concatenate(intervals))
     cells = (slice(2, -1, 2),) * len(cuts)
-    members = [_paint(iv, cuts)[cells].ravel() for iv in intervals]
+    members = (_paint(iv, cuts)[cells].ravel() for iv in intervals)
     cellvol = reduce(np.multiply.outer, [np.diff(c) for c in cuts]).ravel()
-    signatures, measures = _signature_sums(members, weights=cellvol)
+    signatures, measures = _signature_sums(members, len(regions), weights=cellvol)
     return AtomTable(signatures, measures, np.zeros_like(measures),
                      bounds, exact=True)
 
@@ -484,7 +483,8 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
     rng = _rng.stream(seed, "atomize")
     cols, _, _ = _stratified_uniform(bounds, n, rng)
     n_total = cols.shape[1]
-    signatures, counts = _signature_sums([r._contains_columns(cols) for r in regions])
+    signatures, counts = _signature_sums(
+        (r._contains_columns(cols) for r in regions), len(regions))
     p = counts / n_total
     stderrs = vbox * np.sqrt(p * (1 - p) / n_total)
     return AtomTable(signatures, vbox * p, stderrs, bounds, exact=False)

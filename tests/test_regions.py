@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levymix import errors, noise
+from levymix import errors, noise, regions
 from levymix import rng as _rng
 from levymix.gallery import rotation, shear, squeeze
 from levymix.regions import (
@@ -625,6 +625,18 @@ def _face_points(region, rng, cap=30_000):
     return np.stack([a[rng.integers(0, len(a), cap)] for a in axes], axis=1)
 
 
+def _contains_both_ways(region, pts):
+    """Region.contains with the table read for every point count, and with
+    per-piece compares for every point count, which must agree."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "TABLE_POINTS", math.inf)
+        by_table = region.contains(pts)
+        mp.setattr(regions, "TABLE_POINTS", 0)
+        by_piece = region.contains(pts)
+    assert np.array_equal(by_table, by_piece)
+    return by_table
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(region=_staircases())
 def test_table_membership_matches_closed_intervals(region):
@@ -633,8 +645,9 @@ def test_table_membership_matches_closed_intervals(region):
     assert (region._axis_table is not None) == (n_axis >= 2)
     with np.errstate(invalid="ignore"):  # infinite points in rotated pieces
         want = _piecewise_contains(region, pts)
+        assert np.array_equal(_contains_both_ways(region, pts), want)
         assert np.array_equal(region.contains(pts), want)
-        # and one point at a time
+        # and one point at a time, which reads the table
         for i in np.random.default_rng(1).choice(len(pts), min(20, len(pts)),
                                                  replace=False):
             assert region.contains(pts[i]).tolist() == [want[i]]
@@ -651,10 +664,10 @@ def test_table_membership_above_the_size_cap():
     assert 161**3 > TABLE_SIZE_CAP and big._axis_table is None
     pts = np.concatenate([_face_points(big, rng, cap=20_000),
                           rng.uniform(-5.0, 10.0, size=(20_000, 3))])
-    assert np.array_equal(big.contains(pts), _piecewise_contains(big, pts))
+    assert np.array_equal(_contains_both_ways(big, pts), _piecewise_contains(big, pts))
     small = Region(tuple(pieces[:8]))
     assert small._axis_table is not None
-    assert np.array_equal(small.contains(pts), _piecewise_contains(small, pts))
+    assert np.array_equal(_contains_both_ways(small, pts), _piecewise_contains(small, pts))
 
 
 def test_painted_sweep_over_64_staircases():
@@ -681,6 +694,34 @@ def test_painted_sweep_over_64_staircases():
     _assert_matches_dict_atoms(family, "mc", 4_000, 3)
 
 
+def _count_piece_compares(monkeypatch):
+    calls = []
+    compare = Piece._contains_columns
+
+    def counted(piece, cols):
+        calls.append(cols.shape[1])
+        return compare(piece, cols)
+
+    monkeypatch.setattr(Piece, "_contains_columns", counted)
+    return calls
+
+
+def test_table_read_up_to_its_point_limit(monkeypatch):
+    # 3 axis boxes and a rotated one: the table takes the boxes up to
+    # TABLE_POINTS points per box, and the rotated piece is compared always
+    square = np.array([[0.0, 1.0], [0.0, 1.0]])
+    region = Region(tuple(Piece(np.eye(2), square + 0.5 * k) for k in range(3))
+                    + (Piece(rotation(0.3), square),), disjoint=False)
+    pts = np.random.default_rng(3).uniform(-1.0, 3.0, size=(3 * regions.TABLE_POINTS + 1, 2))
+    calls = _count_piece_compares(monkeypatch)
+    for n, compares in [(1, 1), (3 * regions.TABLE_POINTS, 1),
+                        (3 * regions.TABLE_POINTS + 1, 4)]:
+        want = _piecewise_contains(region, pts[:n])
+        calls.clear()
+        assert np.array_equal(region.contains(pts[:n]), want)
+        assert calls == [n] * compares
+
+
 def test_axis_unions_make_no_piece_compares(monkeypatch):
     square = np.array([[0.0, 1.0], [0.0, 1.0]])
     family = [Region((Piece(np.eye(2), square), Piece(np.eye(2), square + 1.5))),
@@ -688,19 +729,20 @@ def test_axis_unions_make_no_piece_compares(monkeypatch):
                       Piece(np.diag([-1.0, 0.5]), square + 0.25),
                       Piece(np.eye(2), square + [[2.0], [0.0]]))),
               Region(tuple(Piece(np.eye(2), square * 0.5 + 0.5 * k) for k in range(5)))]
-    pts = np.random.default_rng(2).uniform(-2.0, 3.0, size=(3_000, 2))
+    pts = np.random.default_rng(2).uniform(-2.0, 3.0, size=(2 * regions.TABLE_POINTS, 2))
     want = [_piecewise_contains(r, pts) for r in family]
-
-    def no_compare(*args, **kwargs):
-        raise AssertionError("Piece._contains_columns called for a table region")
-
-    monkeypatch.setattr(Piece, "_contains_columns", no_compare)
+    calls = _count_piece_compares(monkeypatch)
     assert all(np.array_equal(r.contains(pts), w) for r, w in zip(family, want))
-    atoms = atomize(family, method="mc", n=3_000, seed=4)
+    # 81 strata of 2 points: at most TABLE_POINTS per axis box of every region
+    atoms = atomize(family, method="mc", n=100, seed=4)
     assert not atoms.exact
-    real = noise.realize(noise.NoiseSpec(noise.POISSON, 20.0), family, seed=4)
-    assert real.atoms.exact and len(real.points()) > 0
-    assert all(real.count_in(r) == real.value(i) for i, r in enumerate(family))
-    real = noise.realize(noise.NoiseSpec(noise.POISSON, 20.0), family, seed=4,
-                         atoms=atoms)
-    assert all(real.count_in(r) == real.value(i) for i, r in enumerate(family))
+    reals = [noise.realize(noise.NoiseSpec(noise.POISSON, 8.0), family, seed=4,
+                           atoms=a) for a in (None, atoms)]
+    assert calls == []
+    assert reals[0].atoms.exact and len(reals[0].points()) > 0
+    assert all(real.count_in(r) == real.value(i)
+               for real in reals for i, r in enumerate(family))
+    calls.clear()
+    # beyond the limit, Monte Carlo atomization compares piece by piece
+    assert atomize(family, method="mc", n=3_000, seed=4).signatures
+    assert len(calls) == sum(len(r.pieces) for r in family)
