@@ -14,12 +14,13 @@ import click
 
 from . import noise as _noise
 from . import shrinking as _shrinking
-from .errors import ConfigError, LevymixError
+from .errors import ConfigError, LevymixError, NotCompact
 from .experiments import read_json, run_all
 from .gallery import ALIASES, parse_matrix
 from .matrices import (
     classify_noncompact_blocks,
     find_noncompact_witness,
+    haar_average_form,
     matrix_to_json,
     real_jordan_form,
     weyl_conjugator,
@@ -95,25 +96,27 @@ def classify(matrix_spec, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json")
 def witness(gen_spec, max_word_len, fmt):
-    """Search for a word with non-compact cyclic closure."""
-    w = find_noncompact_witness(_load_matrices(gen_spec),
-                                max_word_len=max_word_len)
-    if w is None:
-        _emit({"found": False, "note": "inconclusive: no witness up to "
-               f"word length {max_word_len}"}, fmt)
-    else:
-        _emit({"found": True, "witness": matrix_to_json(w)}, fmt)
+    """Search for a word with non-compact cyclic closure; without one,
+    decide compactness by the group's invariant form."""
+    gens = _load_matrices(gen_spec)
+    w = find_noncompact_witness(gens, max_word_len=max_word_len)
+    if w is not None:
+        return _emit({"found": True, "witness": matrix_to_json(w)}, fmt)
+    try:
+        haar_average_form(gens)
+    except NotCompact:
+        return _emit({"found": False, "compact": False, "note": "no witness "
+                      f"up to word length {max_word_len}"}, fmt)
+    _emit({"found": False, "compact": True}, fmt)
 
 
 @main.command()
 @click.option("--generators", "gen_spec", required=True)
-@click.option("--mode", type=click.Choice(["finite", "cesaro"]),
-              default="finite", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json")
-def weyl(gen_spec, mode, fmt):
+def weyl(gen_spec, fmt):
     """Conjugator taking the generated compact group into the orthogonal group."""
-    h = weyl_conjugator(_load_matrices(gen_spec), mode=mode)
+    h = weyl_conjugator(_load_matrices(gen_spec))
     _emit(matrix_to_json(h), fmt)
 
 

@@ -31,12 +31,8 @@ class InvalidGenerator(LevymixError):
     """A generator matrix does not have |det| = 1 within tolerance."""
 
 
-class GroupTooLarge(LevymixError):
-    """Finite-group enumeration exceeded the element cap."""
-
-
 class NotCompact(LevymixError):
-    """Powers of the matrix diverge; no invariant inner product exists."""
+    """The group's closure is not compact; no invariant inner product exists."""
 
 
 class NotSPD(LevymixError):

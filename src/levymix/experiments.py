@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .errors import (ApproximationTooCoarse, ConfigError, GroupTooLarge,
-                     InvalidArgument, InvalidGenerator, OverlapUnknown)
+from .errors import (ApproximationTooCoarse, ConfigError, InvalidArgument,
+                     InvalidGenerator, OverlapUnknown)
 from .gallery import parse_matrix
 from .matrices import (
+    _generator_list,
     as_matrix,
     cyclic_closure_compact,
     in_measure_preserving_group,
@@ -309,23 +310,15 @@ def compact_invariant_demo(generators, n_reps=10_000,
                            seed=0) -> ExperimentReport:
     """Invariant region with non-degenerate mass for a compact group.
 
-    Conjugates the group into the orthogonal group, finite-group average
-    first and Cesaro average when the group is too large to enumerate.
+    Conjugates the group into the orthogonal group by weyl_conjugator.
     Builds an invariant region: the cube [-1, 1]^d, exactly invariant
     when every conjugated generator maps it to an axis box (the rule of
     Piece.is_axis_aligned), otherwise the image of a disc approximated by
     400 strips.  Checks invariance at 10 000 points (within 1% for the
     disc) and positivity of the mass variance.
     """
-    gens = [as_matrix(g) for g in generators]
-    if not gens:
-        raise InvalidArgument("need at least one generator")
-    try:
-        h = weyl_conjugator(gens, mode="finite")
-        mode_used = "finite"
-    except GroupTooLarge:
-        h = weyl_conjugator(gens, mode="cesaro")
-        mode_used = "cesaro"
+    gens = _generator_list(generators)
+    h = weyl_conjugator(gens)
     hinv = np.linalg.inv(h)
     d = gens[0].shape[0]
     cube = np.column_stack([-np.ones(d), np.ones(d)])
@@ -343,7 +336,7 @@ def compact_invariant_demo(generators, n_reps=10_000,
     lam = volume(region)
     report = ExperimentReport(
         "compact_invariant_demo",
-        {"generators": [g.tolist() for g in gens], "mode": mode_used,
+        {"generators": [g.tolist() for g in gens],
          "n_reps": n_reps, "seed": seed, "exact_box": exact_box},
     )
     bb = region.bounding_box()

@@ -1,11 +1,12 @@
 """Eigenstructure, real Jordan canonical forms, and compactness of matrix groups.
 
-The central question answered here is whether the cyclic group generated
-by a real square matrix has compact closure, i.e. whether the matrix is
-similar to an orthogonal matrix.  The classification goes through a
-numerically computed real Jordan decomposition; the compact case is then
-made effective by averaging Gram matrices over the group (Weyl's trick)
-and conjugating by the inverse square root of the average.
+The central question answered here is whether a matrix group has compact
+closure, i.e. is conjugate into the orthogonal group.  One matrix is
+classified by its numerically computed real Jordan form.  Any finite
+generator set is decided by one invariant-form computation: the Haar
+average of g^T g (Weyl's trick) is positive definite exactly when the
+closure is compact, and its inverse square root conjugates every
+generator into the orthogonal group.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
-    GroupTooLarge,
     IllConditioned,
     InvalidArgument,
     InvalidGenerator,
@@ -38,10 +38,9 @@ CLUSTER_TOL = 1e-6
 UNIT_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-6
 DET_TOL = 1e-8
-# Weyl's trick: finite groups are enumerated up to GROUP_CAP elements; the
-# Cesaro form must be invariant to FORM_RESIDUAL_TOL relative, and every
-# conjugated generator orthogonal to ORTHOGONALITY_TOL.
-GROUP_CAP = 10_000
+# Weyl's trick: FORM_RESIDUAL_TOL is the zero threshold of its rank
+# decisions and the invariance slack of the form; every conjugated
+# generator must be orthogonal to ORTHOGONALITY_TOL.
 FORM_RESIDUAL_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-8
 
@@ -71,6 +70,16 @@ def matrix_from_json(obj) -> np.ndarray:
     if A.shape[0] != int(obj.get("d", A.shape[0])):
         raise DimensionMismatch("declared order does not match row count")
     return A
+
+
+def _generator_list(generators):
+    """Generators as validated matrices: at least one, all of one order."""
+    gens = [as_matrix(g) for g in generators]
+    if not gens:
+        raise InvalidArgument("need at least one generator")
+    if len({g.shape for g in gens}) > 1:
+        raise DimensionMismatch("generators are not all of one order")
+    return gens
 
 
 def _opnorm(A):
@@ -572,7 +581,7 @@ def _words(generators, max_len=None):
     letters g1, g1^-1, g2, g2^-1, ... in turn.  Words equal up to
     _dedup_key appear once; the identity (the empty word) is not yielded.
     """
-    gens = [as_matrix(g) for g in generators]
+    gens = _generator_list(generators)
     d = gens[0].shape[0]
     letters = []
     for g in gens:
@@ -599,13 +608,12 @@ def find_noncompact_witness(generators, max_word_len=6):
     """Breadth-first search for a word with non-compact cyclic closure.
 
     Returns the first such word as a matrix, or None if no word up to
-    max_word_len qualifies.  None is inconclusive: it does not certify
-    that the generated group is compact.
+    max_word_len qualifies.  None alone does not certify that the
+    generated group is compact; haar_average_form decides that.
     """
-    gens = [as_matrix(g) for g in generators]
-    for g in gens:
-        if not in_measure_preserving_group(g):
-            raise InvalidGenerator("generator must have |det| = 1")
+    gens = _generator_list(generators)
+    if not all(in_measure_preserving_group(g) for g in gens):
+        raise InvalidGenerator("generator must have |det| = 1")
     for w in _words(gens, max_word_len):
         try:
             if not cyclic_closure_compact(w):
@@ -619,69 +627,53 @@ def find_noncompact_witness(generators, max_word_len=6):
 # Weyl's trick
 
 
-def _cesaro_gram_average(A):
-    """Cesaro limit over m of the averaged Gram matrices (A^m)^T A^m.
+def _rank(s, scale, what):
+    """Count of singular values s >= CLUSTER_TOL * scale; IllConditioned if
+    one lies between that and the zero threshold FORM_RESIDUAL_TOL * scale."""
+    nonzero = s >= CLUSTER_TOL * scale
+    if np.any(~nonzero & (s > FORM_RESIDUAL_TOL * scale)):
+        raise IllConditioned(f"{what}: a singular value is neither zero nor "
+                             f"non-zero at scale {scale:.3e}")
+    return int(np.sum(nonzero))
 
-    The running average converges only like 1/M, far too slow for the
-    1e-8 orthogonality post-condition downstream, so the limit is
-    evaluated exactly instead: it equals the spectral projection of the
-    identity onto the fixed space of X -> A^T X A, an eigenproblem on
-    kron(A^T, A^T).  The result must be positive definite and invariant
-    to FORM_RESIDUAL_TOL.
+
+def haar_average_form(generators):
+    """Haar average S of g^T g over the group the generators generate.
+
+    S is the projection of I onto the forms Fix that every rho(g): X ->
+    g^T X g fixes, along the sum W of the ranges of rho(g_i) - I.  The
+    closure is compact iff every |det g_i| = 1, Fix and W are complements
+    and S is positive definite; otherwise NotCompact.  _rank judges the
+    singular values at scale max(1, max ||rho(g_i) - I||), and the angle
+    of Fix and W at scale 1.
     """
-    A = as_matrix(A)
-    d = A.shape[0]
-
-    # divergence guard: a compact cyclic closure keeps powers bounded
-    P = np.eye(d)
-    for _ in range(200):
-        P = P @ A
-        if np.max(np.abs(P)) > 1e8:
-            raise NotCompact("matrix powers diverge; no Haar average exists")
-
-    K = np.kron(A.T, A.T)
-    w, V = np.linalg.eig(K)
-    sel = np.abs(w - 1.0) <= 1e-8
-    if not np.any(sel):
-        raise NotCompact("no invariant quadratic form; closure is not compact")
-    coeffs = np.linalg.solve(V, np.eye(d).reshape(-1, order="F").astype(complex))
-    coeffs[~sel] = 0.0
-    S = (V @ coeffs).reshape(d, d, order="F").real
+    gens = _generator_list(generators)
+    if not all(in_measure_preserving_group(g) for g in gens):
+        raise NotCompact("a generator has |det| != 1")
+    d = gens[0].shape[0]
+    i, j = np.triu_indices(d)  # U: orthonormal basis of Sym, a vec per column
+    U, k = np.zeros((d * d, len(i))), np.arange(len(i))
+    U[i * d + j, k] = U[j * d + i, k] = np.where(i == j, 1.0, math.sqrt(0.5))
+    maps = [U.T @ np.kron(g.T, g.T) @ U - np.eye(U.shape[1]) for g in gens]
+    scale = max(1.0, max(_opnorm(M) for M in maps))
+    _, s, Vh = np.linalg.svd(np.vstack(maps), full_matrices=False)
+    F = Vh[_rank(s, scale, "fixed forms"):].T
+    Q, s, _ = np.linalg.svd(np.hstack(maps), full_matrices=False)
+    FW = np.hstack([F, Q[:, :_rank(s, scale, "moved forms")]])
+    # for orthonormal F and W the least singular value is sqrt(1 - cos angle)
+    if FW.shape[1] != len(FW) or _rank(np.linalg.svd(FW, compute_uv=False),
+                                      1.0, "angle") < len(FW):
+        raise NotCompact("fixed and moved forms are not complements")
+    coef = np.linalg.solve(FW, U.T @ np.eye(d).ravel())[:F.shape[1]]
+    S = (U @ (F @ coef)).reshape(d, d)
     S = 0.5 * (S + S.T)
-    if np.min(np.linalg.eigvalsh(S)) <= 0:
-        raise NotCompact("Haar average is degenerate; closure is not compact")
-    resid = _opnorm(A.T @ S @ A - S) / _opnorm(S)
+    w = np.linalg.eigvalsh(S)
+    if w[0] <= FORM_RESIDUAL_TOL * w[-1]:
+        raise NotCompact("the Haar average is not positive definite")
+    resid = max(_opnorm(g.T @ S @ g - S) for g in gens) / w[-1]
     if resid > FORM_RESIDUAL_TOL:
-        raise ConvergenceFailure(
-            f"invariant form residual {resid:.3e} exceeds tolerance")
+        raise ConvergenceFailure(f"invariant form residual {resid:.3e}")
     return S
-
-
-def haar_average_form(generators, mode="finite"):
-    """Haar average S of g^T g over the generated compact group.
-
-    mode="finite": enumerate the group closure (cap GROUP_CAP) and
-    average exactly.  mode="cesaro": single generator with compact
-    cyclic closure; the Cesaro limit of the Gram matrices of its powers,
-    with an invariant-form residual below FORM_RESIDUAL_TOL.
-    """
-    if mode == "finite":
-        elements = [np.eye(as_matrix(generators[0]).shape[0])]
-        for g in _words(generators):
-            if len(elements) >= GROUP_CAP:
-                raise GroupTooLarge(
-                    f"group enumeration exceeded cap of {GROUP_CAP}")
-            elements.append(g)
-        S = np.zeros_like(elements[0])
-        for g in elements:
-            S += g.T @ g
-        S /= len(elements)
-        return 0.5 * (S + S.T)
-    if mode == "cesaro":
-        if len(generators) != 1:
-            raise InvalidGenerator("cesaro mode takes exactly one generator")
-        return _cesaro_gram_average(as_matrix(generators[0]))
-    raise InvalidArgument(f"unknown mode {mode!r}")
 
 
 def spd_sqrt_inverse(S) -> np.ndarray:
@@ -696,20 +688,20 @@ def spd_sqrt_inverse(S) -> np.ndarray:
     return (V * (1.0 / np.sqrt(w))) @ V.T
 
 
-def weyl_conjugator(generators, mode="finite") -> np.ndarray:
+def weyl_conjugator(generators, *, mode=None) -> np.ndarray:
     """Matrix h with h^-1 g h orthogonal for every generator g.
 
     h is the inverse SPD square root of the Haar average of g^T g; the
     orthogonality defect of every conjugated generator is checked
-    against ORTHOGONALITY_TOL.
+    against ORTHOGONALITY_TOL.  `mode` is ignored: bench/groups.py still
+    passes mode="finite" and mode="cesaro", and bench/tracer.py reads it.
     """
-    S = haar_average_form(generators, mode=mode)
-    h = spd_sqrt_inverse(S)
+    gens = _generator_list(generators)
+    h = spd_sqrt_inverse(haar_average_form(gens))
     hinv = np.linalg.inv(h)
-    for g in generators:
-        Q = hinv @ as_matrix(g) @ h
-        defect = _opnorm(Q.T @ Q - np.eye(Q.shape[0]))
-        if defect > ORTHOGONALITY_TOL:
-            raise ConvergenceFailure(
-                f"conjugated generator has orthogonality defect {defect:.3e}")
+    defect = max(_opnorm(Q.T @ Q - np.eye(len(h)))
+                 for Q in (hinv @ g @ h for g in gens))
+    if defect > ORTHOGONALITY_TOL:
+        raise ConvergenceFailure(
+            f"conjugated generator has orthogonality defect {defect:.3e}")
     return h

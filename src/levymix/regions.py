@@ -143,7 +143,8 @@ class Piece:
         """Membership of the points given as d contiguous coordinate rows."""
         bounds = self._intervals
         if bounds is None:
-            cols, bounds = self._inverse @ cols, self.box
+            with np.errstate(invalid="ignore"):  # 0 * inf: NaN compares False
+                cols, bounds = self._inverse @ cols, self.box
         out = np.ones(cols.shape[1], dtype=bool)
         for row, (lo, hi) in zip(cols, bounds):
             out &= (row >= lo) & (row <= hi)

@@ -120,7 +120,7 @@ def test_criterion_4_weyl_conjugators():
         P = random_det1(2, stream(4, "finite", i), cond=20.0)
         Pinv = np.linalg.inv(P)
         gens = [P @ g @ Pinv for g in dihedral_generators(n)]
-        h = lm.weyl_conjugator(gens, mode="finite")
+        h = lm.weyl_conjugator(gens)
         hinv = np.linalg.inv(h)
         for g in gens:
             Q = hinv @ g @ h
@@ -129,7 +129,7 @@ def test_criterion_4_weyl_conjugators():
     for i in range(25):
         theta = 0.5 + 0.1 * i  # irrational multiples of pi: infinite closure
         g = conjugated_rotation(theta, stream(4, "rot", i), cond=20.0)
-        h = lm.weyl_conjugator([g], mode="cesaro")
+        h = lm.weyl_conjugator([g])
         Q = np.linalg.inv(h) @ g @ h
         worst = max(worst, np.linalg.norm(Q.T @ Q - np.eye(2)))
         count += 1

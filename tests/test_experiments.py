@@ -168,7 +168,7 @@ def test_compact_invariant_demo_signed_permutation_in_3d():
     cycle = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     rep = compact_invariant_demo([cycle], n_reps=3_000, seed=0)
     assert rep.verdict == PASS
-    assert rep.inputs["exact_box"] and rep.inputs["mode"] == "finite"
+    assert rep.inputs["exact_box"]
     assert [est for _, est, _ in rep.rows("membership_mismatch")] == [0.0]
 
 
@@ -176,7 +176,15 @@ def test_compact_invariant_demo_disc_path():
     rep = compact_invariant_demo([rotation(1.0)], n_reps=3_000, seed=0)
     assert rep.verdict == PASS
     assert not rep.inputs["exact_box"]
-    assert rep.inputs["mode"] == "cesaro"
+
+
+def test_compact_invariant_demo_two_irrational_rotations():
+    # one conjugator for both: a dense, hence infinite, compact group
+    P = gallery.random_det1(2, rng.stream(5, "pair"), cond=10.0)
+    gens = [P @ rotation(t) @ np.linalg.inv(P) for t in (1.0, np.sqrt(2.0))]
+    rep = compact_invariant_demo(gens, n_reps=3_000, seed=0)
+    assert rep.verdict == PASS
+    assert not rep.inputs["exact_box"]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +295,18 @@ def test_cli_jordan_and_classify():
 def test_cli_witness_and_weyl(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["witness", "--generators", "rotation90"])
-    assert json.loads(res.output)["found"] is False
+    assert json.loads(res.output) == {"found": False, "compact": True}
+    pair = tmp_path / "pair.json"
+    elliptic = np.diag([2.0, 1.0]) @ rotation(np.pi / 3) @ np.diag([0.5, 1.0])
+    pair.write_text(json.dumps([{"rows": rotation(np.pi / 2).tolist()},
+                                {"rows": elliptic.tolist()}]))
+    res = runner.invoke(main, ["witness", "--generators", str(pair),
+                               "--max-word-len", "1"])
+    assert json.loads(res.output) == {
+        "found": False, "compact": False,
+        "note": "no witness up to word length 1"}
+    res = runner.invoke(main, ["witness", "--generators", str(pair)])
+    assert json.loads(res.output)["found"] is True
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps([{"d": 2, "rows": squeeze().tolist()}]))
     res = runner.invoke(main, ["witness", "--generators", str(gens)])
@@ -295,6 +314,8 @@ def test_cli_witness_and_weyl(tmp_path):
     res = runner.invoke(main, ["weyl", "--generators", "rotation90"])
     h = np.array(json.loads(res.output)["rows"])
     assert np.allclose(h, np.eye(2), atol=1e-10)
+    res = runner.invoke(main, ["weyl", "--generators", "rotation"])
+    assert res.exit_code == 0, res.output
 
 
 def test_cli_matrix_file_input(tmp_path):
@@ -361,6 +382,10 @@ def test_cli_experiment_run(tmp_path):
     ["simulate", "--regions", "nope.json"],
     ["witness", "--generators", "bad.json"],
     ["weyl", "--generators", "squeeze"],
+    ["witness", "--generators", "empty.json"],
+    ["weyl", "--generators", "empty.json"],
+    ["witness", "--generators", "mixed.json"],
+    ["weyl", "--generators", "mixed.json"],
     ["sets", "verify", "--matrix", "squeeze", "--t-grid", "0,1"],
     ["sets", "verify", "--matrix", "squeeze", "--t-grid", "0.5,x"],
     ["simulate", "--regions", "rotated.json", "--n", "-5"],
@@ -372,6 +397,9 @@ def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     (tmp_path / "rotated.json").write_text(json.dumps([{"pieces": [
         {"frame": [[0.6, -0.8], [0.8, 0.6]], "box": [[0, 1], [0, 1]]}]}]))
     (tmp_path / "bad.json").write_text(json.dumps([{"rows": [[1.0, 0.0]]}]))
+    (tmp_path / "empty.json").write_text("[]")
+    (tmp_path / "mixed.json").write_text(json.dumps(
+        [{"rows": np.eye(2).tolist()}, {"rows": np.eye(3).tolist()}]))
     res = CliRunner().invoke(main, argv)
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("error: ")
@@ -413,7 +441,7 @@ def test_argument_checks_raise_invalid_argument():
         lambda: shrinking.null_boundary_check(fam, n_samples=0),
         lambda: matrices.eigen_spectrum(squeeze(), cluster_tol=0.0),
         lambda: matrices.jordan_block_power_apply(block, -1, np.ones(2)),
-        lambda: matrices.haar_average_form([rotation(0.5)], mode="haar"),
+        lambda: matrices.haar_average_form([]),
         lambda: noise.NoiseSpec(noise.POISSON, -1.0),
     ]
     for call in calls:

@@ -18,6 +18,7 @@ from levymix.gallery import (
     squeeze,
 )
 from levymix.matrices import (
+    ORTHOGONALITY_TOL,
     BlockKind,
     RealJordanBlock,
     _jordan_chains,
@@ -329,8 +330,9 @@ def test_witness_search_examples():
     w = lm.find_noncompact_witness([squeeze()])
     assert np.allclose(w, squeeze())
     assert lm.find_noncompact_witness([rotation(1.0)], max_word_len=4) is None
-    w = lm.find_noncompact_witness([rotation(np.pi / 2), shear()])
-    assert w is not None and not lm.cyclic_closure_compact(w)
+    for gens in ([rotation(np.pi / 2), shear()], _elliptic_pair()):
+        w = lm.find_noncompact_witness(gens)
+        assert w is not None and not lm.cyclic_closure_compact(w)
     with pytest.raises(errors.InvalidGenerator):
         lm.find_noncompact_witness([2.0 * np.eye(2)])
 
@@ -344,24 +346,163 @@ def _defect(h, g):
     return np.linalg.norm(Q.T @ Q - np.eye(Q.shape[0]), 2)
 
 
+def _conjugated(P, gens):
+    Pinv = np.linalg.inv(P)
+    return [P @ g @ Pinv for g in gens]
+
+
+def _conditioned(d, cond, rng):
+    """Random matrix with condition number exactly cond and |det| = 1."""
+    Q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return Q1 @ np.diag(cond ** np.linspace(0.5, -0.5, d)) @ Q2
+
+
+def _rotation3(axis, theta):
+    """Rotation of R^3 by theta about a unit axis (Rodrigues)."""
+    K = np.cross(np.eye(3), axis)
+    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * K @ K
+
+
+def _dense_so3_pair():
+    """Irrational rotations about two axes, conjugated: an infinite compact group."""
+    P = _conditioned(3, 20.0, stream(3, "so3"))
+    return _conjugated(P, [_rotation3(np.array([0.0, 0.0, 1.0]), 1.0),
+                           _rotation3(np.array([1.0, 0.0, 0.0]), np.sqrt(2.0))])
+
+
+def _elliptic_pair():
+    """rotation90 and a conjugated rotation by pi/3: a hyperbolic product."""
+    return [rotation(np.pi / 2),
+            conjugated_rotation(np.pi / 3, stream(2, "elliptic"), cond=5.0)]
+
+
 def test_haar_average_trivial_groups():
-    S = lm.haar_average_form([np.eye(2), -np.eye(2)], mode="finite")
+    S = lm.haar_average_form([np.eye(2), -np.eye(2)])
     assert np.allclose(S, np.eye(2))
-    S = lm.haar_average_form([rotation(np.pi / 2)], mode="finite")
+    S = lm.haar_average_form([rotation(np.pi / 2)])
     assert np.allclose(S, np.eye(2), atol=1e-12)
 
 
-def test_haar_average_group_too_large():
-    with pytest.raises(errors.GroupTooLarge):
-        lm.haar_average_form([shear()], mode="finite")
+def test_haar_average_matches_enumeration():
+    # the mean of g^T g over every element of a finite group, enumerated
+    cycle = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    groups = [[cycle]]
+    for n in range(3, 13):
+        groups.append(_conjugated(_conditioned(2, 20.0, stream(n, "dihedral")),
+                                  dihedral_generators(n)))
+        groups.append([conjugated_rotation(2 * np.pi / n, stream(n, "cesaro"),
+                                           cond=8)])
+    for gens in groups:
+        elements = [np.eye(len(gens[0])), *_words(gens)]
+        want = sum(g.T @ g for g in elements) / len(elements)
+        got = lm.haar_average_form(gens)
+        assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_haar_average_finite_rejects_unbounded_group():
-    # the squeeze's powers grow without bound: the walk must stop there,
-    # not merge distinct huge words into a small "finite group"
-    with pytest.raises((errors.NotCompact, errors.GroupTooLarge)):
-        lm.haar_average_form([squeeze()], mode="finite")
+@pytest.mark.parametrize("cond", [20.0, 100.0])
+def test_haar_average_of_an_irrational_rotation_in_closed_form(cond):
+    # g^T g = P^-T R^T (P^T P) R P^-1 for g = P R P^-1, and the mean of
+    # R^T (P^T P) R over the circle is ||P||_F^2 / 2 times I; the roundoff
+    # grows like cond^2, the conditioning of X -> P^T X P
+    P = _conditioned(2, cond, stream(int(cond), "closed"))
+    want = 0.5 * np.linalg.norm(P) ** 2 * np.linalg.inv(P @ P.T)
+    got = lm.haar_average_form(_conjugated(P, [rotation(1.0)]))
+    assert np.linalg.norm(got - want, 2) <= 1e-14 * cond**2 * np.linalg.norm(want, 2)
+
+
+def _orthogonal(d, rng):
+    """Random orthogonal matrix whose eigen-angles, and their pairwise sums
+    and differences, are at least 0.05 from 0 mod 2 pi; the exact zeros of
+    a conjugate pair are the fixed forms every rotation has."""
+    while True:
+        phis = rng.uniform(0.0, np.pi, d // 2)
+        lam = np.exp(1j * np.concatenate([phis, -phis, [np.pi] * (d % 2)]))
+        pairs = np.abs(np.angle(np.outer(lam, lam)))
+        if (np.abs(np.angle(lam)).min() >= 0.05
+                and np.all((pairs < 1e-12) | (pairs >= 0.05))):
+            break
+    B = -np.eye(d)  # the last entry stays -1 in odd d
+    for m, phi in enumerate(phis):
+        B[2 * m:2 * m + 2, 2 * m:2 * m + 2] = rotation(phi)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return Q @ B @ Q.T
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 4), k=st.integers(1, 3), cond=st.floats(1.0, 100.0),
+       factor=st.floats(0.5, 2.0).filter(lambda c: abs(c - 1.0) >= 0.1),
+       seed=st.integers(0, 2**32 - 1))
+def test_haar_average_of_conjugated_orthogonal_groups(d, k, cond, factor, seed):
+    rng = np.random.default_rng(seed)
+    gens = _conjugated(random_det1(d, rng, cond=cond),
+                       [_orthogonal(d, rng) for _ in range(k)])
+    assert np.linalg.eigvalsh(lm.haar_average_form(gens))[0] > 0
+    h = lm.weyl_conjugator(gens)
+    assert max(_defect(h, g) for g in gens) <= ORTHOGONALITY_TOL
+    i = seed % k
+    with pytest.raises(errors.NotCompact):
+        lm.haar_average_form(gens[:i] + [factor * gens[i]] + gens[i + 1:])
+
+
+def test_weyl_conjugator_on_a_dense_subgroup_of_so3():
+    gens = _dense_so3_pair()
+    h = lm.weyl_conjugator(gens)
+    assert max(_defect(h, g) for g in gens) <= 1e-8
+
+
+@pytest.mark.parametrize("gens", [
+    [shear()], [squeeze()], [0.5 * np.eye(2)], _elliptic_pair()],
+    ids=["shear", "squeeze", "half", "elliptic pair"])
+def test_haar_average_not_compact(gens):
+    with pytest.raises(errors.NotCompact):
+        lm.haar_average_form(gens)
+
+
+def test_haar_average_not_compact_when_forms_meet_or_degenerate():
+    # the fixed and moved forms of a shear have complementary dimensions
+    # but meet, so only the angle between them rejects it
+    for sign in (1.0, -1.0):
+        for cond in (1.0, 5.0, 20.0):
+            P = random_det1(2, stream(int(cond), "shear"), cond=cond)
+            with pytest.raises(errors.NotCompact, match="not complements"):
+                lm.haar_average_form(_conjugated(P, [sign * shear()]))
+    # a rotation beside diag(2, 2, 1/4) fixes only singular forms, which
+    # roundoff can leave with a tiny positive least eigenvalue
+    A = np.zeros((5, 5))
+    A[:2, :2], A[2:, 2:] = rotation(1.0), np.diag([2.0, 2.0, 0.25])
+    for seed in range(100):
+        P = random_det1(5, stream(seed, "singular"), cond=10.0)
+        with pytest.raises(errors.NotCompact):
+            lm.haar_average_form(_conjugated(P, [A]))
+
+
+@pytest.mark.parametrize("g", [
+    np.diag([1.0 + 1e-7, 1.0 / (1.0 + 1e-7)]),
+    conjugated_rotation(1e-7, stream(7, "tiny"))], ids=["squeeze", "rotation"])
+def test_haar_average_borderline_is_ill_conditioned(g):
+    with pytest.raises(errors.IllConditioned):
+        lm.haar_average_form([g])
+
+
+@pytest.mark.parametrize("call", [
+    lm.find_noncompact_witness, lm.haar_average_form, lm.weyl_conjugator])
+def test_generator_lists_are_checked(call):
+    with pytest.raises(errors.InvalidArgument):
+        call([])
+    with pytest.raises(errors.DimensionMismatch):
+        call([rotation(np.pi / 2), np.eye(3)])
+
+
+def test_weyl_conjugator_ignores_the_mode_that_the_groups_bench_passes():
+    """bench/groups.py calls weyl_conjugator(gens, mode="finite") and
+    mode="cesaro": the keyword stays, ignored, until that bench changes."""
+    for gens in (_conjugated(_conditioned(2, 10.0, stream(9, "bench")),
+                             dihedral_generators(6)),
+                 [conjugated_rotation(1.0, stream(9, "bench"))]):
+        h = lm.weyl_conjugator(gens)
+        for mode in ("finite", "cesaro"):
+            assert np.array_equal(lm.weyl_conjugator(gens, mode=mode), h)
 
 
 def test_word_walk_enumerates_dihedral_groups():
@@ -369,13 +510,6 @@ def test_word_walk_enumerates_dihedral_groups():
         words = list(_words(dihedral_generators(n)))
         assert len(words) + 1 == 2 * n  # plus the identity
     assert len(list(_words([shear()], max_len=3))) == 6
-
-
-def test_haar_average_cesaro_not_compact():
-    with pytest.raises(errors.NotCompact):
-        lm.haar_average_form([squeeze()], mode="cesaro")
-    with pytest.raises(errors.NotCompact):
-        lm.haar_average_form([0.5 * np.eye(2)], mode="cesaro")
 
 
 def test_spd_sqrt_inverse():
@@ -392,42 +526,33 @@ def test_spd_sqrt_inverse():
         lm.spd_sqrt_inverse(np.diag([1.0, -1.0]))
 
 
-def test_weyl_conjugator_finite_and_cesaro():
+def test_weyl_conjugator_examples():
     # orthogonal generators: h = I
-    h = lm.weyl_conjugator([rotation(np.pi / 2)], mode="finite")
+    h = lm.weyl_conjugator([rotation(np.pi / 2)])
     assert np.allclose(h, np.eye(2), atol=1e-10)
     # conjugated dihedral group
     rng = stream(6, "weyl")
     P = random_det1(2, rng, cond=10)
     gens = [P @ g @ np.linalg.inv(P) for g in dihedral_generators(5)]
-    h = lm.weyl_conjugator(gens, mode="finite")
+    h = lm.weyl_conjugator(gens)
     assert max(_defect(h, g) for g in gens) <= 1e-8
-    # single conjugated rotation via the running-average mode
+    # single conjugated irrational rotation
     g = conjugated_rotation(1.0, stream(6, "weyl2"), cond=8)
-    h = lm.weyl_conjugator([g], mode="cesaro")
+    h = lm.weyl_conjugator([g])
     assert _defect(h, g) <= 1e-8
     # diag(2,1) conjugation example: h proportional to diag(2,1) up to
     # an orthogonal factor, checked through the post-condition
     h0 = np.diag([2.0, 1.0])
     A = h0 @ rotation(1.0) @ np.linalg.inv(h0)
-    h = lm.weyl_conjugator([A], mode="cesaro")
+    h = lm.weyl_conjugator([A])
     assert _defect(h, A) <= 1e-8
-
-
-def test_cesaro_average_matches_finite_group_average():
-    # for a finite cyclic group the Cesaro limit is the group average
-    for n in range(3, 13):
-        g = conjugated_rotation(2 * np.pi / n, stream(n, "cesaro"), cond=8)
-        finite = lm.haar_average_form([g], mode="finite")
-        cesaro = lm.haar_average_form([g], mode="cesaro")
-        assert np.linalg.norm(cesaro - finite, 2) <= 1e-9 * np.linalg.norm(finite, 2)
 
 
 def test_weyl_conjugation_preserves_determinant():
     rng = stream(8, "det")
     P = random_det1(2, rng, cond=5)
     gens = [P @ g @ np.linalg.inv(P) for g in dihedral_generators(4)]
-    h = lm.weyl_conjugator(gens, mode="finite")
+    h = lm.weyl_conjugator(gens)
     hinv = np.linalg.inv(h)
     for g in gens:
         assert np.isclose(np.linalg.det(hinv @ g @ h), np.linalg.det(g))

@@ -643,14 +643,13 @@ def test_table_membership_matches_closed_intervals(region):
     pts = _face_points(region, np.random.default_rng(0))
     n_axis = sum(p.is_axis_aligned() for p in region.pieces)
     assert (region._axis_table is not None) == (n_axis >= 2)
-    with np.errstate(invalid="ignore"):  # infinite points in rotated pieces
-        want = _piecewise_contains(region, pts)
-        assert np.array_equal(_contains_both_ways(region, pts), want)
-        assert np.array_equal(region.contains(pts), want)
-        # and one point at a time, which reads the table
-        for i in np.random.default_rng(1).choice(len(pts), min(20, len(pts)),
-                                                 replace=False):
-            assert region.contains(pts[i]).tolist() == [want[i]]
+    want = _piecewise_contains(region, pts)
+    assert np.array_equal(_contains_both_ways(region, pts), want)
+    assert np.array_equal(region.contains(pts), want)
+    # and one point at a time, which reads the table
+    for i in np.random.default_rng(1).choice(len(pts), min(20, len(pts)),
+                                             replace=False):
+        assert region.contains(pts[i]).tolist() == [want[i]]
 
 
 def test_table_membership_above_the_size_cap():
