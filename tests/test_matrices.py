@@ -451,12 +451,40 @@ def test_weyl_conjugator_on_a_dense_subgroup_of_so3():
     assert max(_defect(h, g) for g in gens) <= 1e-8
 
 
-@pytest.mark.parametrize("gens", [
-    [shear()], [squeeze()], [0.5 * np.eye(2)], _elliptic_pair()],
-    ids=["shear", "squeeze", "half", "elliptic pair"])
+@pytest.mark.parametrize("gens", [[shear()], _elliptic_pair()],
+                         ids=["shear", "elliptic pair"])
 def test_haar_average_not_compact(gens):
     with pytest.raises(errors.NotCompact):
         lm.haar_average_form(gens)
+
+
+def test_haar_average_group_too_large():
+    # a cyclic group of order 10007, a prime, is decided like any other
+    # compact group, with the closed form of the irrational rotation test:
+    # the mean of R^T (P^T P) R over n >= 3 equally spaced angles is
+    # ||P||_F^2 / 2 times I
+    P = _conditioned(2, 8.0, stream(10007, "large"))
+    want = 0.5 * np.linalg.norm(P) ** 2 * np.linalg.inv(P @ P.T)
+    g = rotation(2 * np.pi * 2502 / 10007)  # an angle near pi / 2
+    got = lm.haar_average_form(_conjugated(P, [g]))
+    assert np.linalg.norm(got - want, 2) <= 1e-14 * 8.0**2 * np.linalg.norm(want, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_haar_average_finite_rejects_unbounded_group():
+    # the squeeze's and the shear's powers grow without bound: the decision
+    # must reject them without overflow or invalid-value warnings
+    for g in (squeeze(), shear()):
+        with pytest.raises(errors.NotCompact):
+            lm.haar_average_form([g])
+
+
+def test_haar_average_cesaro_not_compact():
+    # powers that grow or shrink geometrically have no bounded average
+    with pytest.raises(errors.NotCompact):
+        lm.haar_average_form([squeeze()])
+    with pytest.raises(errors.NotCompact):
+        lm.haar_average_form([0.5 * np.eye(2)])
 
 
 def test_haar_average_not_compact_when_forms_meet_or_degenerate():
@@ -526,7 +554,8 @@ def test_spd_sqrt_inverse():
         lm.spd_sqrt_inverse(np.diag([1.0, -1.0]))
 
 
-def test_weyl_conjugator_examples():
+def test_weyl_conjugator_finite_and_cesaro():
+    # finite groups and irrational rotations take the same computation
     # orthogonal generators: h = I
     h = lm.weyl_conjugator([rotation(np.pi / 2)])
     assert np.allclose(h, np.eye(2), atol=1e-10)
@@ -546,6 +575,20 @@ def test_weyl_conjugator_examples():
     A = h0 @ rotation(1.0) @ np.linalg.inv(h0)
     h = lm.weyl_conjugator([A])
     assert _defect(h, A) <= 1e-8
+
+
+def test_cesaro_average_matches_finite_group_average():
+    # for a finite cyclic group of order n the running mean of (g^k)^T g^k
+    # over whole periods, the Cesaro limit, is the group average
+    for n in range(3, 13):
+        g = conjugated_rotation(2 * np.pi / n, stream(n, "cesaro"), cond=8)
+        power, total = np.eye(2), np.zeros((2, 2))
+        for _ in range(20 * n):
+            total += power.T @ power
+            power = g @ power
+        cesaro = total / (20 * n)
+        finite = lm.haar_average_form([g])
+        assert np.linalg.norm(cesaro - finite, 2) <= 1e-9 * np.linalg.norm(finite, 2)
 
 
 def test_weyl_conjugation_preserves_determinant():
