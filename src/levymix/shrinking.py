@@ -18,7 +18,8 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import (CompactClosure, DimensionMismatch, InvalidArgument,
-                     InvalidGenerator, NotReached, SamplingFailure)
+                     InvalidGenerator, NonFiniteInput, NotReached,
+                     SamplingFailure)
 from .matrices import (
     BlockKind,
     RealJordanDecomposition,
@@ -91,34 +92,40 @@ def build_family(A) -> ShrinkingFamily:
 
 
 def _norms(rows):
-    """Euclidean norm of each column of a (k, n) array of coordinate rows.
-
-    Bit-equal to np.linalg.norm(rows.T, axis=1) on a row-major copy:
-    numpy adds fewer than 8 squares in order along either axis, and from
-    8 on sums a row-major axis pairwise, so only then is the copy made.
-    """
-    if rows.shape[0] >= 8:
-        return np.linalg.norm(rows.T.copy(), axis=1)
-    return np.sqrt(np.add.reduce(rows * rows, axis=0))
+    """Norm of each column of a (k, n) array, squares summed in order down the rows."""
+    total = rows[0] * rows[0]
+    for row in rows[1:]:  # np.add.reduce sums one column of 8+ rows pairwise
+        total = total + row * row
+    return np.sqrt(total)
 
 
-def _in_family(fam: ShrinkingFamily, t, y) -> np.ndarray:
-    """Membership in D_t of points given as d Jordan-coordinate rows (d, n)."""
-    yb = y[fam.offset:fam.offset + fam.rows]
+def _tail(fam, yb):
+    """Size of the block rows' final coordinate, or final pair for a pair block."""
+    return _norms(yb[-2:]) if fam.pair else np.abs(yb[-1])
+
+
+def _in_family(fam: ShrinkingFamily, t, yb) -> np.ndarray:
+    """Membership in D_t of points given as the tagged block's rows (rows, n)."""
     # closed sets: let boundary points in despite roundoff
     slack = 1.0 + 1e-12
     if fam.uses_cone:
-        tail = _norms(yb[-2:]) if fam.pair else np.abs(yb[-1])
-        return tail <= fam.param(t) * _norms(yb) * slack
+        return _tail(fam, yb) <= fam.param(t) * _norms(yb) * slack
     return _norms(yb) <= fam.param(t) * slack
 
 
 def contains_many(fam: ShrinkingFamily, t, points) -> np.ndarray:
     """Vectorized membership of an (n, d) array in D_t (closed: boundary in)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != fam.dim:
+    if pts.ndim != 2 or pts.shape[1] != fam.dim:
         raise DimensionMismatch(f"points must have dimension {fam.dim}")
-    return _in_family(fam, t, fam.basis_inv @ np.ascontiguousarray(pts.T))
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteInput("points must be finite")  # D_t is unbounded
+    inv = fam.basis_inv[fam.offset:fam.offset + fam.rows]
+    # block rows of T^-1 x in column order: the same bits alone as in a batch
+    yb = inv[:, :1] * pts[:, 0]
+    for j in range(1, fam.dim):
+        yb += inv[:, j:j + 1] * pts[:, j]
+    return _in_family(fam, t, yb)
 
 
 def contains(fam: ShrinkingFamily, t, x) -> bool:
@@ -126,46 +133,39 @@ def contains(fam: ShrinkingFamily, t, x) -> bool:
 
 
 def _sample_in_family(fam, t, n, rng, tail_floor=0.01, max_tries=1000):
-    """Points of D_t sampled in Jordan coordinates, mapped through T.
+    """Points of D_t as a contiguous (rows, n) array of the tagged block's rows.
 
-    Ball families draw the block coordinate uniformly in the ball of
+    D_t is sampled in the tagged block's coordinates, the only ones its
+    membership reads.  Ball families draw uniformly in the ball of
     radius eps(t) so the sample reaches the boundary, which the exact
     lag check for contracting diagonal blocks needs.
 
-    Cone families reject unit sphere samples (membership is
-    scale-invariant) onto a compact section of the cone: samples with
-    tail fraction below tail_floor are excluded.  Points on the
-    invariant hyperplane tail = 0 stay in every cone member forever,
-    but trajectories started arbitrarily close to it exit transiently
-    around h ~ 1/(tail fraction), so absorption is uniform only on
-    sections bounded away from the hyperplane.
+    Cone families reject Gaussian draws (membership is scale-invariant)
+    onto a compact section of the cone: samples with tail fraction below
+    tail_floor are excluded.  Points on the invariant hyperplane tail = 0
+    stay in every cone member forever, but trajectories started
+    arbitrarily close to it exit transiently around h ~ 1/(tail
+    fraction), so absorption is uniform only on sections bounded away
+    from the hyperplane.
     """
     if not fam.uses_cone:
-        y = rng.standard_normal((n, fam.dim))
-        yb = y[:, fam.offset:fam.offset + fam.rows]
-        dirs = yb / np.linalg.norm(yb, axis=1, keepdims=True)
+        y = rng.standard_normal((fam.rows, n))
         radii = fam.param(t) * rng.random(n) ** (1.0 / fam.rows)
-        y[:, fam.offset:fam.offset + fam.rows] = dirs * radii[:, None]
-        return y @ fam.decomposition.conjugator.T
+        return y * (radii / _norms(y))
     rho = fam.param(t)
     tail_floor = min(tail_floor, 0.5 * rho)
     out = []
     got = 0
     for _ in range(max_tries):
-        y = rng.standard_normal((max(4 * n, 256), fam.dim))
-        y /= np.linalg.norm(y, axis=1, keepdims=True)
-        yb = y[:, fam.offset:fam.offset + fam.rows]
-        tail = np.linalg.norm(yb[:, -2:], axis=1) if fam.pair \
-            else np.abs(yb[:, -1])
-        frac = tail / np.linalg.norm(yb, axis=1)
-        y = y[(frac <= rho) & (frac >= tail_floor)]
-        out.append(y @ fam.decomposition.conjugator.T)
-        got += y.shape[0]
+        y = rng.standard_normal((fam.rows, max(4 * n, 256)))
+        frac = _tail(fam, y) / _norms(y)
+        out.append(y[:, (frac <= rho) & (frac >= tail_floor)])
+        got += out[-1].shape[1]
         if got >= n:
             break
     if got < n:
         raise SamplingFailure("rejection sampling failed to fill the sample")
-    return np.vstack(out)[:n]
+    return np.ascontiguousarray(np.hstack(out)[:, :n])
 
 
 def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
@@ -176,10 +176,9 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
     or beyond the reported h0 and is zero by construction.  Raises
     NotReached when h_max is insufficient.
 
-    The sample is stepped by A in the original coordinates and mapped
-    to Jordan coordinates at each power, rather than stepped by the
-    Jordan matrix: T K T^-1 reproduces A only up to RECONSTRUCTION_TOL,
-    and that residual would compound over h_max powers.
+    D_t is sampled and stepped in the tagged block's own coordinates:
+    it is defined through the decomposition's T, so the block K of
+    T^-1 A T is the map it is about.
     """
     if not 0 < t_small <= t_large < math.inf:
         raise InvalidArgument("need 0 < t_small <= t_large < inf")
@@ -188,13 +187,13 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
     if t_small == t_large:
         return 0, 0  # D_t'' is a subset of D_t' already; monotone convention
     rng = _rng.stream(seed, "absorption")
-    cur = np.ascontiguousarray(_sample_in_family(fam, t_large, n_samples, rng).T)
-    A = fam.witness
+    cur = _sample_in_family(fam, t_large, n_samples, rng)
+    K = fam.decomposition.blocks[fam.block_index].materialize()
     member = np.empty((h_max + 1, n_samples), dtype=bool)
     for h in range(h_max + 1):
-        member[h] = _in_family(fam, t_small, fam.basis_inv @ cur)
+        member[h] = _in_family(fam, t_small, cur)
         if h < h_max:
-            cur = A @ cur
+            cur = K @ cur
     fails = ~member
     last_fail = np.where(fails.any(axis=0),
                          h_max - np.argmax(fails[::-1], axis=0), -1)
@@ -221,6 +220,10 @@ def null_boundary_check(fam: ShrinkingFamily, n_samples=100_000,
     if bounding_box is None:
         bounding_box = np.column_stack([-np.ones(fam.dim), np.ones(fam.dim)])
     bounding_box = np.asarray(bounding_box, dtype=float)
+    if bounding_box.shape != (fam.dim, 2):
+        raise DimensionMismatch(f"bounding box must have shape ({fam.dim}, 2)")
+    if not np.all(np.isfinite(bounding_box)):
+        raise NonFiniteInput("bounding box entries must be finite")
     if np.any(bounding_box[:, 1] <= bounding_box[:, 0]):
         raise InvalidArgument("bounding box must have positive volume")
     rng = _rng.stream(seed, "nullcheck")

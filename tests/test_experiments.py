@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -339,6 +340,25 @@ def test_cli_sets_verify(tmp_path):
     assert lines[-1].startswith("#")
 
 
+@pytest.mark.parametrize("cond", [1.0, 20.0, 1000.0])
+def test_cli_sets_verify_conjugated_squeeze(tmp_path, cond):
+    # P has condition number exactly cond; the expanding coordinate grows
+    # like 2^h, and the lag must not depend on it at the default --h-max
+    P = rotation(0.4) @ np.diag([cond ** 0.5, cond ** -0.5]) @ rotation(1.1)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrices.matrix_to_json(
+        P @ squeeze() @ np.linalg.inv(P))))
+    res = CliRunner().invoke(main, ["sets", "verify", "--matrix", str(path),
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    lines = (tmp_path / "sets_verify.csv").read_text().splitlines()
+    assert len(lines) == 12  # 10 pairs of the default grid, header, comment
+    for line in lines[1:-1]:
+        t1, t2, h0, bad = line.split(",")
+        assert int(h0) == math.ceil(math.log2(float(t2) / float(t1)))
+        assert int(bad) == 0
+
+
 def test_cli_simulate_and_env_overrides(tmp_path, monkeypatch):
     regions = tmp_path / "regions.json"
     regions.write_text(json.dumps([{"box": [[0.0, 1.0], [0.0, 1.0]]}]))
@@ -438,6 +458,7 @@ def test_argument_checks_raise_invalid_argument():
         lambda: shrinking.absorption_lag(fam, 0.5, 1.0, n_samples=0),
         lambda: shrinking.absorption_lag(fam, 0.5, 1.0, h_max=-1),
         lambda: shrinking.null_boundary_check(fam, bounding_box=[[0, 0], [0, 1]]),
+        lambda: shrinking.null_boundary_check(fam, bounding_box=[[1, 0], [0, 1]]),
         lambda: shrinking.null_boundary_check(fam, n_samples=0),
         lambda: matrices.eigen_spectrum(squeeze(), cluster_tol=0.0),
         lambda: matrices.jordan_block_power_apply(block, -1, np.ones(2)),

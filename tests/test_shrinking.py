@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levymix as lm
@@ -16,42 +16,59 @@ SLACK = 1.0 + 1e-12  # the closed-set slack of the membership rule
 GRID = (0.2, 0.5, 1.0, 2.0, 5.0)  # the default t grid of `sets verify`
 
 
-def _reference_terms(fam, pts):
-    """(lhs, scale) of the row-major rule: x in D_t iff lhs <= param(t) * scale * SLACK.
+def _reference_block_rows(fam, pts):
+    """(n, rows) block coordinates of T^-1 x, summed over the d columns in order."""
+    inv = fam.basis_inv[fam.offset:fam.offset + fam.rows]
+    yb = np.zeros((len(pts), fam.rows))
+    for j in range(fam.dim):
+        yb = yb + pts[:, j:j + 1] * inv[:, j]
+    return yb
 
-    Jordan coordinates of every point first, then the block's columns,
-    with np.linalg.norm along the rows.
-    """
-    yb = (pts @ fam.basis_inv.T)[:, fam.offset:fam.offset + fam.rows]
-    norm = np.linalg.norm(yb, axis=1)
+
+def _in_order_norm(a):
+    """Norm of each row of a, its squares summed in order along the row."""
+    s = np.zeros(len(a))
+    for k in range(a.shape[1]):
+        s = s + a[:, k] * a[:, k]
+    return np.sqrt(s)
+
+
+def _reference_terms(fam, yb):
+    """(lhs, scale) of the rule on block rows yb: in D_t iff lhs <= param(t) * scale * SLACK."""
+    norm = _in_order_norm(yb)
     if not fam.uses_cone:
         return norm, np.ones_like(norm)
-    tail = np.linalg.norm(yb[:, -2:], axis=1) if fam.pair else np.abs(yb[:, -1])
+    tail = _in_order_norm(yb[:, -2:]) if fam.pair else np.abs(yb[:, -1])
     return tail, norm
 
 
-def _reference_contains(fam, t, pts):
-    lhs, scale = _reference_terms(fam, pts)
+def _reference_contains(fam, t, yb):
+    lhs, scale = _reference_terms(fam, yb)
     return lhs <= fam.param(t) * scale * SLACK
 
 
-def _reference_absorption_lag(fam, t_small, t_large, n_samples, h_max, seed):
-    """absorption_lag as a loop of contains_many on (n, d) points."""
-    X = _sample_in_family(fam, t_large, n_samples, stream(seed, "absorption"))
-    A = fam.witness
-    member = np.empty((n_samples, h_max + 1), dtype=bool)
-    cur = X
+def _reference_lag(start, step, member, h_max):
+    """(h0, violations) of a loop that tests and steps the (n, k) points start."""
+    table = np.empty((len(start), h_max + 1), dtype=bool)
+    cur = start
     for h in range(h_max + 1):
-        member[:, h] = contains_many(fam, t_small, cur)
-        if h < h_max:
-            cur = cur @ A.T
-    fails = ~member
+        table[:, h] = member(cur)
+        cur = step(cur)
+    fails = ~table
     last_fail = np.where(fails.any(axis=1),
                          h_max - np.argmax(fails[:, ::-1], axis=1), -1)
     h0 = int(last_fail.max()) + 1
     if h0 > h_max:
         raise errors.NotReached(f"absorption not reached within h_max={h_max}")
     return h0, int(fails[:, h0:].sum())
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the package error it raises."""
+    try:
+        return fn(*args)
+    except errors.LevymixError as exc:
+        return type(exc)
 
 
 TAGGED = {  # one Jordan block per kind of shrinking family
@@ -70,6 +87,12 @@ def _padded_form(block, d):
     pads = [RealJordanBlock(BlockKind.REAL, 1, complex(2.0 + 0.5 * k))
             for k in range(d - block.rows)]
     return assemble_jordan(pads + [block])
+
+
+def _conjugator(d, cond, rng):
+    """A det-1 matrix of condition number exactly cond; random_det1 stays below it."""
+    s = cond ** np.linspace(0.5, -0.5, d)
+    return random_det1(d, rng, cond=1.0) @ np.diag(s) @ random_det1(d, rng, cond=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +146,25 @@ def test_contains_hand_examples(shear_family):
 def test_contains_dimension_check(shear_family):
     with pytest.raises(errors.DimensionMismatch):
         contains(shear_family, 1.0, np.zeros(3))
+    with pytest.raises(errors.DimensionMismatch):
+        contains_many(shear_family, 1.0, np.zeros((4, 2, 2)))
+    for box in ([[0.0, 1.0]], [[0.0, 1.0]] * 3, [0.0, 1.0]):
+        with pytest.raises(errors.DimensionMismatch):
+            lm.null_boundary_check(shear_family, n_samples=10, bounding_box=box)
+
+
+def test_family_inputs_must_be_finite(shear_family, squeeze_family):
+    # D_t is unbounded, so a point at infinity has no answer
+    for fam in (shear_family, squeeze_family):
+        for x in ([np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0]):
+            with pytest.raises(errors.NonFiniteInput):
+                contains(fam, 1.0, np.array(x))
+            with pytest.raises(errors.NonFiniteInput):
+                contains_many(fam, 1.0, np.array([[1.0, 2.0], x]))
+        for box in ([[np.nan, 1.0], [-1.0, 1.0]], [[-1.0, 1.0], [-1.0, np.inf]],
+                    [[-np.inf, 1.0], [-1.0, 1.0]]):
+            with pytest.raises(errors.NonFiniteInput):
+                lm.null_boundary_check(fam, n_samples=10, bounding_box=box)
 
 
 def test_membership_monotone_in_t(shear_family, squeeze_family):
@@ -188,24 +230,30 @@ def _edge_ts(fam, lhs, scale):
 
 
 def _edge_point(fam, pts, i):
-    """Check that point i's answer flips at the reference threshold; 1 if tested."""
-    lhs, scale = _reference_terms(fam, pts)
-    t_on, t_under = _edge_ts(fam, lhs[i], scale[i])
+    """Check that point i's answer flips at the reference threshold; 1 if tested.
+
+    At both edge t, every point of the batch, tested alone, must give
+    the batch's answer.
+    """
+    lhs, scale = _reference_terms(fam, _reference_block_rows(fam, pts[i:i + 1]))
+    t_on, t_under = _edge_ts(fam, lhs[0], scale[0])
     if t_on is None or t_under is None:
         return 0
-    assert contains_many(fam, t_on, pts)[i]
-    assert not contains_many(fam, t_under, pts)[i]
+    for t, inside in ((t_on, True), (t_under, False)):
+        batch = contains_many(fam, t, pts)
+        assert batch[i] == inside
+        assert [contains(fam, t, x) for x in pts] == batch.tolist()
     return 1
 
 
 def test_contains_many_matches_row_major_reference():
-    # The points' Jordan coordinates must come from the full product
-    # basis_inv @ points, sliced to the block afterwards: the product of
-    # the block's rows alone can differ in the last bit.  Each edge point
-    # gets the t that puts the reference's threshold on the point (and
-    # just under it), so any last-bit change in its coordinates or norms
-    # flips the answer.  Blocks of 8 rows and more are in because numpy
-    # sums their squares pairwise.
+    # The reference sums each point's block rows of T^-1 x over the d
+    # columns in order, and its squares in order, one point at a time,
+    # so its bits cannot depend on the batch.  Each edge point gets the
+    # t that puts the reference's threshold on the point (and just under
+    # it), so any last-bit change in its coordinates or norms flips the
+    # answer.  Blocks of 9 rows are in because numpy sums that many
+    # squares pairwise along a contiguous axis.
     long_blocks = [RealJordanBlock(BlockKind.REAL, 8, 1.0 + 0j),
                    RealJordanBlock(BlockKind.COMPLEX_PAIR, 4, np.exp(0.7j))]
     cases = [(d, block) for d in range(2, 7) for block in TAGGED.values()
@@ -219,34 +267,46 @@ def test_contains_many_matches_row_major_reference():
             assert fam.offset == d - block.rows
             pts = np.vstack([rng.standard_normal((200, d)) * 3.0]
                             + [_boundary_points(fam, t, 50, rng) for t in GRID])
+            yb = _reference_block_rows(fam, pts)
             for t in GRID:
                 assert np.array_equal(contains_many(fam, t, pts),
-                                      _reference_contains(fam, t, pts))
+                                      _reference_contains(fam, t, yb))
             for i in range(4):
-                # in the batch, and alone, where BLAS may sum otherwise
-                edges += _edge_point(fam, pts, i) + _edge_point(fam, pts[i:i + 1], 0)
+                edges += _edge_point(fam, pts[:64], i)
     assert edges >= 200
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(sorted(TAGGED)), cond=st.floats(1.0, 20.0),
+@given(kind=st.sampled_from(sorted(TAGGED)), log_cond=st.floats(0.0, 1.0),
        pair=st.sampled_from([(a, b) for i, a in enumerate(GRID) for b in GRID[i + 1:]]),
        h_max=st.sampled_from([40, 200]), seed=st.integers(0, 2**16))
-def test_absorption_lag_matches_reference_loop(kind, cond, pair, h_max, seed):
+@example(kind="squeeze", log_cond=1.0, pair=(0.2, 5.0), h_max=200, seed=0)
+@example(kind="squeeze", log_cond=1.0, pair=(0.5, 2.0), h_max=40, seed=1)
+def test_absorption_lag_matches_reference_loop(kind, log_cond, pair, h_max, seed):
+    # The reference loop steps the block's rows by the block matrix.  The
+    # squeeze, conjugated at conditioning up to 1000, must reach its exact
+    # lag.  The loop that steps (n, d) points by A and tests them through
+    # T^-1 is a second reference at h_max 40, fed the same sample mapped
+    # through T's block columns; past that the expanding coordinate's
+    # rounding drowns the contracting one.
     block = TAGGED[kind]
     d = max(block.rows, 2)
-    P = random_det1(d, stream(seed, "conjugator"), cond=cond)
-    fam = lm.build_family(P @ _padded_form(block, d) @ np.linalg.inv(P))
-    # a conjugated squeeze raises NotReached past about 50 powers, when
-    # its contracting coordinate drowns in the rounding of the expanding one
-    args = (fam, *pair, 200, h_max, seed)
-    try:
-        want = _reference_absorption_lag(*args)
-    except errors.LevymixError as exc:
-        with pytest.raises(type(exc)):
-            lm.absorption_lag(*args)
-        return
-    assert lm.absorption_lag(*args) == want
+    cond = (1000.0 if kind == "squeeze" else 20.0) ** log_cond
+    P = _conjugator(d, cond, stream(seed, "conjugator"))
+    A = P @ _padded_form(block, d) @ np.linalg.inv(P)
+    fam = lm.build_family(A)
+    t_small, t_large = pair
+    got = _outcome(lm.absorption_lag, fam, t_small, t_large, 200, h_max, seed)
+    if kind == "squeeze":
+        assert got == (math.ceil(math.log2(t_large / t_small)), 0)
+    Y = _sample_in_family(fam, t_large, 200, stream(seed, "absorption")).T
+    K = fam.decomposition.blocks[fam.block_index].materialize()
+    assert got == _outcome(_reference_lag, Y, lambda y: y @ K.T,
+                           lambda y: _reference_contains(fam, t_small, y), h_max)
+    if h_max == 40:
+        X = Y @ fam.decomposition.conjugator[:, fam.offset:fam.offset + fam.rows].T
+        assert got == _outcome(_reference_lag, X, lambda x: x @ A.T,
+                               lambda x: contains_many(fam, t_small, x), h_max)
 
 
 def test_absorption_grid(shear_family, squeeze_family):
