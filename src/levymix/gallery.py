@@ -58,7 +58,14 @@ def parse_matrix(obj):
 
 
 def random_det1(d, rng, cond=50.0):
-    """Random matrix with det +1 and condition number about `cond`."""
+    """Random matrix with det +1 and condition number at most `cond`.
+
+    The d singular values are drawn log-uniformly in [1, cond] before
+    the determinant is scaled to 1, so the condition number is the ratio
+    of the largest to the smallest draw: at most `cond`, and usually far
+    below it (at cond = 1000 the median is about 7 in d = 2 and 75 in
+    d = 4).
+    """
     Q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
     Q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
     s = np.exp(rng.uniform(0.0, np.log(cond), size=d))

@@ -91,6 +91,9 @@ def build_family(A) -> ShrinkingFamily:
     )
 
 
+FAR = 2.0**256  # points whose largest entry is beyond 2^+-256 are rescaled
+
+
 def _norms(rows):
     """Norm of each column of a (k, n) array, squares summed in order down the rows."""
     total = rows[0] * rows[0]
@@ -104,32 +107,60 @@ def _tail(fam, yb):
     return _norms(yb[-2:]) if fam.pair else np.abs(yb[-1])
 
 
-def _in_family(fam: ShrinkingFamily, t, yb) -> np.ndarray:
-    """Membership in D_t of points given as the tagged block's rows (rows, n)."""
+def _in_family(fam: ShrinkingFamily, t, yb, exp=None) -> np.ndarray:
+    """Membership in D_t of points given as the tagged block's rows (rows, n).
+
+    With exp, each column stands for its point scaled by 2^exp; cones
+    are scale-invariant, and a ball's radius is scaled to match.
+    """
     # closed sets: let boundary points in despite roundoff
     slack = 1.0 + 1e-12
     if fam.uses_cone:
         return _tail(fam, yb) <= fam.param(t) * _norms(yb) * slack
-    return _norms(yb) <= fam.param(t) * slack
+    radius = fam.param(t) * slack
+    if exp is not None:
+        with np.errstate(over="ignore"):  # a radius past the float range lets all in
+            radius = np.ldexp(radius, exp)
+    return _norms(yb) <= radius
+
+
+def _floats(obj, what):
+    """obj as a float array; ragged rows or entries that are not numbers raise."""
+    try:
+        return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"{what} must be an array of numbers: {exc}") from exc
 
 
 def contains_many(fam: ShrinkingFamily, t, points) -> np.ndarray:
     """Vectorized membership of an (n, d) array in D_t (closed: boundary in)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(_floats(points, "points"))
     if pts.ndim != 2 or pts.shape[1] != fam.dim:
         raise DimensionMismatch(f"points must have dimension {fam.dim}")
     if not np.all(np.isfinite(pts)):
         raise NonFiniteInput("points must be finite")  # D_t is unbounded
+    # A point far from unit size is scaled by the power of two that brings
+    # its largest entry into [0.5, 1), so its block rows and their squares
+    # neither overflow nor underflow.  The scaling is exact: scaling the
+    # other points too would change none of their answers.
+    big = np.abs(pts[:, 0])
+    for j in range(1, fam.dim):  # faster than a max over each short row
+        np.maximum(big, np.abs(pts[:, j]), out=big)
+    far = (big > FAR) | (big < 1.0 / FAR)
+    exp = None
+    if far.any():
+        exp = np.where(far, -np.frexp(big)[1], 0)
+        pts = np.ldexp(pts, exp[:, None])
     inv = fam.basis_inv[fam.offset:fam.offset + fam.rows]
     # block rows of T^-1 x in column order: the same bits alone as in a batch
     yb = inv[:, :1] * pts[:, 0]
     for j in range(1, fam.dim):
         yb += inv[:, j:j + 1] * pts[:, j]
-    return _in_family(fam, t, yb)
+    return _in_family(fam, t, yb, exp)
 
 
 def contains(fam: ShrinkingFamily, t, x) -> bool:
-    return bool(contains_many(fam, t, np.asarray(x, dtype=float)[None, :])[0])
+    return bool(contains_many(fam, t, np.atleast_1d(_floats(x, "point"))[None, :])[0])
 
 
 def _sample_in_family(fam, t, n, rng, tail_floor=0.01, max_tries=1000):
@@ -219,7 +250,7 @@ def null_boundary_check(fam: ShrinkingFamily, n_samples=100_000,
         raise InvalidArgument("need n_samples >= 1")
     if bounding_box is None:
         bounding_box = np.column_stack([-np.ones(fam.dim), np.ones(fam.dim)])
-    bounding_box = np.asarray(bounding_box, dtype=float)
+    bounding_box = _floats(bounding_box, "bounding box")
     if bounding_box.shape != (fam.dim, 2):
         raise DimensionMismatch(f"bounding box must have shape ({fam.dim}, 2)")
     if not np.all(np.isfinite(bounding_box)):

@@ -501,12 +501,35 @@ def test_cli_experiment_run_uses_config_seed_and_out(tmp_path, monkeypatch):
     assert obj["inputs"]["seed"] == rng.stream_key(42, "experiment", "mix") % 2**31
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+_WATCH_SCIPY = """
+import sys
+
+class Watch:  # sees every import, also of a module later dropped from sys.modules
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            self.seen.append(name)
+
+sys.meta_path.insert(0, Watch())
+from levymix.cli import main
+try:
+    main(["experiment", "run", "--seed", "0", "--out", sys.argv[1]])
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(sorted(set(Watch.seen)
+             | {m for m in sys.modules if m.partition(".")[0] == "scipy"}))
+"""
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # a whole battery run, KS test included, never imports scipy
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, levymix.cli; print('scipy.stats' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    res = subprocess.run([sys.executable, "-c", _WATCH_SCIPY, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip().splitlines()[-1] == "[]"
+    assert len(list(tmp_path.glob("*.report.json"))) == len(
+        default_config()["experiments"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,25 @@ def test_family_inputs_must_be_finite(shear_family, squeeze_family):
                 lm.null_boundary_check(fam, n_samples=10, bounding_box=box)
 
 
+@pytest.mark.parametrize("box", [[[0.0, 1.0], [2.0]], "[[0, 1], [0, 1]]"],
+                         ids=["ragged", "string"])
+def test_null_boundary_box_must_be_numbers(shear_family, box):
+    with pytest.raises(errors.InvalidArgument):
+        lm.null_boundary_check(shear_family, n_samples=10, bounding_box=box)
+
+
+def test_membership_points_must_be_numbers(shear_family):
+    for pts in ([[0.0, 1.0], [2.0]], "[0, 1]", [[0.0, "a"]]):
+        with pytest.raises(errors.InvalidArgument):
+            contains_many(shear_family, 1.0, pts)
+    for x in ("[0, 1]", [0.0, "a"]):
+        with pytest.raises(errors.InvalidArgument):
+            contains(shear_family, 1.0, x)
+    for x in (1.0, [[0.0, 1.0]]):
+        with pytest.raises(errors.DimensionMismatch):
+            contains(shear_family, 1.0, x)
+
+
 def test_membership_monotone_in_t(shear_family, squeeze_family):
     rng = stream(1, "monotone")
     pts = rng.standard_normal((20_000, 2)) * 3.0
@@ -274,6 +294,47 @@ def test_contains_many_matches_row_major_reference():
             for i in range(4):
                 edges += _edge_point(fam, pts[:64], i)
     assert edges >= 200
+
+
+def test_contains_far_from_unit_scale():
+    # Points far from unit size are scaled by a power of two before their
+    # block rows are summed, so nothing over- or underflows.  A cone
+    # answers for x * 2^+-1000 as for x, and a ball of radius
+    # eps * 2^+-1000 as the ball of radius eps for x, to the last bit: at
+    # the edge t of a point (see _edge_point) the scaled point is in, and
+    # just under it out.  A ball lets tiny points in and keeps huge ones out.
+    rng = stream(17, "far-scale")
+    edges = 0
+    for name, d in (("shear", 2), ("unipotent 3x3", 3), ("unit-modulus pair", 4),
+                    ("squeeze", 2), ("contracting pair", 3)):
+        P = _conjugator(d, 10.0, rng)
+        fam = lm.build_family(P @ _padded_form(TAGGED[name], d) @ np.linalg.inv(P))
+        pts = np.vstack([rng.standard_normal((200, d)) * 3.0]
+                        + [_boundary_points(fam, t, 20, rng) for t in GRID])
+        lhs, scale = _reference_terms(fam, _reference_block_rows(fam, pts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (2.0**1000, 2.0**-1000):
+                def scaled(t):
+                    return t if fam.uses_cone else t * s  # a ball's radius is t
+                for t in GRID:
+                    assert np.array_equal(contains_many(fam, scaled(t), pts * s),
+                                          contains_many(fam, t, pts))
+                for i in range(0, len(pts), 25):
+                    t_on, t_under = _edge_ts(fam, lhs[i], scale[i])
+                    if t_on is None or t_under is None:
+                        continue
+                    assert contains(fam, scaled(t_on), pts[i] * s)
+                    assert not contains(fam, scaled(t_under), pts[i] * s)
+                    edges += 1
+            if not fam.uses_cone:
+                for t in GRID:
+                    assert not contains_many(fam, t, pts * 2.0**1000).any()
+                    assert contains_many(fam, t, pts * 2.0**-1000).all()
+            for x in ([1e308] * d, [1e308, -1e308] + [0.0] * (d - 2)):
+                unit = contains(fam, 1.0, np.array(x) / 1e308)
+                assert contains(fam, 1.0, x) == (unit if fam.uses_cone else False)
+    assert edges >= 40
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
