@@ -91,9 +91,6 @@ def build_family(A) -> ShrinkingFamily:
     )
 
 
-FAR = 2.0**256  # points whose largest entry is beyond 2^+-256 are rescaled
-
-
 def _norms(rows):
     """Norm of each column of a (k, n) array, squares summed in order down the rows."""
     total = rows[0] * rows[0]
@@ -107,21 +104,49 @@ def _tail(fam, yb):
     return _norms(yb[-2:]) if fam.pair else np.abs(yb[-1])
 
 
-def _in_family(fam: ShrinkingFamily, t, yb, exp=None) -> np.ndarray:
+def _in_family(fam: ShrinkingFamily, t, yb, norm=None, exp=0) -> np.ndarray:
     """Membership in D_t of points given as the tagged block's rows (rows, n).
 
-    With exp, each column stands for its point scaled by 2^exp; cones
-    are scale-invariant, and a ball's radius is scaled to match.
+    norm, if given, is _norms(yb).  Column i stands for its point scaled
+    by 2^exp[i]: cones are scale-invariant, and a ball's radius is scaled
+    to match.
     """
+    if norm is None:
+        norm = _norms(yb)
     # closed sets: let boundary points in despite roundoff
     slack = 1.0 + 1e-12
     if fam.uses_cone:
-        return _tail(fam, yb) <= fam.param(t) * _norms(yb) * slack
-    radius = fam.param(t) * slack
-    if exp is not None:
-        with np.errstate(over="ignore"):  # a radius past the float range lets all in
-            radius = np.ldexp(radius, exp)
-    return _norms(yb) <= radius
+        return _tail(fam, yb) <= fam.param(t) * norm * slack
+    with np.errstate(over="ignore"):  # a radius past the float range lets all in
+        radius = np.ldexp(fam.param(t) * slack, exp)
+    return norm <= radius
+
+
+def _block_rows(inv, pts):
+    """Rows of inv @ x for each point x of pts, summed over the columns in order."""
+    yb = inv[:, :1] * pts[:, 0]
+    for j in range(1, pts.shape[1]):
+        yb += inv[:, j:j + 1] * pts[:, j]
+    return yb
+
+
+def _scaled_block_rows(inv, pts):
+    """(yb, exp): block rows of the (m, d) points scaled by 2^exp to unit size.
+
+    Each point is first scaled so that its largest term inv[i, j] * x_j
+    lies below 1, which keeps the row sums finite; columns the rows do
+    not read are left out, so their size does not matter.  The rows are
+    then scaled so that the largest lies in [0.5, 1), which keeps their
+    squares from underflowing.  Scaling by a power of two is exact.
+    """
+    used = np.abs(inv).max(axis=0) > 0
+    inv, pts = inv[:, used], pts[:, used]
+    size = np.frexp(pts)[1] + np.frexp(np.abs(inv).max(axis=0))[1]
+    # a zero point scales to zero; 2000 keeps the scale finite
+    first = np.where(pts != 0, size, -2000).max(axis=1)
+    yb = _block_rows(inv, np.ldexp(pts, -first[:, None]))
+    second = np.frexp(np.abs(yb).max(axis=0))[1]
+    return np.ldexp(yb, -second), -first - second
 
 
 def _floats(obj, what):
@@ -139,24 +164,23 @@ def contains_many(fam: ShrinkingFamily, t, points) -> np.ndarray:
         raise DimensionMismatch(f"points must have dimension {fam.dim}")
     if not np.all(np.isfinite(pts)):
         raise NonFiniteInput("points must be finite")  # D_t is unbounded
-    # A point far from unit size is scaled by the power of two that brings
-    # its largest entry into [0.5, 1), so its block rows and their squares
-    # neither overflow nor underflow.  The scaling is exact: scaling the
-    # other points too would change none of their answers.
-    big = np.abs(pts[:, 0])
-    for j in range(1, fam.dim):  # faster than a max over each short row
-        np.maximum(big, np.abs(pts[:, j]), out=big)
-    far = (big > FAR) | (big < 1.0 / FAR)
-    exp = None
-    if far.any():
-        exp = np.where(far, -np.frexp(big)[1], 0)
-        pts = np.ldexp(pts, exp[:, None])
     inv = fam.basis_inv[fam.offset:fam.offset + fam.rows]
     # block rows of T^-1 x in column order: the same bits alone as in a batch
-    yb = inv[:, :1] * pts[:, 0]
-    for j in range(1, fam.dim):
-        yb += inv[:, j:j + 1] * pts[:, j]
-    return _in_family(fam, t, yb, exp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        yb = _block_rows(inv, pts)
+        norm = _norms(yb)
+        # a pair cone's tail is a norm too, and the smaller one
+        low = _tail(fam, yb) if fam.pair and fam.uses_cone else norm
+    # Far from unit size the rows or their squares over- or underflow
+    # (a norm below 2^-511 summed squares below the normal range): those
+    # points are taken at a power-of-two scale, which keeps their answer.
+    exp = 0
+    if not (low.min(initial=np.inf) >= 2.0**-511 and norm.max(initial=0.0) < np.inf):
+        far = ~((low >= 2.0**-511) & (norm < np.inf))
+        exp = np.zeros(len(pts), dtype=int)
+        yb[:, far], exp[far] = _scaled_block_rows(inv, pts[far])
+        norm[far] = _norms(yb[:, far])
+    return _in_family(fam, t, yb, norm, exp)
 
 
 def contains(fam: ShrinkingFamily, t, x) -> bool:

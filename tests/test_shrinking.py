@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -297,12 +298,12 @@ def test_contains_many_matches_row_major_reference():
 
 
 def test_contains_far_from_unit_scale():
-    # Points far from unit size are scaled by a power of two before their
-    # block rows are summed, so nothing over- or underflows.  A cone
-    # answers for x * 2^+-1000 as for x, and a ball of radius
-    # eps * 2^+-1000 as the ball of radius eps for x, to the last bit: at
-    # the edge t of a point (see _edge_point) the scaled point is in, and
-    # just under it out.  A ball lets tiny points in and keeps huge ones out.
+    # Points whose block rows or their squares over- or underflow are
+    # taken at a power-of-two scale.  A cone answers for x * s as for x,
+    # and a ball of radius eps * s as the ball of radius eps for x, to the
+    # last bit: at the edge t of a point (see _edge_point) the scaled
+    # point is in, and just under it out.  A ball lets tiny points in and
+    # keeps huge ones out.
     rng = stream(17, "far-scale")
     edges = 0
     for name, d in (("shear", 2), ("unipotent 3x3", 3), ("unit-modulus pair", 4),
@@ -335,6 +336,90 @@ def test_contains_far_from_unit_scale():
                 unit = contains(fam, 1.0, np.array(x) / 1e308)
                 assert contains(fam, 1.0, x) == (unit if fam.uses_cone else False)
     assert edges >= 40
+
+
+def test_narrow_pair_cone_tail_below_normal_range():
+    # A pair cone weighs the norm of the final pair against the norm of
+    # all rows.  Near a narrow cone at size 2^-505 the squares of all rows
+    # sum to a normal float and those of the pair do not; the answers must
+    # still be those at unit size, to the last bit at each edge t.
+    rng = stream(29, "pair-tail")
+    block = TAGGED["unit-modulus pair"]
+    P = _conjugator(block.rows, 10.0, rng)
+    fam = lm.build_family(P @ _padded_form(block, block.rows) @ np.linalg.inv(P))
+    pts = _boundary_points(fam, 1e-4, 200, rng)
+    lhs, scale = _reference_terms(fam, _reference_block_rows(fam, pts))
+    s = 2.0**-505
+    assert (scale * s).min() ** 2 >= np.finfo(float).tiny > (lhs * s).max() ** 2
+    edges = 0
+    for i in range(len(pts)):
+        t_on, t_under = _edge_ts(fam, lhs[i], scale[i])
+        if t_on is None or t_under is None:
+            continue
+        assert contains(fam, t_on, pts[i] * s)
+        assert not contains(fam, t_under, pts[i] * s)
+        edges += 1
+    assert edges >= 100
+
+
+def test_contains_far_point_whose_block_rows_cancel():
+    # Where a point's largest terms cancel, its block rows are far smaller
+    # than those terms; they are brought to unit size on their own before
+    # their squares are summed.  The padded shear is given the block rows
+    # 2 x0 - 2 x1 + x2 and x2, exact in floats: at x0 = x1 = 1.5e308 the
+    # terms overflow and both rows are x2.
+    fam = lm.build_family(_padded_form(TAGGED["shear"], 3))
+    inv = np.zeros((3, 3))
+    inv[fam.offset:] = [[2.0, -2.0, 1.0], [0.0, 0.0, 1.0]]
+    fam = dataclasses.replace(fam, basis_inv=inv)
+    t_on, t_under = _edge_ts(fam, 1.2345, math.hypot(1.2345, 1.2345))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x2 in (1.2345, 1.2345 * 2.0**500, 1.2345 * 2.0**600):
+            for x in ([0.0, 0.0, x2], [1.5e308, 1.5e308, x2]):
+                assert contains(fam, t_on, x)
+                assert not contains(fam, t_under, x)
+
+
+def test_contains_ignores_coordinates_the_block_does_not_read():
+    # A coordinate that the tagged block's rows do not read changes no
+    # answer, however far its size is from that of the rows: a scale taken
+    # from the largest coordinate would push the rows' squares below the
+    # float range.  For the squeeze in the plane, [1e300, 1] lies outside
+    # the ball of radius 0.5.
+    fam = lm.build_family(squeeze())
+    assert not contains(fam, 0.5, [1e300, 1.0])
+    assert contains(fam, 0.5, [1e300, 0.5])
+    rng = stream(19, "unread")
+    edges = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, block in TAGGED.items():
+            d = block.rows + 2
+            fam = lm.build_family(_padded_form(block, d))
+            read = np.abs(fam.basis_inv[fam.offset:fam.offset + fam.rows]).any(axis=0)
+            assert read.sum() == block.rows, name
+            pts = np.vstack([rng.standard_normal((100, d))]
+                            + [_boundary_points(fam, t, 20, rng) for t in GRID])
+            pts[:, ~read] = 0.0
+            lhs, scale = _reference_terms(fam, _reference_block_rows(fam, pts))
+            for s in (1.0, 2.0**600, 2.0**-600):
+                def scaled(t):
+                    return t if fam.uses_cone else t * s  # a ball's radius is t
+                for pad in (1e300, -1e-300, 5e-324):
+                    mixed = pts * s
+                    mixed[:, ~read] = pad
+                    for t in GRID:
+                        assert np.array_equal(contains_many(fam, scaled(t), mixed),
+                                              contains_many(fam, t, pts))
+                    for i in range(0, len(pts), 10):
+                        t_on, t_under = _edge_ts(fam, lhs[i], scale[i])
+                        if t_on is None or t_under is None:
+                            continue
+                        assert contains(fam, scaled(t_on), mixed[i])
+                        assert not contains(fam, scaled(t_under), mixed[i])
+                        edges += 1
+    assert edges >= 100
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
