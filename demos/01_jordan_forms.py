@@ -14,7 +14,7 @@ np.set_printoptions(precision=4, suppress=True)
 
 def describe(name, A):
     dec = real_jordan_form(A)
-    print(f"{name}: d={dec.order}, residual={dec.residual:.2e}")
+    print(f"{name}: d={len(dec.conjugator)}, residual={dec.residual:.2e}")
     for b in dec.blocks:
         tag = "pair" if b.kind is BlockKind.COMPLEX_PAIR else "real"
         print(f"  {tag} block, size {b.size}, eigenvalue {b.eigen:.4f}")

@@ -2,13 +2,11 @@
 
 from .matrices import (
     BlockKind,
-    EigenCluster,
     NoncompactCertificate,
     RealJordanBlock,
     RealJordanDecomposition,
     classify_noncompact_blocks,
     cyclic_closure_compact,
-    eigen_spectrum,
     find_noncompact_witness,
     haar_average_form,
     jordan_block_power_apply,

@@ -123,10 +123,8 @@ def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000,
                                               n=MC_SAMPLES, seed=sub)
         atoms = atomize([C, Cm], n=MC_SAMPLES, seed=sub)
         masses = realize_masses(spec, atoms, n_reps, seed=sub)
-        in0 = np.array([sig[0] for sig in atoms.signatures])
-        in1 = np.array([sig[1] for sig in atoms.signatures])
-        pi_C = masses[:, in0].sum(axis=1)
-        pi_Cm = masses[:, in1].sum(axis=1)
+        pi_C = masses[:, atoms.atoms_of_region(0)].sum(axis=1)
+        pi_Cm = masses[:, atoms.atoms_of_region(1)].sum(axis=1)
         cmat = np.cov(pi_C, pi_Cm)
         c = float(cmat[0, 1])
         c_err = _cov_stderr(cmat[0, 0], cmat[1, 1], c, n_reps)

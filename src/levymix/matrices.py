@@ -96,15 +96,6 @@ def in_measure_preserving_group(A, det_tol=DET_TOL) -> bool:
 # eigen clustering
 
 
-@dataclass(frozen=True)
-class EigenCluster:
-    """One clustered eigenvalue with its multiplicities."""
-
-    value: complex
-    algebraic_mult: int
-    geometric_mult: int
-
-
 def _connected_clusters(w, delta):
     """Single-linkage grouping of eigenvalues at radius delta."""
     n = len(w)
@@ -124,11 +115,6 @@ def _connected_clusters(w, delta):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
-
-
-def _numerical_rank(M, threshold):
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > threshold))
 
 
 def _eigvals(A):
@@ -153,26 +139,6 @@ def _cluster_values(w, delta):
         out.append((val, len(idx)))
     out.sort(key=lambda c: (-abs(c[0]), -c[1], -c[0].real, -c[0].imag))
     return out
-
-
-def eigen_spectrum(A, cluster_tol=CLUSTER_TOL):
-    """Clustered eigenvalues of A with algebraic and geometric multiplicities.
-
-    Raw eigenvalues within cluster_tol of each other (single linkage) are
-    merged; the geometric multiplicity is d - rank(value*I - A) with the
-    singular-value threshold cluster_tol * ||A||.
-    """
-    A = as_matrix(A)
-    if not 0 < cluster_tol < math.inf:
-        raise InvalidArgument("cluster_tol must be positive and finite")
-    d = A.shape[0]
-    w = _eigvals(A)
-    norm = max(_opnorm(A), np.finfo(float).tiny)
-    clusters = []
-    for val, alg in _cluster_values(w, cluster_tol):
-        geo = d - _numerical_rank(val * np.eye(d) - A, cluster_tol * norm)
-        clusters.append(EigenCluster(val, alg, max(1, min(geo, alg))))
-    return clusters
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +319,6 @@ class RealJordanDecomposition:
     conjugator: np.ndarray
     blocks: tuple
     residual: float
-
-    @property
-    def order(self) -> int:
-        return self.conjugator.shape[0]
 
     def jordan_matrix(self) -> np.ndarray:
         return assemble_jordan(self.blocks)

@@ -9,6 +9,7 @@ mass (rate * t).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,17 +38,20 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, POISSON, DETERMINISTIC):
             raise UnsupportedKind(f"unknown noise kind {self.kind!r}")
+        if not np.isfinite(self.intensity):
+            raise InvalidArgument(f"noise intensity must be finite, "
+                                  f"got {self.intensity!r}")
         if self.kind == POISSON and self.intensity <= 0:
             raise InvalidArgument("poisson intensity must be positive")
 
-    def sample_mass(self, measure, rng, size=None):
-        """Draw from the marginal law at parameter `measure`."""
+    def sample_mass(self, measure, rng, size):
+        """`size` draws from the marginal law at parameter `measure`."""
         if self.kind == GAUSSIAN:
             return rng.normal(0.0, np.sqrt(measure), size=size)
         if self.kind == POISSON:
             return rng.poisson(self.intensity * measure, size=size).astype(float)
-        out = self.intensity * measure
-        return out if size is None else np.full(size, out)
+        # a Python float product overflows to inf without a warning
+        return np.full(size, self.intensity * float(measure))
 
     def to_json(self):
         return {"kind": self.kind, "intensity": self.intensity}
@@ -116,48 +120,61 @@ def _sample_points_in_atom(atoms, atom_index, regions, count, rng,
     return out[:count]
 
 
+def _count(value, name):
+    """value as an int, if it is a non-negative integer."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidArgument(
+            f"{name} must be an integer, got {value!r}") from None
+    if n < 0:
+        raise InvalidArgument(f"{name} must be non-negative, got {n}")
+    return n
+
+
 def realize(spec: NoiseSpec, regions, n_atom_samples=100_000, seed=0,
             atoms: AtomTable = None, replicate=0) -> NoiseRealization:
     """One noise realization over the atom partition of `regions`.
 
-    Atom values are independent draws from the marginal law at the
-    atom's measure; streams are keyed by (seed, atom index, replicate)
-    so results do not depend on evaluation order.  The complement atom
-    (outside every region) gets no mass.
+    The atom values are row `replicate` of
+    realize_masses(spec, atoms, replicate + 1, seed), and so of every
+    realize_masses call with more rows.  Poisson points are placed in
+    atom i by rejection from the stream (seed, "points", i, replicate),
+    as many as the atom's count.  The complement atom (outside every
+    region) gets no mass.
     """
+    replicate = _count(replicate, "replicate")
     regions = tuple(regions)
     if atoms is None:
         atoms = atomize(regions, n=n_atom_samples, seed=seed)
-    values = np.zeros(len(atoms.signatures))
-    points = []
-    for i, sig in enumerate(atoms.signatures):
-        if not any(sig):
-            points.append(np.empty((0, atoms.bounding_box.shape[0])))
-            continue
-        rng = _rng.stream(seed, "atom", i, replicate)
-        if spec.kind == POISSON:
-            count = int(rng.poisson(spec.intensity * atoms.measures[i]))
-            pts = _sample_points_in_atom(atoms, i, regions, count, rng)
-            points.append(pts)
-            values[i] = float(count)
-        else:
-            values[i] = float(spec.sample_mass(atoms.measures[i], rng))
-            points.append(np.empty((0, atoms.bounding_box.shape[0])))
-    return NoiseRealization(spec, regions, atoms, values,
-                            tuple(points), seed)
+    values = realize_masses(spec, atoms, replicate + 1, seed)[replicate]
+    empty = np.empty((0, atoms.bounding_box.shape[0]))
+    points = tuple(
+        _sample_points_in_atom(atoms, i, regions, int(v),
+                               _rng.stream(seed, "points", i, replicate))
+        if spec.kind == POISSON and v else empty
+        for i, v in enumerate(values))
+    return NoiseRealization(spec, regions, atoms, values, points, seed)
 
 
 def realize_masses(spec: NoiseSpec, atoms: AtomTable, n_reps, seed=0):
     """(n_reps, n_atoms) array of independent atom masses, one row per
-    replicate.  Vectorized path for Monte Carlo experiments; the stream
-    is keyed per atom with the replicate as the draw index."""
-    n_atoms = len(atoms.signatures)
-    out = np.zeros((n_reps, n_atoms))
+    replicate.  The stream is keyed per atom, (seed, "atom", i), with the
+    replicate as the draw index, so row r does not depend on n_reps."""
+    n_reps = _count(n_reps, "n_reps")
+    out = np.zeros((n_reps, len(atoms.signatures)))
     for i, sig in enumerate(atoms.signatures):
         if not any(sig):
             continue
         rng = _rng.stream(seed, "atom", i)
-        out[:, i] = spec.sample_mass(atoms.measures[i], rng, size=n_reps)
+        try:
+            out[:, i] = spec.sample_mass(atoms.measures[i], rng, size=n_reps)
+        except ValueError as exc:  # numpy's Poisson sampler beyond its range
+            raise InvalidArgument(f"cannot draw {spec.kind} mass at measure "
+                                  f"{atoms.measures[i]!r}: {exc}") from exc
+    if not np.all(np.isfinite(out)):
+        raise InvalidArgument(f"{spec.kind} masses overflow at intensity "
+                              f"{spec.intensity!r}")
     return out
 
 

@@ -25,14 +25,12 @@ from .matrices import (
     RealJordanDecomposition,
     as_matrix,
     classify_noncompact_blocks,
-    matrix_to_json,
     real_jordan_form,
 )
 
 
 @dataclass(frozen=True)
 class ShrinkingFamily:
-    witness: np.ndarray
     decomposition: RealJordanDecomposition
     block_index: int
     case: str              # A, B, C or D
@@ -44,7 +42,7 @@ class ShrinkingFamily:
 
     @property
     def dim(self):
-        return self.witness.shape[0]
+        return self.basis_inv.shape[0]
 
     def param(self, t):
         """Monotone map from t in (0, inf) to the block-level parameter."""
@@ -52,15 +50,6 @@ class ShrinkingFamily:
         if not 0 < t < math.inf:
             raise InvalidArgument("t must be positive and finite")
         return t / (1.0 + t) if self.uses_cone else t
-
-    def to_json(self):
-        return {
-            "witness": matrix_to_json(self.witness),
-            "basis": matrix_to_json(self.decomposition.conjugator),
-            "block_index": self.block_index,
-            "case": self.case,
-            "param_map": "rho = t/(1+t)" if self.uses_cone else "eps = t",
-        }
 
 
 def build_family(A) -> ShrinkingFamily:
@@ -79,7 +68,6 @@ def build_family(A) -> ShrinkingFamily:
     pair = block.kind is BlockKind.COMPLEX_PAIR
     uses_cone = not (case in ("C", "D") and block.size == 1)
     return ShrinkingFamily(
-        witness=A,
         decomposition=dec,
         block_index=idx,
         case=case,

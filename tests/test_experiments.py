@@ -27,6 +27,7 @@ from levymix.gallery import named_matrix, rotation, shear, squeeze
 from levymix.regions import (
     Piece,
     Region,
+    atomize,
     box_region,
     intersection_volume,
     unit_box,
@@ -376,6 +377,22 @@ def test_cli_simulate_and_env_overrides(tmp_path, monkeypatch):
         if s == "1")
 
 
+def test_cli_simulate_poisson_is_reproducible(tmp_path):
+    regions = tmp_path / "regions.json"
+    regions.write_text(json.dumps([{"box": [[0.0, 1.0], [0.0, 1.0]]},
+                                   {"box": [[0.5, 1.5], [0.0, 1.0]]}]))
+    dumps = []
+    for out in ("a", "b"):
+        res = CliRunner().invoke(main, [
+            "simulate", "--spec", "poisson:3", "--regions", str(regions),
+            "--seed", "4", "--out", str(tmp_path / out)])
+        assert res.exit_code == 0, res.output
+        dumps.append((tmp_path / out / "realization.json").read_bytes())
+    assert dumps[0] == dumps[1]
+    dump = json.loads(dumps[0])
+    assert [len(p) for p in dump["atom_points"]] == dump["atom_values"]
+
+
 def test_cli_experiment_run(tmp_path):
     cfg = {"experiments": [
         {"kind": "mixing_curve", "name": "mix", "g": "squeeze",
@@ -410,6 +427,9 @@ def test_cli_experiment_run(tmp_path):
     ["sets", "verify", "--matrix", "squeeze", "--t-grid", "0.5,x"],
     ["simulate", "--regions", "rotated.json", "--n", "-5"],
     ["simulate", "--regions", "rotated.json", "--n", "0"],
+    *(["simulate", "--spec", spec, "--regions", "regions.json"]
+      for spec in ("poisson:nan", "poisson:inf", "poisson:1e300",
+                   "deterministic:nan", "deterministic:inf", "gaussian:nan")),
 ])
 def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -424,6 +444,7 @@ def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("error: ")
     assert "Traceback" not in res.output
+    assert not (tmp_path / "reports").exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -444,6 +465,9 @@ def test_cli_sets_verify_rejects_out_of_range(tmp_path, flag, value, message):
 def test_argument_checks_raise_invalid_argument():
     fam = build_family(squeeze())
     block = matrices.real_jordan_form(shear()).blocks[0]
+    gauss = noise.NoiseSpec(noise.GAUSSIAN)
+    atoms = atomize([UNIT], n=0)
+    wide = atomize([box_region(np.array([[0.0, 4.0], [0.0, 1.0]]))], n=0)
     calls = [
         lambda: intersection_volume(UNIT, UNIT, method="grid"),
         lambda: intersection_volume(UNIT, UNIT, method="mc", n=0),
@@ -460,10 +484,20 @@ def test_argument_checks_raise_invalid_argument():
         lambda: shrinking.null_boundary_check(fam, bounding_box=[[0, 0], [0, 1]]),
         lambda: shrinking.null_boundary_check(fam, bounding_box=[[1, 0], [0, 1]]),
         lambda: shrinking.null_boundary_check(fam, n_samples=0),
-        lambda: matrices.eigen_spectrum(squeeze(), cluster_tol=0.0),
         lambda: matrices.jordan_block_power_apply(block, -1, np.ones(2)),
         lambda: matrices.haar_average_form([]),
         lambda: noise.NoiseSpec(noise.POISSON, -1.0),
+        lambda: noise.NoiseSpec(noise.POISSON, float("inf")),
+        lambda: noise.NoiseSpec(noise.DETERMINISTIC, float("nan")),
+        lambda: noise.realize_masses(gauss, atoms, -1),
+        lambda: noise.realize_masses(gauss, atoms, 2.0),
+        lambda: noise.realize_masses(gauss, atoms, "3"),
+        lambda: noise.realize(gauss, [UNIT], atoms=atoms, replicate=-1),
+        lambda: noise.realize(gauss, [UNIT], atoms=atoms, replicate=0.5),
+        lambda: noise.realize_masses(noise.NoiseSpec(noise.POISSON, 1e300),
+                                     atoms, 1),
+        lambda: noise.realize_masses(noise.NoiseSpec(noise.DETERMINISTIC, 1e308),
+                                     wide, 1),
     ]
     for call in calls:
         with pytest.raises(errors.InvalidArgument) as info:

@@ -69,38 +69,6 @@ def test_rng_streams_are_deterministic_and_distinct():
 
 
 # ---------------------------------------------------------------------------
-# eigen clustering
-
-
-def test_eigen_spectrum_distinct_real():
-    clusters = lm.eigen_spectrum(np.diag([3.0, 2.0, 1.0]))
-    assert [c.value for c in clusters] == [3.0, 2.0, 1.0]
-    assert all(c.algebraic_mult == 1 and c.geometric_mult == 1
-               for c in clusters)
-
-
-def test_eigen_spectrum_conjugate_pair():
-    clusters = lm.eigen_spectrum(rotation(1.0))
-    assert len(clusters) == 2
-    assert np.isclose(abs(clusters[0].value), 1.0)
-    assert {np.round(c.value.imag, 6) for c in clusters} == {
-        np.round(np.sin(1.0), 6), -np.round(np.sin(1.0), 6)}
-
-
-def test_eigen_spectrum_defective_multiplicity():
-    clusters = lm.eigen_spectrum(shear())
-    assert len(clusters) == 1
-    assert clusters[0].algebraic_mult == 2
-    assert clusters[0].geometric_mult == 1
-
-
-def test_eigen_spectrum_rejects_bad_tol():
-    for tol in (0.0, -1e-6, float("nan"), float("inf")):
-        with pytest.raises(errors.InvalidArgument):
-            lm.eigen_spectrum(np.diag([2.0, 1.0]), cluster_tol=tol)
-
-
-# ---------------------------------------------------------------------------
 # Jordan chains over the complex numbers
 
 
@@ -124,6 +92,28 @@ def test_real_jordan_shear():
     dec = lm.real_jordan_form(shear())
     (b,) = dec.blocks
     assert b.kind is BlockKind.REAL and b.size == 2 and b.eigen == 1.0
+    assert dec.residual <= 1e-10
+
+
+def test_real_jordan_distinct_real():
+    dec = lm.real_jordan_form(np.diag([3.0, 2.0, 1.0]))
+    assert [b.eigen for b in dec.blocks] == [3.0, 2.0, 1.0]
+    assert all(b.kind is BlockKind.REAL and b.size == 1 for b in dec.blocks)
+
+
+def test_real_jordan_keeps_a_defective_block_whose_eigenvalues_scatter():
+    # the computed eigenvalues of a conjugated size-3 block at 1 scatter by
+    # about 1e-5 (eps**(1/3)): one real value and a complex pair, three
+    # clusters at the first radius of the ladder, and yet one block
+    K = RealJordanBlock(BlockKind.REAL, 3, 1.0 + 0j).materialize()
+    T = random_det1(3, stream(1, "x", 3), cond=50)
+    A = T @ K @ np.linalg.inv(T)
+    w = np.linalg.eigvals(A)
+    assert np.min(np.abs(w[:, None] - w[None, :]) + np.eye(3)) > 1e-6
+    dec = lm.real_jordan_form(A)
+    (b,) = dec.blocks
+    assert b.kind is BlockKind.REAL and b.size == 3
+    assert abs(b.eigen - 1.0) <= 1e-10
     assert dec.residual <= 1e-10
 
 
@@ -159,7 +149,7 @@ def test_real_jordan_rotation_pair_block():
     assert b.kind is BlockKind.COMPLEX_PAIR
     assert b.size == 1 and b.rows == 2
     assert b.eigen.imag > 0
-    assert np.isclose(abs(b.eigen), 1.0)
+    assert np.isclose(b.eigen, np.exp(1j))
 
 
 def test_real_jordan_reconstruction_small_corpus():
@@ -263,8 +253,6 @@ def test_block_count_matches_geometric_multiplicity():
     A = T @ K @ np.linalg.inv(T)
     dec = lm.real_jordan_form(A)
     assert sorted(b.size for b in dec.blocks) == [2, 2]
-    (cluster,) = lm.eigen_spectrum(A, cluster_tol=1e-4)
-    assert cluster.geometric_mult == 2
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ def test_spec_validation():
         NoiseSpec("cauchy")
     with pytest.raises(ValueError):
         NoiseSpec(POISSON, intensity=0.0)
-    assert NoiseSpec(DETERMINISTIC, 2.0).sample_mass(3.0, None) == 6.0
+    mass = NoiseSpec(DETERMINISTIC, 2.0).sample_mass(3.0, None, 2)
+    assert mass.tolist() == [6.0, 6.0]
 
 
 def test_additivity_exact_all_kinds():
@@ -42,24 +43,46 @@ def test_additivity_exact_all_kinds():
         assert real.value(0) + real.value(1) == real.value(2)
 
 
-def test_realize_reproducible_and_replicates_differ():
-    regions = _boxes()
-    spec = NoiseSpec(GAUSSIAN)
-    a = realize(spec, regions, seed=5)
-    b = realize(spec, regions, seed=5)
-    c = realize(spec, regions, seed=5, replicate=1)
-    assert np.array_equal(a.atom_values, b.atom_values)
-    assert not np.array_equal(a.atom_values, c.atom_values)
+@pytest.mark.parametrize("kind", [GAUSSIAN, POISSON, DETERMINISTIC])
+def test_realize_is_a_row_of_realize_masses(kind):
+    regions = [box_region(np.array([[0.0, 1.0], [0.0, 1.0]])),
+               box_region(np.array([[0.5, 1.5], [0.0, 1.0]]))]
+    spec = NoiseSpec(kind, 3.0)
+    atoms = atomize(regions, n=0)
+    rows = realize_masses(spec, atoms, 8, seed=3)
+    for r in (0, 1, 5):
+        got = realize(spec, regions, seed=3, atoms=atoms, replicate=r)
+        assert got.atom_values.tobytes() == rows[r].tobytes()
+        for n in (r + 1, 50):
+            row = realize_masses(spec, atoms, n, seed=3)[r]
+            assert row.tobytes() == rows[r].tobytes()
+        again = realize(spec, regions, seed=3, atoms=atoms, replicate=r)
+        assert again.atom_values.tobytes() == got.atom_values.tobytes()
+    # without a table, realize atomizes at its own seed; rows still match
+    real = realize(spec, regions, n_atom_samples=5_000, seed=3, replicate=1)
+    want = realize_masses(spec, real.atoms, 2, seed=3)[1]
+    assert real.atom_values.tobytes() == want.tobytes()
+    if kind != DETERMINISTIC:
+        assert not np.array_equal(rows[0], rows[1])
 
 
 def test_poisson_points_consistent_with_masses():
     regions = _boxes()
-    real = realize(NoiseSpec(POISSON, intensity=30.0), regions, seed=7)
-    pts = real.points()
-    assert pts.shape[1] == 2
-    for i, region in enumerate(regions):
-        assert real.count_in(region) == int(real.value(i))
-    assert real.value(2) == len(pts)
+    atoms = atomize(regions, n=0)
+    for r in (0, 1, 5):
+        real = realize(NoiseSpec(POISSON, intensity=30.0), regions, seed=7,
+                       atoms=atoms, replicate=r)
+        pts = real.points()
+        assert pts.shape[1] == 2
+        for i, region in enumerate(regions):
+            assert real.count_in(region) == int(real.value(i))
+        assert real.value(2) == len(pts) > 0
+        # every atom holds as many points as it counts, all inside it
+        for sig, count, p in zip(atoms.signatures, real.atom_values,
+                                 real.atom_points):
+            assert len(p) == count
+            for region, inside in zip(regions, sig):
+                assert np.all(region.contains(p) == inside)
 
 
 def test_poisson_pushforward_moves_points():
@@ -136,9 +159,8 @@ def test_gaussian_covariance_matches_overlap():
     r2 = box_region(np.array([[0.5, 1.5], [0.0, 1.0]]))
     atoms = atomize([r1, r2], n=0)
     M = realize_masses(NoiseSpec(GAUSSIAN), atoms, 10_000, seed=2)
-    in0 = np.array([s[0] for s in atoms.signatures])
-    in1 = np.array([s[1] for s in atoms.signatures])
-    cmat = np.cov(M[:, in0].sum(axis=1), M[:, in1].sum(axis=1))
+    cmat = np.cov(M[:, atoms.atoms_of_region(0)].sum(axis=1),
+                  M[:, atoms.atoms_of_region(1)].sum(axis=1))
     sigma = np.sqrt((cmat[0, 0] * cmat[1, 1] + cmat[0, 1] ** 2) / 9_999)
     assert abs(cmat[0, 1] - 0.5) <= 3 * sigma
 

@@ -493,10 +493,3 @@ def test_null_boundary_mid_t_strictly_between(shear_family):
     pts = rng.uniform(-1, 1, size=(20_000, 2))
     frac = float(contains_many(shear_family, 1.0, pts).mean())
     assert 0.0 < frac < 1.0
-
-
-def test_family_json(shear_family):
-    obj = shear_family.to_json()
-    assert obj["case"] == "A"
-    assert obj["param_map"] == "rho = t/(1+t)"
-    assert obj["witness"]["d"] == 2
