@@ -101,6 +101,31 @@ def test_real_jordan_distinct_real():
     assert all(b.kind is BlockKind.REAL and b.size == 1 for b in dec.blocks)
 
 
+def test_eigen_spectrum_conjugate_pair():
+    # the spectrum of rotation(1.0) read off its real Jordan form: the
+    # conjugate pair e^{+i}, e^{-i}, each of multiplicity one
+    dec = lm.real_jordan_form(rotation(1.0))
+    spectrum = [v for b in dec.blocks for v in (b.eigen, np.conj(b.eigen))]
+    assert len(spectrum) == 2
+    assert np.allclose(np.abs(spectrum), 1.0)
+    assert {np.round(v.imag, 6) for v in spectrum} == {
+        np.round(np.sin(1.0), 6), -np.round(np.sin(1.0), 6)}
+    assert np.allclose(sorted(spectrum, key=np.imag),
+                       sorted(np.linalg.eigvals(rotation(1.0)), key=np.imag))
+
+
+def test_eigen_spectrum_defective_multiplicity():
+    # the shear's one eigenvalue has algebraic multiplicity 2 (the rows of
+    # its blocks) and geometric multiplicity 1 (the number of its blocks,
+    # and the nullity of shear - I)
+    A = shear()
+    dec = lm.real_jordan_form(A)
+    assert {b.eigen for b in dec.blocks} == {1.0}
+    assert sum(b.size for b in dec.blocks) == 2
+    assert len(dec.blocks) == 1
+    assert 2 - np.linalg.matrix_rank(A - np.eye(2)) == 1
+
+
 def test_real_jordan_keeps_a_defective_block_whose_eigenvalues_scatter():
     # the computed eigenvalues of a conjugated size-3 block at 1 scatter by
     # about 1e-5 (eps**(1/3)): one real value and a complex pair, three
