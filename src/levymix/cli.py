@@ -39,15 +39,8 @@ def _load_matrices(spec):
     return [parse_matrix(o) for o in (obj if isinstance(obj, list) else [obj])]
 
 
-def _emit(obj, fmt):
-    if fmt == "json":
-        click.echo(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                click.echo(f"{k},{v}")
-        else:
-            click.echo(obj)
+def _emit(obj):
+    click.echo(json.dumps(obj, indent=2, sort_keys=True))
 
 
 class _Main(click.Group):
@@ -69,55 +62,47 @@ def main():
 @main.command()
 @click.option("--matrix", "matrix_spec", required=True,
               help="Matrix alias or JSON file.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json")
-def jordan(matrix_spec, fmt):
+def jordan(matrix_spec):
     """Real Jordan decomposition of a matrix."""
     dec = real_jordan_form(_load_matrix(matrix_spec))
-    _emit(dec.to_json(), fmt)
+    _emit(dec.to_json())
 
 
 @main.command()
 @click.option("--matrix", "matrix_spec", required=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json")
-def classify(matrix_spec, fmt):
+def classify(matrix_spec):
     """Compactness classification of the cyclic group of a matrix."""
     dec = real_jordan_form(_load_matrix(matrix_spec))
     cert = classify_noncompact_blocks(dec)
     _emit({"compact": cert.compact,
-           "case_tags": [[c, i] for c, i in cert.case_tags]}, fmt)
+           "case_tags": [[c, i] for c, i in cert.case_tags]})
 
 
 @main.command()
 @click.option("--generators", "gen_spec", required=True,
               help="Alias or JSON file with a matrix or list of matrices.")
 @click.option("--max-word-len", default=6, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json")
-def witness(gen_spec, max_word_len, fmt):
+def witness(gen_spec, max_word_len):
     """Search for a word with non-compact cyclic closure; without one,
     decide compactness by the group's invariant form."""
     gens = _load_matrices(gen_spec)
     w = find_noncompact_witness(gens, max_word_len=max_word_len)
     if w is not None:
-        return _emit({"found": True, "witness": matrix_to_json(w)}, fmt)
+        return _emit({"found": True, "witness": matrix_to_json(w)})
     try:
         haar_average_form(gens)
     except NotCompact:
         return _emit({"found": False, "compact": False, "note": "no witness "
-                      f"up to word length {max_word_len}"}, fmt)
-    _emit({"found": False, "compact": True}, fmt)
+                      f"up to word length {max_word_len}"})
+    _emit({"found": False, "compact": True})
 
 
 @main.command()
 @click.option("--generators", "gen_spec", required=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json")
-def weyl(gen_spec, fmt):
+def weyl(gen_spec):
     """Conjugator taking the generated compact group into the orthogonal group."""
     h = weyl_conjugator(_load_matrices(gen_spec))
-    _emit(matrix_to_json(h), fmt)
+    _emit(matrix_to_json(h))
 
 
 @main.group()
@@ -128,7 +113,9 @@ def sets():
 @sets.command()
 @click.option("--matrix", "matrix_spec", required=True)
 @click.option("--t-grid", default="0.2,0.5,1,2,5", show_default=True)
-@click.option("--n-samples", default=2000, show_default=True)
+@click.option("--n-samples", default=2000, show_default=True,
+              help="Points of D_t per absorption lag; the null-boundary "
+                   "line always draws 100000 in [-1, 1]^d, at t = 1e6 and 1e-6.")
 @click.option("--h-max", default=200, show_default=True)
 @click.option("--seed", type=int, default=0, envvar="LEVYMIX_SEED")
 @click.option("--out", "out_dir", type=str, default="reports",
@@ -193,9 +180,7 @@ def experiment():
               help="Experiment config JSON (defaults to the canonical battery).")
 @click.option("--seed", type=int, default=None, envvar="LEVYMIX_SEED")
 @click.option("--out", type=str, default=None, envvar="LEVYMIX_OUT")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json")
-def run(config_path, seed, out, fmt):
+def run(config_path, seed, out):
     """Run configured experiments; exit 0 iff every verdict is pass."""
     code, reports = run_all(config_path, seed_override=seed, out_override=out)
     for name, report in reports.items():

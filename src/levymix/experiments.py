@@ -18,8 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import (ApproximationTooCoarse, ConfigError, DimensionMismatch,
-                     InvalidArgument, InvalidGenerator, NonFiniteInput,
-                     OverlapUnknown)
+                     InvalidArgument, InvalidGenerator, NonFiniteInput)
 from .gallery import parse_matrix
 from .matrices import (
     _generator_list,
@@ -39,13 +38,11 @@ from .regions import (
     Region,
     atomize,
     box_region,
-    clip_polygon,
     intersection_volume,
-    polygon_area,
     transform,
     volume,
 )
-from .shrinking import ShrinkingFamily, build_family
+from .shrinking import build_family, family_overlap
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 MC_SAMPLES = 200_000  # points per Monte Carlo overlap or atom table
@@ -150,42 +147,6 @@ def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000,
         criterion = "compact map does not fix C; no dichotomy claim"
     report.verdict, report.criterion = verdict, criterion
     return report
-
-
-# ---------------------------------------------------------------------------
-# exact measure of C n D_t in the plane
-
-
-def family_overlap(fam: ShrinkingFamily, t, C: Region) -> float:
-    """Exact measure of C n D_t for a shrinking family in the plane.
-
-    In Jordan coordinates y = T^-1 x, D_t is the double wedge
-    |y2| <= k |y1|, k = rho / sqrt(1 - rho^2), of a size-2 real block,
-    or the strip |y_off| <= eps of a real scalar block.  Each convex
-    cell of it is cut out by two half-planes, and a.y <= b is
-    (a T^-1).x <= b.  Every parallelotope of C is clipped against every
-    cell (Sutherland-Hodgman) and the shoelace areas are summed.
-    """
-    if fam.dim != 2 or fam.pair or C.dim != 2:
-        raise ApproximationTooCoarse("exact C n D_t needs d=2 and a real block")
-    if not C.disjoint:
-        raise OverlapUnknown("exact overlap requires disjoint pieces")
-    if fam.uses_cone:
-        rho = fam.param(t)
-        k = rho / np.sqrt(1.0 - rho * rho)
-        cells = [[(np.array([-side * k, 1.0]), 0.0),
-                  (np.array([-side * k, -1.0]), 0.0)] for side in (1.0, -1.0)]
-    else:
-        e = np.eye(2)[fam.offset]
-        cells = [[(e, fam.param(t)), (-e, fam.param(t))]]
-    total = 0.0
-    for piece in C.pieces:
-        for cell in cells:
-            poly = piece.polygon()
-            for a, b in cell:
-                poly = clip_polygon(poly, a @ fam.basis_inv, b)
-            total += polygon_area(poly)
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import (ConfigError, InvalidArgument, LevymixError,
                      SamplingFailure)
-from .matrices import (BlockKind, RealJordanBlock, assemble_jordan,
-                       matrix_from_json)
+from .matrices import BlockKind, RealJordanBlock, as_matrix, assemble_jordan
 
 
 def shear():
@@ -38,23 +37,25 @@ ALIASES = {
 }
 
 
-def named_matrix(name):
-    try:
-        return ALIASES[name]()
-    except KeyError:
-        raise ConfigError(f"unknown matrix alias {name!r}") from None
-
-
 def parse_matrix(obj):
-    """Matrix from an alias name or a {"rows": ..., "d": ...} object."""
+    """Matrix from an alias name or a {"rows": ..., "d": ...} object.
+
+    An unknown alias, rows that are not a finite square matrix, and a
+    declared "d" other than the row count raise ConfigError.
+    """
     if isinstance(obj, str):
-        return named_matrix(obj)
+        if obj not in ALIASES:
+            raise ConfigError(f"unknown matrix alias {obj!r}")
+        return ALIASES[obj]()
     if not (isinstance(obj, dict) and "rows" in obj):
         raise ConfigError("matrix: expected an alias string or a rows object")
     try:
-        return matrix_from_json(obj)
+        A = as_matrix(obj["rows"])
     except (LevymixError, TypeError, ValueError) as exc:
         raise ConfigError(f"matrix: {exc}") from exc
+    if obj.get("d", len(A)) != len(A):
+        raise ConfigError("matrix: declared order does not match row count")
+    return A
 
 
 def random_det1(d, rng, cond=50.0):

@@ -64,14 +64,6 @@ def matrix_to_json(A) -> dict:
     return {"d": int(A.shape[0]), "rows": [[float(v) for v in row] for row in A]}
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    """Matrix from {"rows": [[...], ...]}, checked against "d" when given."""
-    A = as_matrix(obj["rows"])
-    if A.shape[0] != int(obj.get("d", A.shape[0])):
-        raise DimensionMismatch("declared order does not match row count")
-    return A
-
-
 def _generator_list(generators):
     """Generators as validated matrices: at least one, all of one order."""
     gens = [as_matrix(g) for g in generators]
@@ -322,13 +314,6 @@ class RealJordanDecomposition:
 
     def jordan_matrix(self) -> np.ndarray:
         return assemble_jordan(self.blocks)
-
-    def block_offsets(self):
-        offs, off = [], 0
-        for b in self.blocks:
-            offs.append(off)
-            off += b.rows
-        return offs
 
     def to_json(self) -> dict:
         return {

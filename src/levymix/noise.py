@@ -22,6 +22,7 @@ from .regions import AtomTable, Region, atomize
 GAUSSIAN = "gaussian"
 POISSON = "poisson"
 DETERMINISTIC = "deterministic"
+MAX_POISSON_POINTS = 10**6  # points one realization may place, over all atoms
 
 
 @dataclass(frozen=True)
@@ -140,14 +141,18 @@ def realize(spec: NoiseSpec, regions, n_atom_samples=100_000, seed=0,
     realize_masses(spec, atoms, replicate + 1, seed), and so of every
     realize_masses call with more rows.  Poisson points are placed in
     atom i by rejection from the stream (seed, "points", i, replicate),
-    as many as the atom's count.  The complement atom (outside every
-    region) gets no mass.
+    as many as the atom's count; counts summing above MAX_POISSON_POINTS
+    raise InvalidArgument before any point is placed.  The complement
+    atom (outside every region) gets no mass.
     """
     replicate = _count(replicate, "replicate")
     regions = tuple(regions)
     if atoms is None:
         atoms = atomize(regions, n=n_atom_samples, seed=seed)
     values = realize_masses(spec, atoms, replicate + 1, seed)[replicate]
+    if spec.kind == POISSON and values.sum() > MAX_POISSON_POINTS:
+        raise InvalidArgument(f"{values.sum():.0f} Poisson points exceed "
+                              f"the bound of {MAX_POISSON_POINTS}")
     empty = np.empty((0, atoms.bounding_box.shape[0]))
     points = tuple(
         _sample_points_in_atom(atoms, i, regions, int(v),

@@ -318,8 +318,11 @@ def clip_polygon(poly, a, b):
     return np.array(out).reshape(-1, 2)
 
 
-def polygon_area(poly):
-    """Shoelace area of a polygon with vertices in cyclic order; 0 below 3."""
+def clipped_area(poly, halfplanes):
+    """Area of the part of the convex polygon `poly` where a.x <= b for
+    every (a, b) of `halfplanes`: clipped in turn, then the shoelace sum."""
+    for a, b in halfplanes:
+        poly = clip_polygon(poly, a, b)
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * abs(x @ np.roll(y, -1) - y @ np.roll(x, -1))
 
@@ -346,10 +349,7 @@ def _planar_overlap(r1: Region, r2: Region):
             if np.any(np.maximum(b1[:, 0], b2[:, 0])
                       >= np.minimum(b1[:, 1], b2[:, 1])):
                 continue  # bounding boxes do not meet
-            poly = poly1
-            for a, b in p2._halfplanes:
-                poly = clip_polygon(poly, a, b)
-            total += polygon_area(poly)
+            total += clipped_area(poly1, p2._halfplanes)
     return float(total)
 
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import (CompactClosure, DimensionMismatch, InvalidArgument,
-                     InvalidGenerator, NonFiniteInput, NotReached,
+from .errors import (ApproximationTooCoarse, CompactClosure,
+                     DimensionMismatch, InvalidArgument, InvalidGenerator,
+                     NonFiniteInput, NotReached, OverlapUnknown,
                      SamplingFailure)
 from .matrices import (
     BlockKind,
@@ -27,6 +28,7 @@ from .matrices import (
     classify_noncompact_blocks,
     real_jordan_form,
 )
+from .regions import Region, clipped_area
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,13 @@ def build_family(A) -> ShrinkingFamily:
                                "defective on the unit circle")
     case, idx = min(cert.case_tags, key=lambda tag: tag[1])
     block = dec.blocks[idx]
-    offset = dec.block_offsets()[idx]
     pair = block.kind is BlockKind.COMPLEX_PAIR
     uses_cone = not (case in ("C", "D") and block.size == 1)
     return ShrinkingFamily(
         decomposition=dec,
         block_index=idx,
         case=case,
-        offset=offset,
+        offset=sum(b.rows for b in dec.blocks[:idx]),
         rows=block.rows,
         uses_cone=uses_cone,
         pair=pair,
@@ -215,9 +216,9 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
                    h_max=200, seed=0):
     """Smallest h0 with A^h D_{t_large} samples inside D_{t_small} for h >= h0.
 
-    Returns (h0, violations); violations counts (sample, h) failures at
-    or beyond the reported h0 and is zero by construction.  Raises
-    NotReached when h_max is insufficient.
+    Returns (h0, 0): h0 is one past the last power at which some sample
+    lies outside D_{t_small}, so no (sample, h) fails from h0 on.
+    Raises NotReached when h_max is insufficient.
 
     D_t is sampled and stepped in the tagged block's own coordinates:
     it is defined through the decomposition's T, so the block K of
@@ -232,46 +233,57 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
     rng = _rng.stream(seed, "absorption")
     cur = _sample_in_family(fam, t_large, n_samples, rng)
     K = fam.decomposition.blocks[fam.block_index].materialize()
-    member = np.empty((h_max + 1, n_samples), dtype=bool)
+    h0 = 0
     for h in range(h_max + 1):
-        member[h] = _in_family(fam, t_small, cur)
+        if not _in_family(fam, t_small, cur).all():
+            h0 = h + 1
         if h < h_max:
             cur = K @ cur
-    fails = ~member
-    last_fail = np.where(fails.any(axis=0),
-                         h_max - np.argmax(fails[::-1], axis=0), -1)
-    h0 = int(last_fail.max()) + 1
     if h0 > h_max:
         raise NotReached(f"absorption not reached within h_max={h_max}")
-    violations = int(fails[h0:].sum())
-    return h0, violations
+    return h0, 0
 
 
-def null_boundary_check(fam: ShrinkingFamily, n_samples=100_000,
-                        bounding_box=None, seed=0,
-                        t_union=1e6, t_intersection=1e-6):
+def null_boundary_check(fam: ShrinkingFamily, n_samples=100_000, seed=0):
     """(frac_outside_union, frac_in_intersection) via extreme-t proxies.
 
-    Uniform samples in the box; the fraction outside D_{t_union}
+    Uniform samples in [-1, 1]^d; the fraction outside D_{10^6}
     approximates the measure missing from the union, the fraction inside
-    D_{t_intersection} approximates the measure of the intersection.
-    Both target Lebesgue-null limit sets, so both fractions should be
-    small (up to the proxy gap).
+    D_{10^-6} approximates the measure of the intersection.  Both target
+    Lebesgue-null limit sets, so both fractions should be small (up to
+    the proxy gap).
     """
     if n_samples < 1:
         raise InvalidArgument("need n_samples >= 1")
-    if bounding_box is None:
-        bounding_box = np.column_stack([-np.ones(fam.dim), np.ones(fam.dim)])
-    bounding_box = _floats(bounding_box, "bounding box")
-    if bounding_box.shape != (fam.dim, 2):
-        raise DimensionMismatch(f"bounding box must have shape ({fam.dim}, 2)")
-    if not np.all(np.isfinite(bounding_box)):
-        raise NonFiniteInput("bounding box entries must be finite")
-    if np.any(bounding_box[:, 1] <= bounding_box[:, 0]):
-        raise InvalidArgument("bounding box must have positive volume")
     rng = _rng.stream(seed, "nullcheck")
-    pts = bounding_box[:, 0] + rng.random((n_samples, fam.dim)) * (
-        bounding_box[:, 1] - bounding_box[:, 0])
-    frac_outside = 1.0 - float(contains_many(fam, t_union, pts).mean())
-    frac_inside = float(contains_many(fam, t_intersection, pts).mean())
+    pts = 2.0 * rng.random((n_samples, fam.dim)) - 1.0
+    frac_outside = 1.0 - float(contains_many(fam, 1e6, pts).mean())
+    frac_inside = float(contains_many(fam, 1e-6, pts).mean())
     return frac_outside, frac_inside
+
+
+def family_overlap(fam: ShrinkingFamily, t, C: Region) -> float:
+    """Exact measure of C n D_t for a shrinking family in the plane.
+
+    In Jordan coordinates y = T^-1 x, D_t is the double wedge
+    |y2| <= k |y1|, k = rho / sqrt(1 - rho^2), of a size-2 real block,
+    or the strip |y_off| <= eps of a real scalar block.  Each convex
+    cell of it is cut out by two half-planes, and a.y <= b is
+    (a T^-1).x <= b.  Every parallelotope of C is clipped against every
+    cell and the areas are summed.
+    """
+    if fam.dim != 2 or fam.pair or C.dim != 2:
+        raise ApproximationTooCoarse("exact C n D_t needs d=2 and a real block")
+    if not C.disjoint:
+        raise OverlapUnknown("exact overlap requires disjoint pieces")
+    if fam.uses_cone:
+        rho = fam.param(t)
+        k = rho / np.sqrt(1.0 - rho * rho)
+        cells = [[(np.array([-side * k, 1.0]), 0.0),
+                  (np.array([-side * k, -1.0]), 0.0)] for side in (1.0, -1.0)]
+    else:
+        e = np.eye(2)[fam.offset]
+        cells = [[(e, fam.param(t)), (-e, fam.param(t))]]
+    cells = [[(a @ fam.basis_inv, b) for a, b in cell] for cell in cells]
+    return float(sum(clipped_area(piece.polygon(), cell)
+                     for piece in C.pieces for cell in cells))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -23,7 +24,7 @@ from levymix.experiments import (
     run_all,
     tail_triviality_decay,
 )
-from levymix.gallery import named_matrix, rotation, shear, squeeze
+from levymix.gallery import rotation, shear, squeeze
 from levymix.regions import (
     Piece,
     Region,
@@ -246,6 +247,10 @@ def test_run_all_config_errors(tmp_path):
               "f": "cube"}, "unknown function"),
             ({"kind": "mixing_curve", "g": {"rows": [[1, 0]]}, "C": unit},
              "square"),
+            ({"kind": "mixing_curve", "g": "shear3", "C": unit},
+             "unknown matrix alias 'shear3'"),
+            ({"kind": "mixing_curve", "g": {"d": 3, "rows": [[1, 1], [0, 1]]},
+              "C": unit}, "declared order does not match row count"),
             ({"kind": "mixing_curve", "g": "shear", "C": {"box": "x"}}, "C:"),
             ({"kind": "mixing_curve", "g": "shear", "C": unit,
               "n_reps": "many"}, "n_reps"),
@@ -410,6 +415,20 @@ def test_cli_experiment_run(tmp_path):
     assert res.exit_code == 2
 
 
+def test_cli_has_no_format_option():
+    def commands(group):
+        for cmd in group.commands.values():
+            yield cmd
+            if isinstance(cmd, click.Group):
+                yield from commands(cmd)
+
+    names = [cmd.name for cmd in commands(main)]
+    assert {"jordan", "classify", "witness", "weyl", "verify", "run"} <= set(names)
+    for cmd in commands(main):
+        flags = [o.lstrip("-") for p in cmd.params for o in p.opts]
+        assert "format" not in flags, cmd.name
+
+
 @pytest.mark.parametrize("argv", [
     ["jordan", "--matrix", "nope.json"],
     ["classify", "--matrix", "nope.json"],
@@ -429,7 +448,9 @@ def test_cli_experiment_run(tmp_path):
     ["simulate", "--regions", "rotated.json", "--n", "0"],
     *(["simulate", "--spec", spec, "--regions", "regions.json"]
       for spec in ("poisson:nan", "poisson:inf", "poisson:1e300",
-                   "deterministic:nan", "deterministic:inf", "gaussian:nan")),
+                   "deterministic:nan", "deterministic:inf", "gaussian:nan",
+                   "poisson:1e7")),
+    ["jordan", "--matrix", "infinite_order.json"],
 ])
 def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -438,6 +459,8 @@ def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
         {"frame": [[0.6, -0.8], [0.8, 0.6]], "box": [[0, 1], [0, 1]]}]}]))
     (tmp_path / "bad.json").write_text(json.dumps([{"rows": [[1.0, 0.0]]}]))
     (tmp_path / "empty.json").write_text("[]")
+    (tmp_path / "infinite_order.json").write_text(json.dumps(
+        {"d": float("inf"), "rows": np.eye(2).tolist()}))
     (tmp_path / "mixed.json").write_text(json.dumps(
         [{"rows": np.eye(2).tolist()}, {"rows": np.eye(3).tolist()}]))
     res = CliRunner().invoke(main, argv)
@@ -475,14 +498,11 @@ def test_argument_checks_raise_invalid_argument():
         lambda: fam.param(0.0),
         lambda: fam.param(float("nan")),
         lambda: shrinking.contains_many(fam, float("inf"), np.zeros((1, 2))),
-        lambda: shrinking.null_boundary_check(fam, t_union=float("nan")),
         lambda: shrinking.absorption_lag(fam, 0.0, 1.0),
         lambda: shrinking.absorption_lag(fam, float("nan"), 1.0),
         lambda: shrinking.absorption_lag(fam, 1.0, float("inf")),
         lambda: shrinking.absorption_lag(fam, 0.5, 1.0, n_samples=0),
         lambda: shrinking.absorption_lag(fam, 0.5, 1.0, h_max=-1),
-        lambda: shrinking.null_boundary_check(fam, bounding_box=[[0, 0], [0, 1]]),
-        lambda: shrinking.null_boundary_check(fam, bounding_box=[[1, 0], [0, 1]]),
         lambda: shrinking.null_boundary_check(fam, n_samples=0),
         lambda: matrices.jordan_block_power_apply(block, -1, np.ones(2)),
         lambda: matrices.haar_average_form([]),

@@ -10,7 +10,7 @@ from levymix.gallery import (
     conjugated_rotation,
     dihedral_generators,
     jordan_corpus,
-    named_matrix,
+    parse_matrix,
     random_det1,
     random_jordan_matrix,
     rotation,
@@ -25,7 +25,6 @@ from levymix.matrices import (
     _words,
     as_matrix,
     in_measure_preserving_group,
-    matrix_from_json,
     matrix_to_json,
 )
 from levymix.rng import stream
@@ -48,9 +47,10 @@ def test_matrix_json_round_trip():
     A = shear()
     obj = matrix_to_json(A)
     assert obj["d"] == 2
-    assert np.array_equal(matrix_from_json(obj), A)
-    with pytest.raises(errors.DimensionMismatch):
-        matrix_from_json({"d": 3, "rows": A.tolist()})
+    assert np.array_equal(parse_matrix(obj), A)
+    for d in (3, 2.5, "2", float("nan")):
+        with pytest.raises(errors.ConfigError, match="declared order"):
+            parse_matrix({"d": d, "rows": A.tolist()})
 
 
 def test_measure_preserving_check():
@@ -145,7 +145,7 @@ def test_real_jordan_keeps_a_defective_block_whose_eigenvalues_scatter():
 def test_real_jordan_squeeze_canonical_order():
     dec = lm.real_jordan_form(squeeze())
     assert [b.eigen.real for b in dec.blocks] == [2.0, 0.5]
-    assert dec.block_offsets() == [0, 1]
+    assert lm.build_family(squeeze()).offset == 1
 
 
 def test_real_jordan_scrambled_pair_block():

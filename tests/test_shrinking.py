@@ -150,9 +150,6 @@ def test_contains_dimension_check(shear_family):
         contains(shear_family, 1.0, np.zeros(3))
     with pytest.raises(errors.DimensionMismatch):
         contains_many(shear_family, 1.0, np.zeros((4, 2, 2)))
-    for box in ([[0.0, 1.0]], [[0.0, 1.0]] * 3, [0.0, 1.0]):
-        with pytest.raises(errors.DimensionMismatch):
-            lm.null_boundary_check(shear_family, n_samples=10, bounding_box=box)
 
 
 def test_family_inputs_must_be_finite(shear_family, squeeze_family):
@@ -163,17 +160,6 @@ def test_family_inputs_must_be_finite(shear_family, squeeze_family):
                 contains(fam, 1.0, np.array(x))
             with pytest.raises(errors.NonFiniteInput):
                 contains_many(fam, 1.0, np.array([[1.0, 2.0], x]))
-        for box in ([[np.nan, 1.0], [-1.0, 1.0]], [[-1.0, 1.0], [-1.0, np.inf]],
-                    [[-np.inf, 1.0], [-1.0, 1.0]]):
-            with pytest.raises(errors.NonFiniteInput):
-                lm.null_boundary_check(fam, n_samples=10, bounding_box=box)
-
-
-@pytest.mark.parametrize("box", [[[0.0, 1.0], [2.0]], "[[0, 1], [0, 1]]"],
-                         ids=["ragged", "string"])
-def test_null_boundary_box_must_be_numbers(shear_family, box):
-    with pytest.raises(errors.InvalidArgument):
-        lm.null_boundary_check(shear_family, n_samples=10, bounding_box=box)
 
 
 def test_membership_points_must_be_numbers(shear_family):
