@@ -9,6 +9,7 @@ mass (rate * t).
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -200,6 +201,13 @@ def apply_transform(g, realization: NoiseRealization) -> NoiseRealization:
                             moved, realization.seed)
 
 
+@functools.cache
+def _hermite_rule():
+    """Nodes and weights of the 32-node Gauss-Hermite rule, computed on
+    first use rather than at import, which would cost every caller."""
+    return np.polynomial.hermite.hermgauss(32)
+
+
 def gaussian_conditional_samples(f, s, lam_C, n, rng):
     """Samples of E[f(mass(C)) | the noise inside B], where s is the
     overlap measure of C with B and lam_C the measure of C.
@@ -213,7 +221,7 @@ def gaussian_conditional_samples(f, s, lam_C, n, rng):
     v = rng.normal(0.0, np.sqrt(max(s, 0.0)), size=n)
     if r <= 1e-14:
         return np.asarray(f(v), dtype=float)
-    nodes, weights = np.polynomial.hermite.hermgauss(32)
+    nodes, weights = _hermite_rule()
     shifted = v[:, None] + np.sqrt(2.0 * r) * nodes[None, :]
     vals = np.asarray(f(shifted), dtype=float)
     return (vals @ weights) / np.sqrt(np.pi)

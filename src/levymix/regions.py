@@ -10,6 +10,13 @@ four half-planes of the other (Sutherland-Hodgman) and the shoelace areas
 are summed.  Overlaps in d >= 3 with other frames, and the atoms of any
 family that is not all axis boxes, are Monte Carlo.
 
+Monte Carlo points are stratified, and they are drawn, classified and
+counted one block of strata at a time, about BLOCK_POINTS points a block,
+so no array of the whole sample is built.  An atom's signature is coded as
+one integer per point; up to 16 regions (2**count codes no more than a
+block) each block's codes are counted by np.bincount, and wider families
+gather all the codes for np.unique.
+
 Membership is closed at every face.  Two or more axis boxes of a region
 are painted once on a table of the faces and cells their endpoints cut;
 up to TABLE_POINTS points per box are looked up in it by one searchsorted
@@ -40,6 +47,7 @@ from .matrices import as_matrix, matrix_to_json
 
 TABLE_SIZE_CAP = 1 << 20  # elements of a region's membership table
 TABLE_POINTS = 128  # a table is read for up to this many points per axis box
+BLOCK_POINTS = 1 << 16  # Monte Carlo points drawn, classified and counted at a time
 
 
 def _columns(points, d):
@@ -257,32 +265,46 @@ def unit_box(d):
     return box_region(np.column_stack([np.zeros(d), np.ones(d)]))
 
 
-def _stratified_uniform(bounds, n, rng):
+def _stratified_blocks(bounds, n, rng):
     """About n stratified-uniform points in the box `bounds`: m >= 2 in
     each of s**d strata, s the largest integer with s**d < n (at least 1),
-    so that the strata give a variance.  Returns (points as d rows, s**d, m)."""
+    so that the strata give a variance.  Returns (s**d, m, blocks): blocks
+    yields the points as d contiguous rows, whole rows of strata along
+    axis 0 at a time, at most BLOCK_POINTS points or else one row.  The
+    strata come in ij order, m points each, drawn in that order, so the
+    blocks concatenate to the same points whatever their size."""
     if not n >= 1:
         raise InvalidArgument(f"need at least one sample point, got n={n}")
     d = bounds.shape[0]
     s = max(int(np.ceil(n ** (1.0 / d))) - 1, 1)
     m = max(int(np.ceil(n / s**d)), 2)
-    pts = rng.random((s**d, m, d))
-    pts *= (bounds[:, 1] - bounds[:, 0]) / s
-    cells = pts.reshape((s,) * d + (m, d))  # stratum index per axis, ij order
-    for k in range(d):
-        lo = np.linspace(bounds[k, 0], bounds[k, 1], s + 1)[:-1]
-        cells[..., k] += lo.reshape((1,) * k + (s,) + (1,) * (d - k))
-    return np.ascontiguousarray(pts.reshape(-1, d).T), s**d, m
+    step = max(BLOCK_POINTS // (s ** (d - 1) * m), 1)  # rows of strata per block
+    scale = (bounds[:, 1] - bounds[:, 0]) / s
+    lows = [np.linspace(bounds[k, 0], bounds[k, 1], s + 1)[:-1] for k in range(d)]
+
+    def blocks():
+        for first in range(0, s, step):
+            rows = min(step, s - first)
+            pts = rng.random((rows * s ** (d - 1), m, d))
+            pts *= scale
+            cells = pts.reshape((rows,) + (s,) * (d - 1) + (m, d))
+            for k, lo in enumerate(lows):
+                lo = lo[first:first + rows] if k == 0 else lo
+                cells[..., k] += lo.reshape((1,) * k + (-1,) + (1,) * (d - k))
+            yield np.ascontiguousarray(pts.reshape(-1, d).T)
+
+    return s**d, m, blocks()
 
 
 def _stratified_hits(bounds, inside, n, seed, label):
     """(value, stderr) of the measure of {inside} within the box `bounds`,
-    by stratified hit counting on the stream (seed, label)."""
+    by stratified hit counting on the stream (seed, label), one block of
+    strata at a time."""
     vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
     rng = _rng.stream(seed, label)
-    cols, k, m = _stratified_uniform(bounds, n, rng)
-    hits = inside(cols).reshape(k, m)
-    p_hat = hits.mean(axis=1)
+    k, m, blocks = _stratified_blocks(bounds, n, rng)
+    p_hat = np.concatenate([inside(cols).reshape(-1, m).mean(axis=1)
+                            for cols in blocks])
     est = vbox * float(p_hat.mean())
     var = float(np.sum(p_hat * (1 - p_hat) / (m - 1))) / k**2
     return est, vbox * float(np.sqrt(var))
@@ -422,13 +444,11 @@ def _common_bounding_box(regions):
     return bounds
 
 
-def _signature_sums(members, count, weights=None):
-    """Signatures in descending order, with the number of points (or the
-    sum of their weights, in order) carrying each, as floats.  `members`
-    yields one boolean array per region, `count` in all, and each is folded
-    in as it comes: every run of up to 64 regions makes one code per point,
-    region 0 most significant, in the narrowest unsigned dtype, so codes
-    sort as signatures do."""
+def _codes(members, count):
+    """Codes of a block of points.  `members` yields one boolean array per
+    region, `count` in all, and each is folded in as it comes: every run of
+    up to 64 regions makes one word per point, region 0 most significant,
+    in the narrowest unsigned dtype, so codes sort as signatures do."""
     words = []
     for i, member in enumerate(members):
         if i % 64 == 0:
@@ -436,17 +456,40 @@ def _signature_sums(members, count, weights=None):
             words.append(np.zeros(len(member), np.min_scalar_type(width)))
         words[-1] <<= 1
         words[-1] |= member
-    if len(words) == 1:
-        uniq, inverse = np.unique(words[0], return_inverse=True)
+    return words
+
+
+def _signature_sums(code_blocks, count, weights=None):
+    """Signatures in descending order, with the number of points (or the
+    sum of their weights, in point order) carrying each, as floats.
+    `code_blocks` yields the _codes of one block of points after another.
+    While the 2**count codes fit in one block, np.bincount counts each
+    block into a table of them, and no array of all the codes is built; a
+    wider family concatenates its codes and finds them by np.unique."""
+    size = 1 << count
+    if size <= BLOCK_POINTS:
+        hits, sums, start = np.zeros(size, np.intp), np.zeros(size), 0
+        for (code,) in code_blocks:
+            hits += np.bincount(code, minlength=size)
+            if weights is not None:
+                sums += np.bincount(code, weights[start:start + len(code)], size)
+            start += len(code)
+        uniq = np.flatnonzero(hits)
+        sums = (hits if weights is None else sums)[uniq]
         uniq = uniq[:, None]
-    else:  # rows of words, compared lexicographically
-        uniq, inverse = np.unique(np.stack(words, axis=1), axis=0,
-                                  return_inverse=True)
+    else:
+        words = [np.concatenate(word) for word in zip(*code_blocks)]
+        if len(words) == 1:
+            uniq, inverse = np.unique(words[0], return_inverse=True)
+            uniq = uniq[:, None]
+        else:  # rows of words, compared lexicographically
+            uniq, inverse = np.unique(np.stack(words, axis=1), axis=0,
+                                      return_inverse=True)
+        sums = np.bincount(inverse, weights=weights)
     i = np.arange(count)
     shift = np.minimum(64, count - i // 64 * 64) - 1 - i % 64
     bits = (uniq[::-1][:, i // 64] >> shift.astype(uniq.dtype)) & 1
-    return (tuple(map(tuple, (bits == 1).tolist())),
-            np.bincount(inverse, weights=weights).astype(float)[::-1])
+    return tuple(map(tuple, (bits == 1).tolist())), sums.astype(float)[::-1]
 
 
 def _atomize_axis_exact(regions, bounds):
@@ -456,7 +499,8 @@ def _atomize_axis_exact(regions, bounds):
     cells = (slice(2, -1, 2),) * len(cuts)
     members = (_paint(iv, cuts)[cells].ravel() for iv in intervals)
     cellvol = reduce(np.multiply.outer, [np.diff(c) for c in cuts]).ravel()
-    signatures, measures = _signature_sums(members, len(regions), weights=cellvol)
+    signatures, measures = _signature_sums(
+        [_codes(members, len(regions))], len(regions), cellvol)
     return AtomTable(signatures, measures, np.zeros_like(measures),
                      bounds, exact=True)
 
@@ -466,9 +510,11 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
 
     method="exact" (axis-aligned families only) paints the regions on the
     endpoint sweep grid; method="mc" classifies n stratified-uniform
-    samples; "auto" prefers exact when available.  Every signature that
-    occurs among the samples is an atom, so each MC atom has a measure of
-    at least the box volume over the number of samples.
+    samples, drawn and classified one block of strata at a time; "auto"
+    prefers exact when available.  Signatures are counted by np.bincount
+    over their codes up to 16 regions, by np.unique above.  Every
+    signature that occurs among the samples is an atom, so each MC atom
+    has a measure of at least the box volume over the number of samples.
     """
     regions = list(regions)
     if method not in ("auto", "exact", "mc"):
@@ -482,10 +528,11 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
         return _atomize_axis_exact(regions, bounds)
     vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
     rng = _rng.stream(seed, "atomize")
-    cols, _, _ = _stratified_uniform(bounds, n, rng)
-    n_total = cols.shape[1]
+    k, m, blocks = _stratified_blocks(bounds, n, rng)
+    n_total = k * m
     signatures, counts = _signature_sums(
-        (r._contains_columns(cols) for r in regions), len(regions))
+        (_codes((r._contains_columns(cols) for r in regions), len(regions))
+         for cols in blocks), len(regions))
     p = counts / n_total
     stderrs = vbox * np.sqrt(p * (1 - p) / n_total)
     return AtomTable(signatures, vbox * p, stderrs, bounds, exact=False)

@@ -28,7 +28,7 @@ from .matrices import (
     classify_noncompact_blocks,
     real_jordan_form,
 )
-from .regions import Region, clipped_area
+from .regions import BLOCK_POINTS, Region, clipped_area
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,26 @@ def _floats(obj, what):
 
 
 def contains_many(fam: ShrinkingFamily, t, points) -> np.ndarray:
-    """Vectorized membership of an (n, d) array in D_t (closed: boundary in)."""
+    """Vectorized membership of an (n, d) array in D_t (closed: boundary in).
+
+    A point's answer is the same alone as in any batch, so the points are
+    taken BLOCK_POINTS at a time, which keeps the temporaries small.
+    """
     pts = np.atleast_2d(_floats(points, "points"))
     if pts.ndim != 2 or pts.shape[1] != fam.dim:
         raise DimensionMismatch(f"points must have dimension {fam.dim}")
     if not np.all(np.isfinite(pts)):
         raise NonFiniteInput("points must be finite")  # D_t is unbounded
     inv = fam.basis_inv[fam.offset:fam.offset + fam.rows]
+    out = np.empty(len(pts), dtype=bool)
+    for i in range(0, len(pts), BLOCK_POINTS):
+        block = pts[i:i + BLOCK_POINTS]
+        out[i:i + len(block)] = _contains_block(fam, t, inv, block)
+    return out
+
+
+def _contains_block(fam, t, inv, pts):
+    """Membership in D_t of finite (m, d) points, given the block rows inv of T^-1."""
     # block rows of T^-1 x in column order: the same bits alone as in a batch
     with np.errstate(over="ignore", invalid="ignore"):
         yb = _block_rows(inv, pts)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from levymix.regions import (
     Region,
     _axis_overlap,
     _planar_overlap,
-    _stratified_uniform,
+    _stratified_blocks,
     atomize,
     box_region,
     intersection_volume,
@@ -422,29 +423,75 @@ def _meshgrid_stratified(bounds, s, m, u):
     return (lo[:, None, :] + u * ((bounds[:, 1] - bounds[:, 0]) / s)).reshape(-1, d)
 
 
+def _concatenated_blocks(bounds, n, seed, label):
+    """The points of _stratified_blocks on the stream (seed, label) as d
+    rows, checked against the meshgrid layout of one draw."""
+    k, m, blocks = _stratified_blocks(bounds, n, _rng.stream(seed, label))
+    pts = np.concatenate(list(blocks), axis=1)
+    d = bounds.shape[0]
+    s = round(k ** (1.0 / d))
+    u = _rng.stream(seed, label).random((k, m, d))
+    assert np.array_equal(pts.T, _meshgrid_stratified(bounds, s, m, u))
+    return pts
+
+
 @pytest.mark.parametrize("d, n", [(1, 7), (1, 100), (2, 9_999), (2, 10_000),
                                   (2, 100_000), (2, 200_000), (3, 1_000), (3, 5_000)])
-def test_stratified_uniform_layout(d, n):
+def test_stratified_uniform_layout(d, n, monkeypatch):
     bounds = np.column_stack([np.linspace(-1.0, 0.5, d), np.linspace(0.3, 4.0, d)])
-    pts, k, m = _stratified_uniform(bounds, n, _rng.stream(3, "strata"))
+    k, m, _ = _stratified_blocks(bounds, n, _rng.stream(3, "strata"))
     # s is the largest with s**d < n; so the 100_000 and 200_000 defaults
     # keep their 316**2 and 447**2 strata of two points
     s = round(k ** (1.0 / d))
     assert k == s**d < n <= (s + 1) ** d
     assert m == max(math.ceil(n / k), 2)
-    u = _rng.stream(3, "strata").random((k, m, d))
-    # the points come as d contiguous coordinate rows
-    assert pts.shape == (d, k * m) and pts.flags.c_contiguous
-    assert np.array_equal(pts.T, _meshgrid_stratified(bounds, s, m, u))
+    row = s ** (d - 1) * m  # points in one row of strata along axis 0
+    # the default block; 40 points, which is one row where a row holds
+    # more; and two rows, so the last block is short when s is odd
+    for block in (regions.BLOCK_POINTS, 40, 2 * row):
+        monkeypatch.setattr(regions, "BLOCK_POINTS", block)
+        blocks = list(_stratified_blocks(bounds, n, _rng.stream(3, "strata"))[2])
+        # whole rows of strata, each block as d contiguous coordinate rows
+        step = max(block // row, 1)
+        assert [b.shape for b in blocks] == [(d, min(step, s - i) * row)
+                                             for i in range(0, s, step)]
+        assert all(b.flags.c_contiguous for b in blocks)
+        assert _concatenated_blocks(bounds, n, 3, "strata").shape == (d, k * m)
 
 
 @pytest.mark.parametrize("n", [9_999, 10_000, 40_000])
-def test_mc_stderr_positive_at_every_sample_size(n):
+def test_mc_stderr_positive_at_every_sample_size(n, monkeypatch):
     tilted = transform(rotation(0.3), unit_box(2))
     est, err = intersection_volume(tilted, unit_box(2), method="mc", n=n, seed=0)
     assert type(err) is float and err > 0.0
     exact, _ = intersection_volume(tilted, unit_box(2))
     assert abs(est - exact) <= 5.0 * err
+    # the strata are counted one block at a time, to the same bits
+    monkeypatch.setattr(regions, "BLOCK_POINTS", 40)
+    assert intersection_volume(tilted, unit_box(2), method="mc", n=n,
+                               seed=0) == (est, err)
+
+
+def _traced_peak(fn):
+    """Peak of the memory traced by tracemalloc, numpy arrays included,
+    while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_passes_never_hold_the_whole_sample():
+    # 1.6M points as one (d, n) array are 25.6 MB, and a pass that built
+    # its sample whole peaked at 137 MB (atomize) and 110 MB (overlap);
+    # the overlap keeps one mean per stratum of two points, 6.4 MB
+    family = [unit_box(2), transform(rotation(0.3), unit_box(2))]
+    n = 1_600_000
+    assert _traced_peak(lambda: atomize(family, n=n, seed=0, method="mc")) < 16e6
+    assert _traced_peak(lambda: intersection_volume(
+        *family, method="mc", n=n, seed=0)) < 32e6
 
 
 # A null-atom rule at 1e-9 of the box volume.  An atom seen in the sample
@@ -486,7 +533,7 @@ def _dict_atoms(regions, bounds, exact, n, seed):
         wgrid = np.meshgrid(*[np.diff(c) for c in cuts], indexing="ij")
         weights = np.prod(np.stack(wgrid, axis=-1).reshape(-1, d), axis=1)
     else:
-        pts = _stratified_uniform(bounds, n, _rng.stream(seed, "atomize"))[0].T
+        pts = _concatenated_blocks(bounds, n, seed, "atomize").T
         weights = np.ones(len(pts), dtype=int)
     table = {}
     member = np.stack([_piecewise_contains(r, pts) for r in regions], axis=1)
@@ -506,14 +553,19 @@ def _dict_atoms(regions, bounds, exact, n, seed):
     return out
 
 
-def _assert_matches_dict_atoms(regions, method, n, seed):
-    atoms = atomize(regions, n=n, seed=seed, method=method)
-    sigs, measures, stderrs = _dict_atoms(regions, atoms.bounding_box,
-                                          atoms.exact, n, seed)
-    assert atoms.signatures == tuple(sigs)
-    assert all(len(s) == len(regions) for s in atoms.signatures)
-    assert atoms.measures.tobytes() == np.array(measures, dtype=float).tobytes()
-    assert atoms.stderrs.tobytes() == np.array(stderrs, dtype=float).tobytes()
+def _assert_matches_dict_atoms(family, method, n, seed):
+    """atomize against _dict_atoms, with the default block of points and
+    with blocks of 40, whose signature table holds at most 5 regions."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "BLOCK_POINTS", 40)
+        small = atomize(family, n=n, seed=seed, method=method)
+        sigs, measures, stderrs = _dict_atoms(family, small.bounding_box,
+                                              small.exact, n, seed)
+    for atoms in (atomize(family, n=n, seed=seed, method=method), small):
+        assert atoms.signatures == tuple(sigs)
+        assert all(len(s) == len(family) for s in atoms.signatures)
+        assert atoms.measures.tobytes() == np.array(measures, dtype=float).tobytes()
+        assert atoms.stderrs.tobytes() == np.array(stderrs, dtype=float).tobytes()
     return atoms
 
 

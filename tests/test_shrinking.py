@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levymix as lm
-from levymix import errors
+from levymix import errors, shrinking
 from levymix.gallery import assemble_jordan, random_det1, rotation, shear, squeeze
 from levymix.matrices import BlockKind, RealJordanBlock
 from levymix.rng import stream
@@ -253,14 +253,15 @@ def _edge_point(fam, pts, i):
     return 1
 
 
-def test_contains_many_matches_row_major_reference():
+def test_contains_many_matches_row_major_reference(monkeypatch):
     # The reference sums each point's block rows of T^-1 x over the d
     # columns in order, and its squares in order, one point at a time,
     # so its bits cannot depend on the batch.  Each edge point gets the
     # t that puts the reference's threshold on the point (and just under
     # it), so any last-bit change in its coordinates or norms flips the
     # answer.  Blocks of 9 rows are in because numpy sums that many
-    # squares pairwise along a contiguous axis.
+    # squares pairwise along a contiguous axis.  Batches are also cut into
+    # blocks of 64 points, which must not change an answer either.
     long_blocks = [RealJordanBlock(BlockKind.REAL, 8, 1.0 + 0j),
                    RealJordanBlock(BlockKind.COMPLEX_PAIR, 4, np.exp(0.7j))]
     cases = [(d, block) for d in range(2, 7) for block in TAGGED.values()
@@ -276,8 +277,11 @@ def test_contains_many_matches_row_major_reference():
                             + [_boundary_points(fam, t, 50, rng) for t in GRID])
             yb = _reference_block_rows(fam, pts)
             for t in GRID:
-                assert np.array_equal(contains_many(fam, t, pts),
-                                      _reference_contains(fam, t, yb))
+                want = _reference_contains(fam, t, yb)
+                assert np.array_equal(contains_many(fam, t, pts), want)
+                with monkeypatch.context() as mp:
+                    mp.setattr(shrinking, "BLOCK_POINTS", 64)
+                    assert np.array_equal(contains_many(fam, t, pts), want)
             for i in range(4):
                 edges += _edge_point(fam, pts[:64], i)
     assert edges >= 200
