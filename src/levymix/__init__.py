@@ -2,7 +2,6 @@
 
 from .matrices import (
     BlockKind,
-    NoncompactCertificate,
     RealJordanBlock,
     RealJordanDecomposition,
     classify_noncompact_blocks,

@@ -19,6 +19,7 @@ from .experiments import read_json, run_all
 from .gallery import ALIASES, parse_matrix
 from .matrices import (
     classify_noncompact_blocks,
+    cyclic_closure_compact,
     find_noncompact_witness,
     haar_average_form,
     matrix_to_json,
@@ -72,10 +73,10 @@ def jordan(matrix_spec):
 @click.option("--matrix", "matrix_spec", required=True)
 def classify(matrix_spec):
     """Compactness classification of the cyclic group of a matrix."""
-    dec = real_jordan_form(_load_matrix(matrix_spec))
-    cert = classify_noncompact_blocks(dec)
-    _emit({"compact": cert.compact,
-           "case_tags": [[c, i] for c, i in cert.case_tags]})
+    A = _load_matrix(matrix_spec)
+    compact = cyclic_closure_compact(A)
+    tags = () if compact else classify_noncompact_blocks(real_jordan_form(A))
+    _emit({"compact": compact, "case_tags": [[c, i] for c, i in tags]})
 
 
 @main.command()

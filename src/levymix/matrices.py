@@ -1,12 +1,12 @@
 """Eigenstructure, real Jordan canonical forms, and compactness of matrix groups.
 
 The central question answered here is whether a matrix group has compact
-closure, i.e. is conjugate into the orthogonal group.  One matrix is
-classified by its numerically computed real Jordan form.  Any finite
-generator set is decided by one invariant-form computation: the Haar
-average of g^T g (Weyl's trick) is positive definite exactly when the
-closure is compact, and its inverse square root conjugates every
-generator into the orthogonal group.
+closure, i.e. is conjugate into the orthogonal group.  One matrix or any
+finite generator set is decided by one invariant-form computation: the
+Haar average of g^T g (Weyl's trick) is positive definite exactly when
+the closure is compact, and its inverse square root conjugates every
+generator into the orthogonal group.  The real Jordan form of a
+non-compact matrix tags the blocks that witness it.
 """
 
 from __future__ import annotations
@@ -470,46 +470,35 @@ def jordan_block_power_apply(block: RealJordanBlock, h: int, x) -> np.ndarray:
 # compactness classification
 
 
-@dataclass(frozen=True)
-class NoncompactCertificate:
-    """Tags of blocks witnessing non-compactness; empty tags mean compact.
+def classify_noncompact_blocks(dec: RealJordanDecomposition) -> tuple:
+    """(case letter, block index) tags of non-compact blocks, in block order.
 
     Case letters: A = real block, size >= 2, eigenvalue +-1;
     B = complex-pair block, size >= 2, |kappa| = 1;
     C = real block with |eta| < 1; D = complex-pair block with |kappa| < 1.
     """
-
-    case_tags: tuple  # of (case letter, block index)
-    compact: bool
-
-
-def classify_noncompact_blocks(dec: RealJordanDecomposition):
     tags = []
     for i, b in enumerate(dec.blocks):
-        mod = abs(b.eigen)
-        on_circle = abs(mod - 1.0) <= UNIT_TOL
-        if b.kind is BlockKind.REAL:
-            if b.size >= 2 and on_circle:
-                tags.append(("A", i))
-            elif mod < 1.0 - UNIT_TOL:
-                tags.append(("C", i))
-        else:
-            if b.size >= 2 and on_circle:
-                tags.append(("B", i))
-            elif mod < 1.0 - UNIT_TOL:
-                tags.append(("D", i))
-    compact = (not tags
-               and all(b.size == 1 for b in dec.blocks)
-               and all(abs(abs(b.eigen) - 1.0) <= UNIT_TOL for b in dec.blocks))
-    return NoncompactCertificate(tuple(tags), compact)
+        real, mod = b.kind is BlockKind.REAL, abs(b.eigen)
+        if b.size >= 2 and abs(mod - 1.0) <= UNIT_TOL:
+            tags.append(("A" if real else "B", i))
+        elif mod < 1.0 - UNIT_TOL:
+            tags.append(("C" if real else "D", i))
+    return tuple(tags)
 
 
 def cyclic_closure_compact(A) -> bool:
-    """True iff {A^h : h in Z} is bounded (A similar to an orthogonal matrix)."""
+    """True iff {A^h : h in Z} is bounded, decided by haar_average_form([A]):
+    False if |det A| != 1; SingularMatrix for a singular A, IllConditioned
+    where the invariant-form decision is undecided."""
     A = as_matrix(A)
     if abs(np.linalg.det(A)) < 1e-12:
         raise SingularMatrix("cyclic closure is defined for invertible matrices")
-    return classify_noncompact_blocks(real_jordan_form(A)).compact
+    try:
+        haar_average_form([A])
+    except NotCompact:
+        return False
+    return True
 
 
 def _dedup_key(M, quantum=1e-9):
@@ -589,19 +578,29 @@ def haar_average_form(generators):
 
     S is the projection of I onto the forms Fix that every rho(g): X ->
     g^T X g fixes, along the sum W of the ranges of rho(g_i) - I.  The
-    closure is compact iff every |det g_i| = 1, Fix and W are complements
-    and S is positive definite; otherwise NotCompact.  _rank judges the
-    singular values at scale max(1, max ||rho(g_i) - I||), and the angle
-    of Fix and W at scale 1.
+    closure is compact iff every g_i has |det| = 1 and its eigenvalues on
+    the unit circle, Fix and W are complements and S is positive definite;
+    otherwise NotCompact.  One averaging step comes first: all is decided
+    for h0^-1 g h0, h0 = S0^-1/2 with S0 the mean of w^T w over I and the
+    words of length <= 2, where h0^2 projects to S' = h0 S h0.  _rank
+    judges singular values at scale max(1, max ||rho(h0^-1 g_i h0) - I||),
+    and the angle of Fix and W at scale 1.
     """
     gens = _generator_list(generators)
     if not all(in_measure_preserving_group(g) for g in gens):
         raise NotCompact("a generator has |det| != 1")
+    if any(np.max(np.abs(np.abs(_eigvals(g)) - 1.0)) > CLUSTER_TOL
+           for g in gens):
+        raise NotCompact("a generator has an eigenvalue off the unit circle")
     d = gens[0].shape[0]
+    words = [np.eye(d), *_words(gens, 2)]
+    h0 = spd_sqrt_inverse(sum(w.T @ w for w in words) / len(words))
+    h0inv = np.linalg.inv(h0)
     i, j = np.triu_indices(d)  # U: orthonormal basis of Sym, a vec per column
     U, k = np.zeros((d * d, len(i))), np.arange(len(i))
     U[i * d + j, k] = U[j * d + i, k] = np.where(i == j, 1.0, math.sqrt(0.5))
-    maps = [U.T @ np.kron(g.T, g.T) @ U - np.eye(U.shape[1]) for g in gens]
+    frame = [h0inv @ g @ h0 for g in gens]
+    maps = [U.T @ np.kron(g.T, g.T) @ U - np.eye(U.shape[1]) for g in frame]
     scale = max(1.0, max(_opnorm(M) for M in maps))
     _, s, Vh = np.linalg.svd(np.vstack(maps), full_matrices=False)
     F = Vh[_rank(s, scale, "fixed forms"):].T
@@ -611,8 +610,8 @@ def haar_average_form(generators):
     if FW.shape[1] != len(FW) or _rank(np.linalg.svd(FW, compute_uv=False),
                                       1.0, "angle") < len(FW):
         raise NotCompact("fixed and moved forms are not complements")
-    coef = np.linalg.solve(FW, U.T @ np.eye(d).ravel())[:F.shape[1]]
-    S = (U @ (F @ coef)).reshape(d, d)
+    coef = np.linalg.solve(FW, U.T @ (h0 @ h0).ravel())[:F.shape[1]]
+    S = h0inv @ (U @ (F @ coef)).reshape(d, d) @ h0inv
     S = 0.5 * (S + S.T)
     w = np.linalg.eigvalsh(S)
     if w[0] <= FORM_RESIDUAL_TOL * w[-1]:

@@ -26,6 +26,7 @@ from .matrices import (
     RealJordanDecomposition,
     as_matrix,
     classify_noncompact_blocks,
+    cyclic_closure_compact,
     real_jordan_form,
 )
 from .regions import BLOCK_POINTS, Region, clipped_area
@@ -57,14 +58,14 @@ class ShrinkingFamily:
 def build_family(A) -> ShrinkingFamily:
     """Shrinking family attached to the first tagged Jordan block of A."""
     A = as_matrix(A)
-    dec = real_jordan_form(A)
-    cert = classify_noncompact_blocks(dec)
-    if cert.compact:
+    if cyclic_closure_compact(A):
         raise CompactClosure("matrix has compact cyclic closure")
-    if not cert.case_tags:
+    dec = real_jordan_form(A)
+    tags = classify_noncompact_blocks(dec)
+    if not tags:
         raise InvalidGenerator("|det| > 1: no Jordan block contracts or is "
                                "defective on the unit circle")
-    case, idx = min(cert.case_tags, key=lambda tag: tag[1])
+    case, idx = tags[0]
     block = dec.blocks[idx]
     pair = block.kind is BlockKind.COMPLEX_PAIR
     uses_cone = not (case in ("C", "D") and block.size == 1)

@@ -294,9 +294,9 @@ def test_cli_jordan_and_classify():
     obj = json.loads(res.output)
     assert obj["blocks"][0]["size"] == 2
     res = runner.invoke(main, ["classify", "--matrix", "squeeze"])
-    assert json.loads(res.output)["compact"] is False
+    assert json.loads(res.output) == {"compact": False, "case_tags": [["C", 1]]}
     res = runner.invoke(main, ["classify", "--matrix", "rotation"])
-    assert json.loads(res.output)["compact"] is True
+    assert json.loads(res.output) == {"compact": True, "case_tags": []}
 
 
 def test_cli_witness_and_weyl(tmp_path):

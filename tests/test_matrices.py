@@ -313,19 +313,19 @@ def test_block_power_rejects_pairs_and_negative_h():
 
 def test_classify_cases():
     assert lm.classify_noncompact_blocks(
-        lm.real_jordan_form(shear())).case_tags == (("A", 0),)
+        lm.real_jordan_form(shear())) == (("A", 0),)
     assert lm.classify_noncompact_blocks(
-        lm.real_jordan_form(squeeze())).case_tags == (("C", 1),)
+        lm.real_jordan_form(squeeze())) == (("C", 1),)
     # case B: unit-modulus pair block of size 2
     kappa = np.exp(1j * 0.7)
     A = assemble_jordan([RealJordanBlock(BlockKind.COMPLEX_PAIR, 2, kappa)])
-    tags = lm.classify_noncompact_blocks(lm.real_jordan_form(A)).case_tags
+    tags = lm.classify_noncompact_blocks(lm.real_jordan_form(A))
     assert tags == (("B", 0),)
     # case D: contracting pair block
     A = assemble_jordan([
         RealJordanBlock(BlockKind.COMPLEX_PAIR, 1, 0.5 * np.exp(1j * 0.7)),
         RealJordanBlock(BlockKind.COMPLEX_PAIR, 1, 2.0 * np.exp(1j * 0.7))])
-    tags = lm.classify_noncompact_blocks(lm.real_jordan_form(A)).case_tags
+    tags = lm.classify_noncompact_blocks(lm.real_jordan_form(A))
     assert ("D", 1) in tags
 
 
@@ -337,6 +337,12 @@ def test_cyclic_closure_dichotomy():
     assert lm.cyclic_closure_compact(np.eye(3))
     with pytest.raises(errors.SingularMatrix):
         lm.cyclic_closure_compact(np.zeros((2, 2)))
+    # conjugated squeezes stay non-compact down to a - 1 = 1e-6
+    for n, excess in enumerate([1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4]):
+        P = _conditioned(2, 50.0, stream(n, "near unit"))
+        a = 1.0 + excess
+        assert not lm.cyclic_closure_compact(P @ np.diag([a, 1.0 / a])
+                                             @ np.linalg.inv(P))
 
 
 def test_witness_search_examples():
@@ -443,12 +449,12 @@ def _orthogonal(d, rng):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(d=st.integers(2, 4), k=st.integers(1, 3), cond=st.floats(1.0, 100.0),
+@given(d=st.integers(2, 4), k=st.integers(1, 3), cond=st.floats(1.0, 1000.0),
        factor=st.floats(0.5, 2.0).filter(lambda c: abs(c - 1.0) >= 0.1),
        seed=st.integers(0, 2**32 - 1))
 def test_haar_average_of_conjugated_orthogonal_groups(d, k, cond, factor, seed):
     rng = np.random.default_rng(seed)
-    gens = _conjugated(random_det1(d, rng, cond=cond),
+    gens = _conjugated(_conditioned(d, cond, rng),
                        [_orthogonal(d, rng) for _ in range(k)])
     assert np.linalg.eigvalsh(lm.haar_average_form(gens))[0] > 0
     h = lm.weyl_conjugator(gens)
@@ -486,8 +492,9 @@ def test_haar_average_group_too_large():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_haar_average_finite_rejects_unbounded_group():
     # the squeeze's and the shear's powers grow without bound: the decision
-    # must reject them without overflow or invalid-value warnings
-    for g in (squeeze(), shear()):
+    # must reject them without overflow or invalid-value warnings, however
+    # far the eigenvalues lie off the unit circle
+    for g in (squeeze(), shear(), np.diag([1e4, 1e-4]), np.diag([1e160, 1e-160])):
         with pytest.raises(errors.NotCompact):
             lm.haar_average_form([g])
 
@@ -522,8 +529,11 @@ def test_haar_average_not_compact_when_forms_meet_or_degenerate():
     np.diag([1.0 + 1e-7, 1.0 / (1.0 + 1e-7)]),
     conjugated_rotation(1e-7, stream(7, "tiny"))], ids=["squeeze", "rotation"])
 def test_haar_average_borderline_is_ill_conditioned(g):
+    # _rank's undecided band, reached through both entry points
     with pytest.raises(errors.IllConditioned):
         lm.haar_average_form([g])
+    with pytest.raises(errors.IllConditioned):
+        lm.cyclic_closure_compact(g)
 
 
 @pytest.mark.parametrize("call", [
