@@ -119,9 +119,8 @@ def _eigvals(A):
 def _cluster_values(w, delta):
     """(value, algebraic multiplicity) of each cluster of w at radius delta.
 
-    Clusters are single-linkage groups; a value whose imaginary part is
-    within delta of 0 counts as real.  Sorted by modulus, multiplicity,
-    real and imaginary part, all descending.
+    Clusters are single-linkage groups, unsorted, valued by their mean; a
+    value whose imaginary part is within delta of 0 counts as real.
     """
     out = []
     for idx in _connected_clusters(w, delta):
@@ -129,7 +128,6 @@ def _cluster_values(w, delta):
         if abs(val.imag) <= delta:
             val = complex(val.real, 0.0)
         out.append((val, len(idx)))
-    out.sort(key=lambda c: (-abs(c[0]), -c[1], -c[0].real, -c[0].imag))
     return out
 
 
@@ -137,7 +135,7 @@ def _cluster_values(w, delta):
 # Jordan chains
 
 class _StructureError(Exception):
-    """Internal: candidate eigenvalue clustering is inconsistent."""
+    """Internal: no chain structure at this rung's clustering."""
 
 
 def _jordan_chains(A, lam, alg):
@@ -163,18 +161,22 @@ def _jordan_chains(A, lam, alg):
     bases = [np.zeros((d, 0), dtype=M.dtype)]
     Mk = np.eye(d, dtype=M.dtype)
     nullities = [0]
-    for k in range(1, d + 1):
+    while nullities[-1] < alg:
+        k = len(nullities)
+        try:  # ||M||^k bounds, up to rounding, the partial sums of Mk @ M
+            normMk = normM**k
+        except OverflowError:
+            raise _StructureError(f"power {k} of A - lambda I overflows") from None
         Mk = Mk @ M
         _, s, Vh = np.linalg.svd(Mk)
-        s = np.maximum(s, d * eps * normM**k)
+        s = np.maximum(s, d * eps * normMk)
+        # lo <= hi as the nullity is below alg and the last increment >= 1:
+        # increments stay >= 1 and non-increasing, reaching alg by power alg <= d
         lo = nullities[-1] + 1
         hi = alg if k == 1 else min(alg, 2 * nullities[-1] - nullities[-2])
-        if lo > hi:
-            raise _StructureError(
-                "nullspace filtration inconsistent with multiplicity")
         best_ratio, n = -1.0, lo
         for cand in range(lo, hi + 1):
-            above = normM**k if cand == d else s[d - cand - 1]
+            above = normMk if cand == d else s[d - cand - 1]
             ratio = above / s[d - cand]
             if ratio > best_ratio:
                 best_ratio, n = ratio, cand
@@ -183,25 +185,12 @@ def _jordan_chains(A, lam, alg):
                 f"no singular value gap at power {k}")
         bases.append(Vh[d - n:].conj().T)
         nullities.append(n)
-        if n >= alg:
-            break
-    m = len(nullities) - 1
-    if nullities[m] != alg:
-        raise _StructureError("nullspace filtration inconsistent with multiplicity")
 
-    # c[k] = number of blocks of size >= k, e[k] = of size exactly k
-    c = [0] * (m + 2)
-    for k in range(1, m + 1):
-        c[k] = nullities[k] - nullities[k - 1]
-    if any(c[k + 1] > c[k] for k in range(1, m + 1)):
-        raise _StructureError("Weyr characteristic not monotone")
-    e = {k: c[k] - c[k + 1] for k in range(1, m + 1)}
-    if sum(k * e[k] for k in e) != alg:
-        raise _StructureError("block sizes do not account for multiplicity")
-
-    chains = []
-    for k in range(m, 0, -1):
-        need = e[k]
+    # c[k] = number of blocks of size >= k, non-increasing by the window
+    c = [0, *np.diff(nullities).tolist(), 0]
+    chains = []  # longest first
+    for k in range(len(nullities) - 1, 0, -1):
+        need = c[k] - c[k + 1]  # blocks of size exactly k
         if need == 0:
             continue
         # avoid null(M^{k-1}) plus the level-k vectors of taller chains
@@ -225,7 +214,6 @@ def _jordan_chains(A, lam, alg):
                 chain.insert(0, M @ chain[0])
             scale = max(np.linalg.norm(u) for u in chain)
             chains.append([u / scale for u in chain])
-    chains.sort(key=len, reverse=True)
     return chains
 
 
@@ -341,7 +329,9 @@ def real_jordan_form(A):
 
     Blocks are ordered canonically: real blocks first, sorted by
     (|eta| descending, size descending), then complex-pair blocks by
-    (|kappa| descending, size descending).
+    (|kappa| descending, size descending).  A pair block's kappa is the
+    mean of a cluster above the real axis: its imaginary part is positive
+    by construction.
 
     Defective eigenvalues scatter numerically like eps**(1/r), so the
     clustering radius is escalated through a geometric ladder until the
@@ -350,7 +340,6 @@ def real_jordan_form(A):
     The eigenvalues are computed once and re-clustered at each radius.
     """
     A = as_matrix(A)
-    d = A.shape[0]
     normA = max(_opnorm(A), np.finfo(float).tiny)
     w = _eigvals(A)
     rungs = []  # (delta, why the rung failed), in ladder order
@@ -361,15 +350,12 @@ def real_jordan_form(A):
                                  f"at radius {delta:.1e}"))
             continue
         try:
-            items = _real_blocks_at_radius(A, clusters, delta)
+            items = _real_blocks_at_radius(A, clusters)
         except _StructureError as exc:
             rungs.append((delta, str(exc)))
             continue
-        items = _canonical_block_sort(items)
+        items = _canonical_block_sort(items)  # keys tie only within a cluster
         blocks = tuple(b for b, _ in items)
-        if sum(b.rows for b in blocks) != d:
-            rungs.append((delta, "block rows do not sum to the order"))
-            continue
         T = np.hstack([cols for _, cols in items])
         K = assemble_jordan(blocks)
         try:
@@ -387,51 +373,25 @@ def real_jordan_form(A):
     raise exc
 
 
-def _real_blocks_at_radius(A, clusters, rank_rtol):
+def _real_blocks_at_radius(A, clusters):
     """Candidate (RealJordanBlock, real column block) pairs.
 
-    clusters holds (value, algebraic multiplicity) pairs.
+    clusters holds (value, algebraic multiplicity) pairs; a cluster above
+    the real axis gives the COMPLEX_PAIR blocks, its mirror none.
     """
+    # eigvals returns exact conjugate pairs and single linkage commutes with
+    # conjugation: a cluster is its own mirror (real mean) or has an exact one
     items = []
-    used = set()
-    cl_by_id = list(enumerate(clusters))
-    for i, (val, alg) in cl_by_id:
-        if i in used:
+    for val, alg in clusters:
+        if val.imag < 0:
             continue
-        if val.imag == 0.0:
-            used.add(i)
-            eta = val.real
-            for chain in _jordan_chains(A, complex(eta, 0.0), alg):
-                cols = np.column_stack(chain).real
-                items.append((RealJordanBlock(BlockKind.REAL, len(chain),
-                                              complex(eta, 0.0)), cols))
-        else:
-            # find the conjugate partner cluster
-            partner = None
-            for j, (other, _) in cl_by_id:
-                if j != i and j not in used and \
-                        abs(other - val.conjugate()) <= \
-                        10 * rank_rtol + abs(val.imag) * 1e-6:
-                    partner = j
-                    break
-            if partner is None:
-                raise _StructureError("complex eigenvalue without conjugate partner")
-            used.add(i)
-            used.add(partner)
-            partner_val, partner_alg = clusters[partner]
-            if partner_alg != alg:
-                raise _StructureError("conjugate clusters disagree in multiplicity")
-            kappa = 0.5 * (val + partner_val.conjugate())
-            if kappa.imag < 0:
-                kappa = kappa.conjugate()
-            for chain in _jordan_chains(A, kappa, alg):
-                cols = []
-                for u in chain:
-                    cols.append(u.real)
-                    cols.append(u.imag)
-                items.append((RealJordanBlock(BlockKind.COMPLEX_PAIR,
-                                              len(chain), kappa),
-                              np.column_stack(cols)))
+        kind = BlockKind.REAL if val.imag == 0.0 else BlockKind.COMPLEX_PAIR
+        for chain in _jordan_chains(A, val, alg):
+            if kind is BlockKind.REAL:
+                cols = np.column_stack(chain)
+            else:
+                cols = np.column_stack([p for u in chain for p in (u.real, u.imag)])
+            items.append((RealJordanBlock(kind, len(chain), val), cols))
     return items
 
 
@@ -501,12 +461,17 @@ def cyclic_closure_compact(A) -> bool:
     return True
 
 
+def _bounded(X):
+    """X, or NotCompact if an entry overflowed: the group is unbounded."""
+    if not np.all(np.isfinite(X)):
+        raise NotCompact("word entries overflow; the group is unbounded")
+    return X
+
+
 def _dedup_key(M, quantum=1e-9):
     with np.errstate(over="ignore", invalid="ignore"):
         q = np.round(M / quantum) + 0.0  # + 0.0 maps -0.0 to 0.0
-    if not np.all(np.isfinite(q)):
-        raise NotCompact("word entries overflow; the group is unbounded")
-    return q.tobytes()
+    return _bounded(q).tobytes()
 
 
 def _words(generators, max_len=None):
@@ -594,7 +559,9 @@ def haar_average_form(generators):
         raise NotCompact("a generator has an eigenvalue off the unit circle")
     d = gens[0].shape[0]
     words = [np.eye(d), *_words(gens, 2)]
-    h0 = spd_sqrt_inverse(sum(w.T @ w for w in words) / len(words))
+    with np.errstate(over="ignore", invalid="ignore"):
+        S0 = sum(w.T @ w for w in words) / len(words)
+    h0 = spd_sqrt_inverse(_bounded(S0))
     h0inv = np.linalg.inv(h0)
     i, j = np.triu_indices(d)  # U: orthonormal basis of Sym, a vec per column
     U, k = np.zeros((d * d, len(i))), np.arange(len(i))

@@ -451,6 +451,8 @@ def test_cli_has_no_format_option():
                    "deterministic:nan", "deterministic:inf", "gaussian:nan",
                    "poisson:1e7")),
     ["jordan", "--matrix", "infinite_order.json"],
+    ["jordan", "--matrix", "huge_shear.json"],
+    ["classify", "--matrix", "huge_shear.json"],
 ])
 def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -461,6 +463,8 @@ def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     (tmp_path / "empty.json").write_text("[]")
     (tmp_path / "infinite_order.json").write_text(json.dumps(
         {"d": float("inf"), "rows": np.eye(2).tolist()}))
+    (tmp_path / "huge_shear.json").write_text(json.dumps(
+        {"rows": [[1.0, 1e200], [0.0, 1.0]]}))
     (tmp_path / "mixed.json").write_text(json.dumps(
         [{"rows": np.eye(2).tolist()}, {"rows": np.eye(3).tolist()}]))
     res = CliRunner().invoke(main, argv)

@@ -21,6 +21,8 @@ from levymix.matrices import (
     ORTHOGONALITY_TOL,
     BlockKind,
     RealJordanBlock,
+    _cluster_values,
+    _delta_ladder,
     _jordan_chains,
     _words,
     as_matrix,
@@ -236,6 +238,38 @@ def test_ill_conditioned_names_every_rung():
     assert str(info.value) == rungs[-1][1]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [1e155, 1e200])
+def test_ill_conditioned_when_a_power_overflows(entry):
+    # ||A - I||^2 leaves the float range: every rung fails on the power,
+    # with no OverflowError and no overflow warning
+    with pytest.raises(errors.IllConditioned) as info:
+        lm.real_jordan_form([[1.0, entry], [0.0, 1.0]])
+    assert [reason for _, reason in info.value.rungs] == [
+        "power 2 of A - lambda I overflows"] * 6
+
+
+def test_clusters_come_in_exact_conjugate_pairs():
+    # the premise of building a pair block from the cluster above the axis
+    # alone: at every radius, each non-real cluster has its exact mirror
+    rng = stream(18, "mirror")
+    mats = [A for A, _ in jordan_corpus(40, seed=18)]
+    mats += [rng.standard_normal((d, d)) for d in range(2, 7) for _ in range(8)]
+    for A in mats:
+        w = np.linalg.eigvals(A)
+        for delta in _delta_ladder():
+            clusters = _cluster_values(w, delta)
+            for val, alg in clusters:
+                if val.imag != 0.0:
+                    assert (val.conjugate(), alg) in clusters
+        try:
+            dec = lm.real_jordan_form(A)
+        except errors.IllConditioned:
+            continue
+        assert all(b.eigen.imag > 0 for b in dec.blocks
+                   if b.kind is BlockKind.COMPLEX_PAIR)
+
+
 def test_ill_conditioned_records_singular_conjugator(monkeypatch):
     def singular(_):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -270,14 +304,19 @@ def test_real_jordan_determinant_consistency():
 
 
 def test_block_count_matches_geometric_multiplicity():
-    # two size-2 blocks at the same eigenvalue: geometric multiplicity 2
-    blocks = [RealJordanBlock(BlockKind.REAL, 2, 2.0 + 0j),
-              RealJordanBlock(BlockKind.REAL, 2, 2.0 + 0j)]
-    K = assemble_jordan(blocks)
-    T = random_det1(4, stream(9, "geo"))
-    A = T @ K @ np.linalg.inv(T)
-    dec = lm.real_jordan_form(A)
-    assert sorted(b.size for b in dec.blocks) == [2, 2]
+    # two blocks at the same eigenvalue, real or a conjugate pair:
+    # geometric multiplicity 2
+    for blocks in ([RealJordanBlock(BlockKind.REAL, 2, 2.0 + 0j),
+                    RealJordanBlock(BlockKind.REAL, 2, 2.0 + 0j)],
+                   [RealJordanBlock(BlockKind.COMPLEX_PAIR, 2, 0.6 + 0.8j),
+                    RealJordanBlock(BlockKind.COMPLEX_PAIR, 1, 0.6 + 0.8j)]):
+        K = assemble_jordan(blocks)
+        T = random_det1(len(K), stream(9, "geo"))
+        A = T @ K @ np.linalg.inv(T)
+        dec = lm.real_jordan_form(A)
+        assert [(b.kind, b.size) for b in dec.blocks] == [
+            (b.kind, b.size) for b in blocks]
+        assert all(abs(b.eigen - blocks[0].eigen) <= 1e-6 for b in dec.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +533,12 @@ def test_haar_average_finite_rejects_unbounded_group():
     # the squeeze's and the shear's powers grow without bound: the decision
     # must reject them without overflow or invalid-value warnings, however
     # far the eigenvalues lie off the unit circle
-    for g in (squeeze(), shear(), np.diag([1e4, 1e-4]), np.diag([1e160, 1e-160])):
+    for g in (squeeze(), shear(), np.diag([1e4, 1e-4]), np.diag([1e160, 1e-160]),
+              np.array([[1.0, 1e155], [0.0, 1.0]]),
+              np.array([[1.0, 1e200], [0.0, 1.0]])):
         with pytest.raises(errors.NotCompact):
             lm.haar_average_form([g])
+        assert lm.cyclic_closure_compact(g) is False
 
 
 def test_haar_average_cesaro_not_compact():
