@@ -481,6 +481,7 @@ def _words(generators, max_len=None):
     appears): each word of one length is extended on the left by the
     letters g1, g1^-1, g2, g2^-1, ... in turn.  Words equal up to
     _dedup_key appear once; the identity (the empty word) is not yielded.
+    A word whose key overflows is yielded too, and not extended.
     """
     gens = _generator_list(generators)
     d = gens[0].shape[0]
@@ -496,7 +497,11 @@ def _words(generators, max_len=None):
         for w in frontier:
             for g in letters:
                 cand = g @ w
-                key = _dedup_key(cand)
+                try:
+                    key = _dedup_key(cand)
+                except NotCompact:  # entries past 1e-9 * the float range
+                    yield cand
+                    continue
                 if key not in seen:
                     seen.add(key)
                     nxt.append(cand)

@@ -12,22 +12,30 @@ family that is not all axis boxes, are Monte Carlo.
 
 Monte Carlo points are stratified, and they are drawn, classified and
 counted one block of strata at a time, about BLOCK_POINTS points a block,
-so no array of the whole sample is built.  An atom's signature is coded as
-one integer per point; up to 16 regions (2**count codes no more than a
-block) each block's codes are counted by np.bincount, and wider families
-gather all the codes for np.unique.
+so no array of the whole sample is built.  Each block is drawn as d
+contiguous rows of coordinates.  A row of strata along axis 0 holds its
+points between known bounds, so each piece is compared only on the rows
+its reach meets: its first-axis interval if it is an axis box, else its
+bounds widened by a proven rounding pad (Piece._reach_terms).  An atom's
+signature is coded as one integer per point; up to 16 regions (2**count
+codes no more than a block) each block's codes are counted by
+np.bincount, and wider families gather all the codes for np.unique.
 
 Membership is closed at every face.  Two or more axis boxes of a region
-are painted once on a table of the faces and cells their endpoints cut;
-up to TABLE_POINTS points per box are looked up in it by one searchsorted
-pass per axis, more points are compared box by box.  Any other piece maps
-points to box coordinates through its inverse frame, computed once.
+are painted once on a table of the faces and cells their endpoints cut:
+each box marks its corners in a difference array, and cumulative sums
+along every axis count the boxes over each element.  Up to TABLE_POINTS
+points per box are looked up in it by one searchsorted pass per axis,
+more points are compared box by box.  Any other piece maps points to box
+coordinates through its inverse frame, computed once, summing each
+coordinate over the columns in a fixed order, so that a point's answer
+does not depend on the other points it is tested with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -67,13 +75,31 @@ def _cuts(ivs):
 def _paint(intervals, cuts):
     """Table of the elements that closed boxes with endpoints among the cuts
     cover: 2j + 1 is the face at cut j, 2j + 2 the open cell after it, the
-    count searchsorted(edges, x, "right") gives for edges (cut, float up)."""
-    table = np.zeros(tuple(2 * len(c) + 1 for c in cuts), dtype=bool)
+    count searchsorted(edges, x, "right") gives for edges (cut, float up).
+    Each box adds +-1 at its 2**d corners of an int32 difference array, one
+    past the box on each upper side; a cumsum along every axis then counts
+    the boxes over each element."""
+    shape = tuple(2 * len(c) + 1 for c in cuts)
     ends = np.stack([2 * np.searchsorted(c, intervals[:, k]) + 1
                      for k, c in enumerate(cuts)], axis=1)
-    for box in ends:
-        table[tuple(slice(lo, hi + 1) for lo, hi in box)] = True
-    return table
+    upper = np.indices((2,) * len(cuts)).reshape(len(cuts), -1)
+    corners = tuple((ends[:, k, up] + up).ravel() for k, up in enumerate(upper))
+    signs = np.where(upper.sum(axis=0) % 2, -1, 1).astype(np.int32)
+    count = np.zeros(tuple(n + 1 for n in shape), dtype=np.int32)
+    np.add.at(count, corners, np.tile(signs, len(ends)))
+    for k in range(len(cuts)):
+        np.cumsum(count, axis=k, out=count)
+    return count[tuple(slice(n) for n in shape)] > 0
+
+
+def _ordered_product(a, cols):
+    """a @ cols, each entry summed over the columns of a in order, so that
+    a point's entries do not depend on the other points of cols."""
+    out = a[:, :1] * cols[0]
+    term = np.empty_like(out)
+    for j in range(1, a.shape[1]):
+        out += np.multiply(a[:, j:j + 1], cols[j], out=term)
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,15 +174,43 @@ class Piece:
         return self._contains_columns(_columns(points, self.dim))
 
     def _contains_columns(self, cols):
-        """Membership of the points given as d contiguous coordinate rows."""
+        """Membership of the points given as d rows of coordinates."""
         bounds = self._intervals
         if bounds is None:
-            with np.errstate(invalid="ignore"):  # 0 * inf: NaN compares False
-                cols, bounds = self._inverse @ cols, self.box
+            with np.errstate(over="ignore", invalid="ignore"):  # NaN compares False
+                cols, bounds = _ordered_product(self._inverse, cols), self.box
         out = np.ones(cols.shape[1], dtype=bool)
         for row, (lo, hi) in zip(cols, bounds):
             out &= (row >= lo) & (row <= hi)
         return out
+
+    @cached_property
+    def _reach_terms(self):
+        """[lo, hi, c, w...]: the points x with |x| <= M (per axis) that
+        _contains_columns accepts have x[0] in [lo - pad, hi + pad], where
+        pad = c + w.M.
+
+        An axis box compares x[0] with its interval, so c = w = 0.  For a
+        frame F with computed inverse G, u = 2**-53 and g = d u / (1 - d u),
+        the column sum y' of Gx is within e = g |G|M of y = Gx, so y lies in
+        the box widened by e (Bv its largest |entry| per axis).  Then
+        x = Fy - (FG - I)x, whose first coordinate is within
+        (|F|e)[0] + (|FG - I|M)[0] of F's image of the box, and the computed
+        corners bounds() are within g (|F|Bv)[0] of the exact ones.  With
+        |FG - I| <= |fl(FG) - I| + g |F||G| the pad is at most
+        g (|F|Bv)[0] + (2 g |F||G| + |fl(FG) - I|)[0].M, barring underflow;
+        four times it covers the rounding of the pad and of lo - pad.
+        """
+        d = self.dim
+        if self._intervals is not None:
+            return np.concatenate([self._intervals[0], np.zeros(d + 1)])
+        if not np.all(np.isfinite(self.box)):
+            return np.concatenate([[-np.inf, np.inf], np.zeros(d + 1)])
+        F, G = np.abs(self.frame), self._inverse
+        g = d * 2.0**-53 / (1 - d * 2.0**-53)
+        c = 4 * g * (F[0] @ np.abs(self.box).max(axis=1))
+        w = 4 * (2 * g * (F[0] @ np.abs(G)) + np.abs(self.frame @ G - np.eye(d))[0])
+        return np.concatenate([self.bounds()[0], [c], w])
 
     def corners(self):
         d = self.dim
@@ -212,22 +266,32 @@ class Region:
         """Boolean membership for an (n, d) array of points; see Piece.contains."""
         return self._contains_columns(_columns(points, self.dim))
 
-    def _contains_columns(self, cols):
-        """Membership of the points given as d contiguous coordinate rows.  A
-        table read costs tens of box compares per point, so few points use it."""
-        out, pieces = np.zeros(cols.shape[1], dtype=bool), self.pieces
+    def _contains_columns(self, cols, spans=None):
+        """Membership of the points given as d rows of coordinates.  A table
+        read costs tens of box compares per point, so few points use it.
+        Given the `spans` of a block of strata, each piece is compared only
+        on the rows of strata that its reach meets."""
+        n = cols.shape[1]
+        out, pieces = np.zeros(n, dtype=bool), self.pieces
         axis = self._axis_table
-        if axis and cols.shape[1] <= TABLE_POINTS * (len(pieces) - len(axis[2])):
+        if axis and n <= TABLE_POINTS * (len(pieces) - len(axis[2])):
             edges, table, pieces = axis
             out = table[tuple(np.searchsorted(e, x, "right")
                               for e, x in zip(edges, cols))]
-        for p in pieces:
-            out |= p._contains_columns(cols)
+            spans = None  # few points: compare the other pieces on all
+        spans = [(0, n)] * len(pieces) if spans is None else spans(self._reach_terms)
+        for p, (start, stop) in zip(pieces, spans):
+            if start < stop:
+                out[start:stop] |= p._contains_columns(cols[:, start:stop])
         return out
 
+    @cached_property
+    def _reach_terms(self):
+        """The pieces' Piece._reach_terms, one row each."""
+        return np.stack([p._reach_terms for p in self.pieces])
+
     def bounding_box(self):
-        b = np.stack([p.bounds() for p in self.pieces])
-        return np.column_stack([b[:, :, 0].min(axis=0), b[:, :, 1].max(axis=0)])
+        return _hull(self.pieces)
 
     def is_axis_aligned(self):
         return all(p.is_axis_aligned() for p in self.pieces)
@@ -265,34 +329,68 @@ def unit_box(d):
     return box_region(np.column_stack([np.zeros(d), np.ones(d)]))
 
 
+def _hull(pieces):
+    """Per-axis [lo, hi] of the smallest axis box holding every piece."""
+    b = np.stack([p.bounds() for p in pieces])
+    return np.column_stack([b[:, :, 0].min(axis=0), b[:, :, 1].max(axis=0)])
+
+
+def _spans(lows, tops, width, mag, terms):
+    """(start, stop) of the points in the rows of strata that each piece's
+    reach meets, empty when it meets none.  Row r holds `width` consecutive
+    points whose first coordinates lie in [lows[r], tops[r]], no coordinate
+    exceeds `mag` (per axis) in size, and `terms` holds the pieces'
+    Piece._reach_terms as rows."""
+    pad = terms[:, 2] + terms[:, 3:] @ mag
+    start = np.searchsorted(tops, terms[:, 0] - pad, "left") * width
+    stop = np.searchsorted(lows, terms[:, 1] + pad, "right") * width
+    return zip(start.tolist(), stop.tolist())
+
+
 def _stratified_blocks(bounds, n, rng):
     """n to 2n stratified-uniform points in the box `bounds`, so that the
     strata give a variance: m = max(ceil(n / s**d), 2) in each of s**d
     strata, s the largest integer with s**d < n (at least 1); n = 100 000
     in the plane gives 199 712.  Returns (s**d, m, blocks): blocks yields
-    the points as d contiguous rows, whole rows of strata along axis 0 at
-    a time, at most BLOCK_POINTS points or else one row.  The strata come
-    in ij order, m points each, drawn in that order, so the blocks
-    concatenate to the same points whatever their size."""
+    (points, spans) for whole rows of strata along axis 0 at a time, at
+    most BLOCK_POINTS points or else one row.  The strata come in ij order,
+    m points each, drawn in that order, so the blocks concatenate to the
+    same points whatever their size.  Each draw is scaled as it is
+    transposed to d contiguous rows of coordinates, then shifted one axis
+    at a time: u * scale + low, rounded as before the transpose.  So row r
+    of strata has first coordinates in [low_r, fl(low_r + scale)], and
+    spans(terms) is _spans over those extents: the points
+    Region._contains_columns must compare for each piece (None for an
+    unbounded box, which culls none)."""
     if not n >= 1:
         raise InvalidArgument(f"need at least one sample point, got n={n}")
     d = bounds.shape[0]
     s = max(int(np.ceil(n ** (1.0 / d))) - 1, 1)
     m = max(int(np.ceil(n / s**d)), 2)
-    step = max(BLOCK_POINTS // (s ** (d - 1) * m), 1)  # rows of strata per block
+    width = s ** (d - 1) * m  # points in one row of strata
+    step = max(BLOCK_POINTS // width, 1)  # rows of strata per block
     scale = (bounds[:, 1] - bounds[:, 0]) / s
     lows = [np.linspace(bounds[k, 0], bounds[k, 1], s + 1)[:-1] for k in range(d)]
+    tops = lows[0] + scale[0]
+    mag = 2.0 * np.abs(bounds).max(axis=1)  # above every coordinate drawn
+    cull = bool(np.all(np.isfinite(mag)))  # a pad needs a finite box
+    # along axis k >= 1 the low corners repeat with period s**(d - k) * m
+    # points, the stratum's own corner held for its s**(d - 1 - k) * m
+    shifts = [np.repeat(lows[k], s ** (d - 1 - k) * m) for k in range(1, d)]
 
     def blocks():
         for first in range(0, s, step):
-            rows = min(step, s - first)
-            pts = rng.random((rows * s ** (d - 1), m, d))
-            pts *= scale
-            cells = pts.reshape((rows,) + (s,) * (d - 1) + (m, d))
-            for k, lo in enumerate(lows):
-                lo = lo[first:first + rows] if k == 0 else lo
-                cells[..., k] += lo.reshape((1,) * k + (-1,) + (1,) * (d - k))
-            yield np.ascontiguousarray(pts.reshape(-1, d).T)
+            rows = slice(first, min(first + step, s))
+            size = (rows.stop - first) * width
+            cols = np.multiply(rng.random((size, d)).T, scale[:, None],
+                               out=np.empty((d, size)))
+            cells = cols[0].reshape(-1, width)
+            cells += lows[0][rows, None]
+            for col, shift in zip(cols[1:], shifts):
+                cells = col.reshape(-1, len(shift))
+                cells += shift
+            yield cols, (partial(_spans, lows[0][rows], tops[rows], width, mag)
+                         if cull else None)
 
     return s**d, m, blocks()
 
@@ -304,8 +402,8 @@ def _stratified_hits(bounds, inside, n, seed, label):
     vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
     rng = _rng.stream(seed, label)
     k, m, blocks = _stratified_blocks(bounds, n, rng)
-    p_hat = np.concatenate([inside(cols).reshape(-1, m).mean(axis=1)
-                            for cols in blocks])
+    p_hat = np.concatenate([inside(cols, spans).reshape(-1, m).mean(axis=1)
+                            for cols, spans in blocks])
     est = vbox * float(p_hat.mean())
     var = float(np.sum(p_hat * (1 - p_hat) / (m - 1))) / k**2
     return est, vbox * float(np.sqrt(var))
@@ -404,7 +502,8 @@ def intersection_volume(r1: Region, r2: Region, method="auto",
     if method == "mc":
         return _stratified_hits(
             r1.bounding_box(),
-            lambda c: r1._contains_columns(c) & r2._contains_columns(c),
+            lambda c, spans: (r1._contains_columns(c, spans)
+                              & r2._contains_columns(c, spans)),
             n, seed, "overlap")
     raise InvalidArgument(f"unknown method {method!r}")
 
@@ -439,7 +538,9 @@ class AtomTable:
 
 
 def _common_bounding_box(regions):
-    bounds = Region(tuple(p for r in regions for p in r.pieces)).bounding_box()
+    if any(r.dim != regions[0].dim for r in regions):
+        raise DimensionMismatch("regions have mixed dimensions")
+    bounds = _hull([p for r in regions for p in r.pieces])
     if not np.all(np.isfinite(bounds)):
         raise UnboundedRegion("regions do not admit a finite bounding box")
     return bounds
@@ -510,13 +611,14 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
     """AtomTable for the family of regions over their common bounding box.
 
     method="exact" (axis-aligned families only) paints the regions on the
-    endpoint sweep grid; method="mc" classifies n to 2n stratified-uniform
-    samples (199 712 at n = 100 000 in the plane), drawn and classified one
-    block of strata at a time; "auto" prefers exact when available.
-    Signatures are counted by np.bincount over their codes up to 16
-    regions, by np.unique above.  Every signature that occurs among the
-    samples is an atom, so each MC atom has a measure of at least the box
-    volume over the number of samples.
+    endpoint sweep grid by cumulative sums; method="mc" classifies n to 2n
+    stratified-uniform samples (199 712 at n = 100 000 in the plane),
+    drawn and classified one block of strata at a time, each piece only on
+    the rows of strata its reach meets; "auto" prefers exact when
+    available.  Signatures are counted by np.bincount over their codes up
+    to 16 regions, by np.unique above.  Every signature that occurs among
+    the samples is an atom, so each MC atom has a measure of at least the
+    box volume over the number of samples.
     """
     regions = list(regions)
     if method not in ("auto", "exact", "mc"):
@@ -533,8 +635,8 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
     k, m, blocks = _stratified_blocks(bounds, n, rng)
     n_total = k * m
     signatures, counts = _signature_sums(
-        (_codes((r._contains_columns(cols) for r in regions), len(regions))
-         for cols in blocks), len(regions))
+        (_codes((r._contains_columns(cols, spans) for r in regions), len(regions))
+         for cols, spans in blocks), len(regions))
     p = counts / n_total
     stderrs = vbox * np.sqrt(p * (1 - p) / n_total)
     return AtomTable(signatures, vbox * p, stderrs, bounds, exact=False)

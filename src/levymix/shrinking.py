@@ -29,7 +29,7 @@ from .matrices import (
     cyclic_closure_compact,
     real_jordan_form,
 )
-from .regions import BLOCK_POINTS, Region, clipped_area
+from .regions import BLOCK_POINTS, Region, _ordered_product, clipped_area
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,6 @@ def _in_family(fam: ShrinkingFamily, t, yb, norm=None, exp=0) -> np.ndarray:
     return norm <= radius
 
 
-def _block_rows(inv, pts):
-    """Rows of inv @ x for each point x of pts, summed over the columns in order."""
-    yb = inv[:, :1] * pts[:, 0]
-    for j in range(1, pts.shape[1]):
-        yb += inv[:, j:j + 1] * pts[:, j]
-    return yb
-
-
 def _scaled_block_rows(inv, pts):
     """(yb, exp): block rows of the (m, d) points scaled by 2^exp to unit size.
 
@@ -134,7 +126,7 @@ def _scaled_block_rows(inv, pts):
     size = np.frexp(pts)[1] + np.frexp(np.abs(inv).max(axis=0))[1]
     # a zero point scales to zero; 2000 keeps the scale finite
     first = np.where(pts != 0, size, -2000).max(axis=1)
-    yb = _block_rows(inv, np.ldexp(pts, -first[:, None]))
+    yb = _ordered_product(inv, np.ldexp(pts, -first[:, None]).T)
     second = np.frexp(np.abs(yb).max(axis=0))[1]
     return np.ldexp(yb, -second), -first - second
 
@@ -170,7 +162,7 @@ def _contains_block(fam, t, inv, pts):
     """Membership in D_t of finite (m, d) points, given the block rows inv of T^-1."""
     # block rows of T^-1 x in column order: the same bits alone as in a batch
     with np.errstate(over="ignore", invalid="ignore"):
-        yb = _block_rows(inv, pts)
+        yb = _ordered_product(inv, pts.T)
         norm = _norms(yb)
         # a pair cone's tail is a norm too, and the smaller one
         low = _tail(fam, yb) if fam.pair and fam.uses_cone else norm

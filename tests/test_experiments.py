@@ -318,6 +318,9 @@ def test_cli_witness_and_weyl(tmp_path):
     gens.write_text(json.dumps([{"d": 2, "rows": squeeze().tolist()}]))
     res = runner.invoke(main, ["witness", "--generators", str(gens)])
     assert json.loads(res.output)["found"] is True
+    gens.write_text(json.dumps([{"rows": [[1.0, 1e300], [0.0, 1.0]]}]))
+    res = runner.invoke(main, ["witness", "--generators", str(gens)])
+    assert res.exit_code == 0 and json.loads(res.output)["found"] is True
     res = runner.invoke(main, ["weyl", "--generators", "rotation90"])
     h = np.array(json.loads(res.output)["rows"])
     assert np.allclose(h, np.eye(2), atol=1e-10)

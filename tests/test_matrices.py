@@ -395,6 +395,17 @@ def test_witness_search_examples():
         lm.find_noncompact_witness([2.0 * np.eye(2)])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [1e200, 1e300])
+def test_witness_search_returns_a_shear_with_a_huge_entry(entry):
+    # at 1e300 the word's _dedup_key overflows; the shear is still a witness
+    g = np.array([[1.0, entry], [0.0, 1.0]])
+    assert np.array_equal(lm.find_noncompact_witness([g]), g)
+    assert np.array_equal(lm.find_noncompact_witness([np.eye(2), g]), g)
+    with pytest.raises(errors.NotCompact):
+        lm.haar_average_form([g])
+
+
 # ---------------------------------------------------------------------------
 # Weyl's trick
 

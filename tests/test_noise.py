@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from levymix import errors
@@ -15,7 +19,7 @@ from levymix.noise import (
     realize,
     realize_masses,
 )
-from levymix.regions import Region, atomize, box_region, transform
+from levymix.regions import Piece, Region, atomize, box_region, transform
 from levymix.rng import stream
 from levymix.shrinking import _sample_in_family, build_family
 
@@ -64,6 +68,50 @@ def test_realize_is_a_row_of_realize_masses(kind):
     assert real.atom_values.tobytes() == want.tobytes()
     if kind != DETERMINISTIC:
         assert not np.array_equal(rows[0], rows[1])
+
+
+@st.composite
+def _split_families(draw):
+    """[A, B, A u B, C]: a box in a frame cut across its first axis into A
+    and B with a gap between them, and a box C that may meet both.  Signed
+    permutation frames take the exact sweep, rotated and sheared frames
+    Monte Carlo."""
+    kind = draw(st.sampled_from(["axis", "rotated", "sheared"]))
+    if kind == "axis":
+        frame = np.diag(draw(st.sampled_from([[1.0, 1.0], [-2.0, 0.5], [0.5, -1.0]])))
+        frame = frame[:, ::-1] if draw(st.booleans()) else frame
+    elif kind == "rotated":
+        frame = rotation(draw(st.floats(0.1, 1.4)))
+    else:
+        frame = np.array([[1.0, draw(st.floats(-1.5, 1.5))], [0.0, 1.0]])
+    lo = np.array(draw(st.lists(st.integers(-4, 4), min_size=2, max_size=2))) / 4
+    hi = lo + np.array(draw(st.lists(st.integers(2, 8), min_size=2, max_size=2))) / 4
+    cut = lo[0] + draw(st.floats(0.1, 0.9)) * (hi[0] - lo[0])
+    gap = draw(st.sampled_from([0.0, 0.01, 0.25])) * (hi[0] - cut)
+    a = Piece(frame, [[lo[0], cut], [lo[1], hi[1]]])
+    b = Piece(frame, [[cut + gap, hi[0]], [lo[1], hi[1]]])
+    corner = np.array(draw(st.lists(st.integers(-8, 8), min_size=2, max_size=2))) / 4
+    c = box_region(np.column_stack([corner, corner + 1.5]))
+    return [Region((a,)), Region((b,)), Region((a, b)), c]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(family=_split_families(), kind=st.sampled_from([POISSON, GAUSSIAN]),
+       seed=st.integers(0, 2**31 - 1))
+def test_realize_is_exactly_additive_over_disjoint_regions(family, kind, seed):
+    real = realize(NoiseSpec(kind, 5.0), family, n_atom_samples=2_000, seed=seed)
+    atoms = [real.atoms.atoms_of_region(i) for i in range(3)]
+    # A u B holds exactly the atoms of A and those of B, and none twice
+    assert not set(atoms[0]) & set(atoms[1])
+    assert atoms[2] == sorted(atoms[0] + atoms[1])
+    values = [real.atom_values[idx] for idx in atoms]
+    assert math.fsum(values[2]) == math.fsum(np.concatenate(values[:2]))
+    a, b, u = (real.value(i) for i in range(3))
+    if kind == POISSON:
+        assert u == a + b
+        assert [real.count_in(r) for r in family[:3]] == [a, b, u]
+    else:
+        assert abs(u - (a + b)) <= 4 * np.finfo(float).eps * np.abs(values[2]).sum()
 
 
 def test_poisson_points_consistent_with_masses():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -427,7 +428,7 @@ def _concatenated_blocks(bounds, n, seed, label):
     """The points of _stratified_blocks on the stream (seed, label) as d
     rows, checked against the meshgrid layout of one draw."""
     k, m, blocks = _stratified_blocks(bounds, n, _rng.stream(seed, label))
-    pts = np.concatenate(list(blocks), axis=1)
+    pts = np.concatenate([cols for cols, _ in blocks], axis=1)
     d = bounds.shape[0]
     s = round(k ** (1.0 / d))
     u = _rng.stream(seed, label).random((k, m, d))
@@ -450,7 +451,8 @@ def test_stratified_uniform_layout(d, n, monkeypatch):
     # more; and two rows, so the last block is short when s is odd
     for block in (regions.BLOCK_POINTS, 40, 2 * row):
         monkeypatch.setattr(regions, "BLOCK_POINTS", block)
-        blocks = list(_stratified_blocks(bounds, n, _rng.stream(3, "strata"))[2])
+        blocks = [cols for cols, _ in
+                  _stratified_blocks(bounds, n, _rng.stream(3, "strata"))[2]]
         # whole rows of strata, each block as d contiguous coordinate rows
         step = max(block // row, 1)
         assert [b.shape for b in blocks] == [(d, min(step, s - i) * row)
@@ -644,6 +646,8 @@ def test_atomize_rejects_unknown_method_and_empty_family():
         atomize([])
     with pytest.raises(errors.InvalidArgument, match="empty family"):
         atomize(iter(()), method="mc")
+    with pytest.raises(errors.DimensionMismatch):
+        atomize([unit_box(2), unit_box(3)])
 
 
 @st.composite
@@ -797,3 +801,148 @@ def test_axis_unions_make_no_piece_compares(monkeypatch):
     # beyond the limit, Monte Carlo atomization compares piece by piece
     assert atomize(family, method="mc", n=3_000, seed=4).signatures
     assert len(calls) == sum(len(r.pieces) for r in family)
+
+
+# ---------------------------------------------------------------------------
+# culling by rows of strata, and the painter
+
+
+def _loop_paint(intervals, cuts):
+    """The painter the cumulative sums replaced: one slice per box."""
+    table = np.zeros(tuple(2 * len(c) + 1 for c in cuts), dtype=bool)
+    ends = np.stack([2 * np.searchsorted(c, intervals[:, k]) + 1
+                     for k, c in enumerate(cuts)], axis=1)
+    for box in ends:
+        table[tuple(slice(lo, hi + 1) for lo, hi in box)] = True
+    return table
+
+
+def _whole_block_contains(region, cols):
+    """Every piece compared on every point, with no table and no culling."""
+    return np.logical_or.reduce([p._contains_columns(cols) for p in region.pieces])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(region=_staircases(), unbounded=st.booleans())
+def test_painted_table_matches_loop_painter(region, unbounded):
+    ivs = np.stack([p.intervals() for p in region.pieces if p.is_axis_aligned()])
+    if unbounded:  # a half-infinite box on axis 0
+        ivs = np.concatenate([ivs, ivs[:1]])
+        ivs[-1, 0, 1] = np.inf
+    cuts = regions._cuts(ivs)
+    table = regions._paint(ivs, cuts)
+    want = _loop_paint(ivs, cuts)
+    assert table.shape == want.shape and table.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("offset", [0.0, -7.3, 1e6, -3e9])
+def test_strata_rows_hold_their_points(d, offset, monkeypatch):
+    # the premise of culling: every point of row r of strata has its first
+    # coordinate in [low_r, fl(low_r + scale)]; so _spans passes on every
+    # point of an axis interval
+    monkeypatch.setattr(regions, "BLOCK_POINTS", 700)
+    rng = np.random.default_rng(d)
+    lo = offset + rng.uniform(-2.0, 0.0, d)
+    bounds = np.column_stack([lo, lo + rng.uniform(0.1, 3.0, d) / 3.0])
+    k, m, blocks = _stratified_blocks(bounds, {1: 999, 2: 4_000}.get(d, 3_000),
+                                      _rng.stream(d, "premise"))
+    s = round(k ** (1.0 / d))
+    width = k // s * m
+    lows = np.linspace(bounds[0, 0], bounds[0, 1], s + 1)[:-1]
+    tops = lows + (bounds[0, 1] - bounds[0, 0]) / s
+    first = 0
+    for cols, spans in blocks:
+        rows = slice(first, first + cols.shape[1] // width)
+        x0 = cols[0].reshape(-1, width)
+        assert np.all(x0.min(axis=1) >= lows[rows]) and np.all(x0.max(axis=1) <= tops[rows])
+        # each row's extreme points alone, and intervals between row ends
+        ends = np.concatenate([x0.min(axis=1), x0.max(axis=1)])
+        terms = np.zeros((len(ends) + 40, d + 3))
+        terms[:, :2] = np.concatenate([np.c_[ends, ends], np.sort(rng.choice(
+            np.r_[ends, lows[rows], tops[rows]], (40, 2)), axis=1)])
+        for (a, b), (start, stop) in zip(terms[:, :2], spans(terms)):
+            outside = np.r_[cols[0, :max(start, 0)], cols[0, stop:]]
+            assert not np.any((outside >= a) & (outside <= b))
+        first = rows.stop
+    assert first == s
+
+
+def _conditioned_frame(d, cond, rng):
+    q1 = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    return q1 @ np.diag(np.geomspace(1.0, 1.0 / cond, d)) @ q2
+
+
+def _near_face_points(piece, rng, count):
+    """Points of the piece's faces and corners, and of the ends of its
+    first axis, each coordinate moved up to 3 ulps either way."""
+    d = piece.dim
+    y = rng.uniform(piece.box[:, 0], piece.box[:, 1], (count, d))
+    face = rng.integers(0, d, count)
+    y[np.arange(count), face] = piece.box[face, rng.integers(0, 2, count)]
+    corner = rng.random(count) < 0.25
+    y[corner] = piece.box[np.arange(d), rng.integers(0, 2, (corner.sum(), d))]
+    x = y @ piece.frame.T
+    x[: count // 4, 0] = piece.bounds()[0, rng.integers(0, 2, count // 4)]
+    return x + rng.integers(-3, 4, x.shape) * np.spacing(x)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("offset", [0.0, -50.0, 1e5])
+def test_culling_never_changes_an_answer(d, offset, monkeypatch):
+    rng = np.random.default_rng(int(d + abs(offset)))
+    frames = [_conditioned_frame(d, cond, rng) for cond in (1.0, 1e2, 1e4, 1e6, 1e8)]
+    frames += [np.diag(rng.choice([-2.0, 0.5, 1.0], d)) for _ in range(3)]
+    lo = rng.uniform(-1.0, 1.0, (len(frames), d))
+    boxes = np.stack([lo, lo + rng.uniform(0.5, 2.0, lo.shape)], axis=2)
+    # each piece moved by `offset` along every axis
+    region = Region(tuple(Piece(f, box + np.linalg.solve(f, np.full(d, offset))[:, None])
+                          for f, box in zip(frames, boxes)), disjoint=False)
+    pts = np.concatenate([_near_face_points(p, rng, 600) for p in region.pieces]
+                         + [rng.uniform(*region.bounding_box().T, (600, d))])
+    pts = pts[np.argsort(pts[:, 0], kind="stable")]
+    width = 7  # rows of 7 points as tight as their first coordinates
+    pts = np.concatenate([pts, np.repeat(pts[-1:], -len(pts) % width, axis=0)])
+    cols = np.ascontiguousarray(pts.T)
+    spans = partial(regions._spans, cols[0, ::width], cols[0, width - 1::width],
+                    width, np.abs(pts).max(axis=0))
+    whole = _whole_block_contains(region, cols)
+    assert whole.any() and not whole.all()
+    monkeypatch.setattr(regions, "TABLE_POINTS", 0)
+    assert np.array_equal(region._contains_columns(cols, spans), whole)
+    compared = 0
+    for p, (start, stop) in zip(region.pieces, spans(region._reach_terms)):
+        assert not p._contains_columns(np.c_[cols[:, :start], cols[:, stop:]]).any()
+        compared += max(stop - start, 0)
+    assert compared < 0.75 * len(region.pieces) * len(pts)  # it culls
+    # a point's answer is the same alone, in any slice and in any order
+    for i in rng.choice(len(pts), 40, replace=False):
+        assert region.contains(pts[i]).tolist() == [whole[i]]
+    for _ in range(20):
+        a, b = np.sort(rng.integers(0, len(pts), 2))
+        assert np.array_equal(region.contains(pts[a:b + 1]), whole[a:b + 1])
+    order = rng.permutation(len(pts))
+    assert np.array_equal(region.contains(pts[order]), whole[order])
+
+
+@pytest.mark.parametrize("cond", [1e4, 1e8])
+def test_culled_sampling_matches_whole_block_classifier(cond):
+    rng = np.random.default_rng(int(np.log10(cond)))
+    family = [Region((Piece(_conditioned_frame(2, cond, rng), [[0.0, 1.0], [-1.0, 2.0]]),
+                      Piece(np.eye(2), [[0.2, 0.9], [-0.5, 0.4]])), disjoint=False),
+              transform(rotation(0.4), unit_box(2)),
+              box_region([[0.3, 1.3], [-0.2, 0.6]])]
+    _assert_matches_dict_atoms(family, "mc", 6_000, 5)
+    # the overlap estimate from whole blocks of the same points
+    r1, r2 = family[0], family[1]
+    for n in (3_000, 20_000):
+        k, m, blocks = _stratified_blocks(r1.bounding_box(), n, _rng.stream(2, "overlap"))
+        hits = np.concatenate([(_whole_block_contains(r1, c) & _whole_block_contains(r2, c))
+                               for c, _ in blocks])
+        p_hat = hits.reshape(-1, m).mean(axis=1)
+        bounds = r1.bounding_box()
+        vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
+        est = vbox * float(p_hat.mean())
+        err = vbox * float(np.sqrt(float(np.sum(p_hat * (1 - p_hat) / (m - 1))) / k**2))
+        assert intersection_volume(r1, r2, method="mc", n=n, seed=2) == (est, err)
