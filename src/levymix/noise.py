@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class NoiseRealization:
     """One sample of the noise over a registered region family."""
 
     spec: NoiseSpec
-    regions: tuple
     atoms: AtomTable
     atom_values: np.ndarray            # mass per atom
     atom_points: tuple = field(default=(), repr=False)  # poisson only
@@ -160,7 +159,7 @@ def realize(spec: NoiseSpec, regions, n_atom_samples=100_000, seed=0,
                                _rng.stream(seed, "points", i, replicate))
         if spec.kind == POISSON and v else empty
         for i, v in enumerate(values))
-    return NoiseRealization(spec, regions, atoms, values, points, seed)
+    return NoiseRealization(spec, atoms, values, points, seed)
 
 
 def realize_masses(spec: NoiseSpec, atoms: AtomTable, n_reps, seed=0):
@@ -196,9 +195,7 @@ def apply_transform(g, realization: NoiseRealization) -> NoiseRealization:
     if realization.spec.kind != POISSON:
         raise UnsupportedKind("pointwise pushforward requires poisson noise")
     moved = tuple(p @ g.T if len(p) else p for p in realization.atom_points)
-    return NoiseRealization(realization.spec, realization.regions,
-                            realization.atoms, realization.atom_values,
-                            moved, realization.seed)
+    return replace(realization, atom_points=moved)
 
 
 @functools.cache

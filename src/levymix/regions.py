@@ -5,10 +5,11 @@ Volumes are exact: |det M| times the box volume, summed over the pieces
 of a region flagged disjoint.  A piece whose frame is a signed
 permutation times a diagonal is itself an axis box; unions of such
 pieces get exact overlaps and an exact sweep-grid atomization.  Overlaps
-of other planar pieces are exact too: each piece is clipped against the
-four half-planes of the other (Sutherland-Hodgman) and the shoelace areas
-are summed.  Overlaps in d >= 3 with other frames, and the atoms of any
-family that is not all axis boxes, are Monte Carlo.
+of other planar pieces are exact too: of each pair, a bounded piece is
+clipped against the four half-planes of the other (Sutherland-Hodgman) and
+the shoelace areas are summed.  Overlaps in d >= 3 with other frames, and
+the atoms of any family that is not all axis boxes, are Monte Carlo, in a
+sample box that must be finite.
 
 Monte Carlo points are stratified, and they are drawn, classified and
 counted one block of strata at a time, about BLOCK_POINTS points a block,
@@ -148,11 +149,16 @@ class Piece:
         return self._intervals
 
     def bounds(self):
-        """Per-axis [lo, hi] of the smallest axis box holding the piece."""
+        """Per-axis [lo, hi] of the smallest axis box holding the piece: from
+        its corners if bounded, else the sums of the terms frame[i, j] * box[j]."""
         if self._intervals is not None:
             return self._intervals
-        corners = self.corners()
-        return np.column_stack([corners.min(axis=0), corners.max(axis=0)])
+        if np.all(np.isfinite(self.box)):
+            corners = self.corners()
+            return np.column_stack([corners.min(axis=0), corners.max(axis=0)])
+        F = self.frame[:, :, None]  # a zero entry adds no term, and no 0 * inf
+        terms = np.multiply(F, self.box, where=F != 0, out=np.zeros(F.shape[:2] + (2,)))
+        return np.sort(terms, axis=2).sum(axis=1)
 
     @cached_property
     def _inverse(self):
@@ -465,12 +471,16 @@ def _planar_overlap(r1: Region, r2: Region):
     total = 0.0
     bounds2 = [p2.bounds() for p2 in r2.pieces]
     for p1 in r1.pieces:
-        b1, poly1 = p1.bounds(), p1.polygon()
+        b1 = p1.bounds()
         for p2, b2 in zip(r2.pieces, bounds2):
             if np.any(np.maximum(b1[:, 0], b2[:, 0])
                       >= np.minimum(b1[:, 1], b2[:, 1])):
                 continue  # bounding boxes do not meet
-            total += clipped_area(poly1, p2._halfplanes)
+            # clip the bounded piece of the pair, the first if both are
+            clip, cut = (p1, p2) if np.all(np.isfinite(p1.box)) else (p2, p1)
+            if not np.all(np.isfinite(clip.box)):
+                raise UnboundedRegion("two unbounded pieces meet")
+            total += clipped_area(clip.polygon(), cut._halfplanes)
     return float(total)
 
 
@@ -479,11 +489,12 @@ def intersection_volume(r1: Region, r2: Region, method="auto",
     """(value, stderr) of the measure of the intersection of two regions.
 
     "axis" is exact for axis-aligned regions; "mc" samples in the bounding
-    box of r1.  "auto" takes the axis sweep when both regions are
-    axis-aligned, else clips every planar piece pair exactly when d = 2,
-    else Monte Carlo.  The exact paths need both regions' disjoint flag,
-    since they sum over piece pairs; without it "axis" raises
-    OverlapUnknown and "auto" falls back to Monte Carlo.
+    box of r1, and raises UnboundedRegion if it is not finite.  "auto"
+    takes the axis sweep when both regions are axis-aligned, else clips
+    every planar piece pair exactly when d = 2, else Monte Carlo.  The
+    exact paths need both regions' disjoint flag, since they sum over piece
+    pairs; without it "axis" raises OverlapUnknown and "auto" falls back to
+    Monte Carlo.
     """
     if r1.dim != r2.dim:
         raise DimensionMismatch("regions have different dimensions")
@@ -501,7 +512,7 @@ def intersection_volume(r1: Region, r2: Region, method="auto",
         return _axis_overlap(r1, r2), 0.0
     if method == "mc":
         return _stratified_hits(
-            r1.bounding_box(),
+            _common_bounding_box([r1]),
             lambda c, spans: (r1._contains_columns(c, spans)
                               & r2._contains_columns(c, spans)),
             n, seed, "overlap")

@@ -7,6 +7,9 @@ expressed in the Jordan basis and extended by the full space in all
 other Jordan coordinates.  The family increases in t, its intersection
 and the complement of its union are Lebesgue null, and high powers of
 the matrix map D_t'' into D_t' for any t' < t''.
+Membership takes one path: each point is scaled by powers of two until
+its tagged block rows lie near unit size, so no row or square over- or
+underflows, however far the point lies from unit size.
 """
 
 from __future__ import annotations
@@ -48,11 +51,16 @@ class ShrinkingFamily:
         return self.basis_inv.shape[0]
 
     def param(self, t):
-        """Monotone map from t in (0, inf) to the block-level parameter."""
+        """Monotone map from t in (0, inf) to the block-level parameter.
+
+        A cone's rho = 1/(1 + 1/t) takes monotone, correctly rounded steps,
+        so D_t increases in t as computed; where 1/t overflows (subnormal t
+        up to about 2^-1024), rho is 0.
+        """
         t = float(t)
         if not 0 < t < math.inf:
             raise InvalidArgument("t must be positive and finite")
-        return t / (1.0 + t) if self.uses_cone else t
+        return 1.0 / (1.0 + 1.0 / t) if self.uses_cone else t
 
 
 def build_family(A) -> ShrinkingFamily:
@@ -94,15 +102,13 @@ def _tail(fam, yb):
     return _norms(yb[-2:]) if fam.pair else np.abs(yb[-1])
 
 
-def _in_family(fam: ShrinkingFamily, t, yb, norm=None, exp=0) -> np.ndarray:
+def _in_family(fam: ShrinkingFamily, t, yb, exp=0) -> np.ndarray:
     """Membership in D_t of points given as the tagged block's rows (rows, n).
 
-    norm, if given, is _norms(yb).  Column i stands for its point scaled
-    by 2^exp[i]: cones are scale-invariant, and a ball's radius is scaled
-    to match.
+    Column i stands for its point scaled by 2^exp[i]: cones are
+    scale-invariant, and a ball's radius is scaled to match.
     """
-    if norm is None:
-        norm = _norms(yb)
+    norm = _norms(yb)
     # closed sets: let boundary points in despite roundoff
     slack = 1.0 + 1e-12
     if fam.uses_cone:
@@ -115,11 +121,12 @@ def _in_family(fam: ShrinkingFamily, t, yb, norm=None, exp=0) -> np.ndarray:
 def _scaled_block_rows(inv, pts):
     """(yb, exp): block rows of the (m, d) points scaled by 2^exp to unit size.
 
-    Each point is first scaled so that its largest term inv[i, j] * x_j
-    lies below 1, which keeps the row sums finite; columns the rows do
-    not read are left out, so their size does not matter.  The rows are
-    then scaled so that the largest lies in [0.5, 1), which keeps their
-    squares from underflowing.  Scaling by a power of two is exact.
+    Membership forms every point's rows this way.  Each point is first
+    scaled so that its largest term inv[i, j] * x_j lies below 1, which
+    keeps the row sums finite; columns the rows do not read are left out,
+    so their size does not matter.  The rows are then scaled so that the
+    largest lies in [0.5, 1), which keeps their squares from underflowing.
+    Scaling by a power of two is exact.
     """
     used = np.abs(inv).max(axis=0) > 0
     inv, pts = inv[:, used], pts[:, used]
@@ -142,6 +149,7 @@ def _floats(obj, what):
 def contains_many(fam: ShrinkingFamily, t, points) -> np.ndarray:
     """Vectorized membership of an (n, d) array in D_t (closed: boundary in).
 
+    Each point is tested at the scale _scaled_block_rows gives its rows.
     A point's answer is the same alone as in any batch, so the points are
     taken BLOCK_POINTS at a time, which keeps the temporaries small.
     """
@@ -154,28 +162,8 @@ def contains_many(fam: ShrinkingFamily, t, points) -> np.ndarray:
     out = np.empty(len(pts), dtype=bool)
     for i in range(0, len(pts), BLOCK_POINTS):
         block = pts[i:i + BLOCK_POINTS]
-        out[i:i + len(block)] = _contains_block(fam, t, inv, block)
+        out[i:i + len(block)] = _in_family(fam, t, *_scaled_block_rows(inv, block))
     return out
-
-
-def _contains_block(fam, t, inv, pts):
-    """Membership in D_t of finite (m, d) points, given the block rows inv of T^-1."""
-    # block rows of T^-1 x in column order: the same bits alone as in a batch
-    with np.errstate(over="ignore", invalid="ignore"):
-        yb = _ordered_product(inv, pts.T)
-        norm = _norms(yb)
-        # a pair cone's tail is a norm too, and the smaller one
-        low = _tail(fam, yb) if fam.pair and fam.uses_cone else norm
-    # Far from unit size the rows or their squares over- or underflow
-    # (a norm below 2^-511 summed squares below the normal range): those
-    # points are taken at a power-of-two scale, which keeps their answer.
-    exp = 0
-    if not (low.min(initial=np.inf) >= 2.0**-511 and norm.max(initial=0.0) < np.inf):
-        far = ~((low >= 2.0**-511) & (norm < np.inf))
-        exp = np.zeros(len(pts), dtype=int)
-        yb[:, far], exp[far] = _scaled_block_rows(inv, pts[far])
-        norm[far] = _norms(yb[:, far])
-    return _in_family(fam, t, yb, norm, exp)
 
 
 def contains(fam: ShrinkingFamily, t, x) -> bool:

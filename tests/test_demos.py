@@ -1,4 +1,4 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Smoke test: every script in demos/ runs to completion, warnings as errors."""
 
 import os
 import pathlib
@@ -16,6 +16,6 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                         capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path,
+                         env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

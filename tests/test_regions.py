@@ -227,6 +227,61 @@ def test_planar_overlap_properties(r1, r2, g, seed):
     assert abs(moved - est) <= 1e-12 * lam
 
 
+def test_unbounded_framed_pieces_give_exact_bounds_and_overlaps():
+    # A sheared half-strip has exact bounds, with no NaN from 0 * inf; of
+    # each pair the bounded piece is clipped, in either argument order;
+    # two unbounded pieces that meet, or an unbounded Monte Carlo sample
+    # box, raise UnboundedRegion.
+    half = box_region([[0.0, np.inf], [0.0, 1.0]])
+    sheared = transform([[1.0, 1.0], [0.0, 1.0]], half)
+    assert sheared.pieces[0].bounds().tolist() == [[0.0, np.inf], [0.0, 1.0]]
+    line = Piece([[1.0, 1.0], [0.0, 1.0]], [[-np.inf, np.inf], [0.0, 1.0]])
+    assert line.bounds().tolist() == [[-np.inf, np.inf], [0.0, 1.0]]
+    assert intersection_volume(sheared, unit_box(2)) == (0.5, 0.0)
+    assert intersection_volume(unit_box(2), sheared) == (0.5, 0.0)
+    for r1, r2, method in ((sheared, half, "auto"), (half, unit_box(2), "mc"),
+                           (sheared, unit_box(2), "mc")):
+        with pytest.raises(errors.UnboundedRegion):
+            intersection_volume(r1, r2, method=method)
+    est, err = intersection_volume(unit_box(2), sheared, method="mc", n=10_000)
+    assert abs(est - 0.5) <= 5.0 * err + 1e-4
+    # a bounded piece keeps the bits of its corners
+    tilted = transform(rotation(0.3) @ shear(), unit_box(2)).pieces[0]
+    corners = tilted.corners()
+    assert np.array_equal(tilted.bounds(), np.column_stack(
+        [corners.min(axis=0), corners.max(axis=0)]))
+
+
+@st.composite
+def _half_strip(draw):
+    """(unbounded, truncated): a half-strip g @ ([c0 - w, inf] x [c1 - h, c1 + h])
+    near the grid of _planar_region, or its mirror image [-inf, c0 + w], and
+    the same piece cut off at box coordinate c0 +- 1000, which lies at least
+    100 from the grid since g and g^-1 stretch by under 6."""
+    g = draw(_unimodular())
+    c = np.linalg.solve(g, draw(st.lists(st.floats(-1.0, 3.0), min_size=2, max_size=2)))
+    w, h = draw(st.floats(0.0, 1.0)), draw(st.floats(0.1, 1.0))
+    side = draw(st.sampled_from([1.0, -1.0]))
+    box = np.array([[c[0] - side * w, side * np.inf], [c[1] - h, c[1] + h]])
+    box[0].sort()
+    cut = box.copy()
+    cut[0][np.isinf(cut[0])] = c[0] + side * 1000.0
+    return Region((Piece(g, box),)), Region((Piece(g, cut),))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(r1=_planar_region(), strip=_half_strip())
+def test_planar_overlap_agrees_in_either_order_with_unbounded_pieces(r1, strip):
+    # Each pair clips its bounded piece, so the order of the arguments
+    # changes no bit; the far face of a half-strip cut off beyond r1 cuts
+    # nothing, so the cut-off strip gives the same bits as well.
+    unbounded, truncated = strip
+    est = intersection_volume(r1, unbounded)
+    assert est == intersection_volume(unbounded, r1)
+    assert est == intersection_volume(r1, truncated)
+    assert est[1] == 0.0 and 0.0 <= est[0] <= volume(r1) * (1.0 + 1e-12)  # shoelace
+
+
 def test_atomize_exact_two_overlapping_boxes():
     a = box_region(np.array([[0.0, 1.0], [0.0, 1.0]]))
     b = box_region(np.array([[0.5, 1.5], [0.0, 1.0]]))

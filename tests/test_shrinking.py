@@ -73,6 +73,21 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _last_true(pred, lo, hi):
+    """Largest float f in [lo, hi) with pred(f), given pred(lo) and not pred(hi).
+
+    Bisects the bit patterns of the floats, which order 0 <= lo < hi.
+    """
+    a, b = (int(np.float64(v).view(np.int64)) for v in (lo, hi))
+    while b - a > 1:
+        m = (a + b) // 2
+        if pred(float(np.int64(m).view(np.float64))):
+            a = m
+        else:
+            b = m
+    return float(np.int64(a).view(np.float64))
+
+
 TAGGED = {  # one Jordan block per kind of shrinking family
     "squeeze": RealJordanBlock(BlockKind.REAL, 1, 0.5 + 0j),  # padded to d >= 2
     "shear": RealJordanBlock(BlockKind.REAL, 2, 1.0 + 0j),
@@ -183,6 +198,35 @@ def test_membership_monotone_in_t(shear_family, squeeze_family):
         assert not np.any(inner & ~outer)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(sorted(TAGGED)), t1=st.floats(1e-8, 1e8),
+       seed=st.integers(0, 2**16))
+@example(kind="shear", t1=0.05794227448800149, seed=1)
+@example(kind="unipotent 3x3", t1=0.3394857295526917, seed=0)
+@example(kind="unit-modulus pair", t1=0.34026832890086356, seed=1)
+def test_membership_increases_in_t_at_edge_points(kind, t1, seed):
+    # D_t increases in t as computed, to the last float step of t.  The
+    # point is on the edge of D_t1: it is in, and its tail rows (all the
+    # block rows, for a ball) grown by one float step are out.  It must
+    # stay in D_t2 for every t2 >= t1; a rho = param(t) that fell by one
+    # float from some t to the next would drop such a point.
+    block = TAGGED[kind]
+    fam = lm.build_family(_padded_form(block, max(block.rows, 2)))
+    end = fam.offset + fam.rows
+    grown = end - (2 if fam.pair else 1) if fam.uses_cone else fam.offset
+    y = stream(seed, "edge").standard_normal(fam.dim)
+
+    def point(c):
+        z = y.copy()
+        z[grown:end] *= c
+        return fam.decomposition.conjugator @ z
+
+    assert contains(fam, t1, point(0.0)) and not contains(fam, t1, point(2.0**500))
+    x = point(_last_true(lambda c: contains(fam, t1, point(c)), 0.0, 2.0**500))
+    for t2 in (t1, np.nextafter(t1, np.inf), t1 * (1.0 + 2.0**-40), 2.0 * t1, 1e9):
+        assert contains(fam, t2, x)
+
+
 def test_cone_membership_scale_invariant(shear_family):
     rng = stream(2, "scale")
     pts = rng.standard_normal((5_000, 2))
@@ -223,17 +267,21 @@ def _boundary_points(fam, t, n, rng):
 
 
 def _edge_ts(fam, lhs, scale):
-    """(t_on, t_under): param(t) * scale * SLACK equal to lhs, or to the float below it."""
-    rho = lhs / (scale * SLACK)
-    t0 = rho / (1.0 - rho) if fam.uses_cone else rho
-    found = {}
-    for t in t0 + np.arange(-32, 33) * np.spacing(t0):
-        thr = fam.param(t) * scale * SLACK
-        if thr == lhs:
-            found.setdefault("on", t)
-        elif thr == np.nextafter(lhs, -np.inf):
-            found["under"] = t
-    return found.get("on"), found.get("under")
+    """(t_on, t_under): param(t) * scale * SLACK equal to lhs, or to the float below it.
+
+    The threshold never decreases in t, so the last t whose threshold
+    lies under lhs is found by bisection, and t_on is the float after it.
+    Either is None where the threshold steps past its value.
+    """
+    def thr(t):
+        return fam.param(t) * scale * SLACK
+    lo, hi = 5e-324, 1e300
+    if not thr(lo) < lhs <= thr(hi):
+        return None, None
+    t_under = _last_true(lambda t: thr(t) < lhs, lo, hi)
+    t_on = float(np.nextafter(t_under, np.inf))
+    return (t_on if thr(t_on) == lhs else None,
+            t_under if thr(t_under) == np.nextafter(lhs, -np.inf) else None)
 
 
 def _edge_point(fam, pts, i):
@@ -282,7 +330,7 @@ def test_contains_many_matches_row_major_reference(monkeypatch):
                 with monkeypatch.context() as mp:
                     mp.setattr(shrinking, "BLOCK_POINTS", 64)
                     assert np.array_equal(contains_many(fam, t, pts), want)
-            for i in range(4):
+            for i in range(5):
                 edges += _edge_point(fam, pts[:64], i)
     assert edges >= 200
 
