@@ -14,14 +14,13 @@ import click
 
 from . import noise as _noise
 from . import shrinking as _shrinking
-from .errors import ConfigError, LevymixError, NotCompact
+from .errors import ConfigError, LevymixError, NotReached
 from .experiments import read_json, run_all
 from .gallery import ALIASES, parse_matrix
 from .matrices import (
     classify_noncompact_blocks,
     cyclic_closure_compact,
     find_noncompact_witness,
-    haar_average_form,
     matrix_to_json,
     real_jordan_form,
     weyl_conjugator,
@@ -84,18 +83,16 @@ def classify(matrix_spec):
               help="Alias or JSON file with a matrix or list of matrices.")
 @click.option("--max-word-len", default=6, show_default=True)
 def witness(gen_spec, max_word_len):
-    """Search for a word with non-compact cyclic closure; without one,
-    decide compactness by the group's invariant form."""
-    gens = _load_matrices(gen_spec)
-    w = find_noncompact_witness(gens, max_word_len=max_word_len)
-    if w is not None:
-        return _emit({"found": True, "witness": matrix_to_json(w)})
+    """Decide compactness by the group's invariant form; for a non-compact
+    group, search for a word with non-compact cyclic closure."""
     try:
-        haar_average_form(gens)
-    except NotCompact:
-        return _emit({"found": False, "compact": False, "note": "no witness "
-                      f"up to word length {max_word_len}"})
-    _emit({"found": False, "compact": True})
+        w = find_noncompact_witness(_load_matrices(gen_spec),
+                                    max_word_len=max_word_len)
+    except NotReached as exc:
+        return _emit({"found": False, "compact": False, "note": str(exc)})
+    if w is None:
+        return _emit({"found": False, "compact": True})
+    _emit({"found": True, "witness": matrix_to_json(w)})
 
 
 @main.command()

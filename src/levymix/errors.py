@@ -44,7 +44,7 @@ class CompactClosure(LevymixError):
 
 
 class NotReached(LevymixError):
-    """Absorption lag exceeds the supplied power bound."""
+    """A search or absorption not finished within its bound."""
 
 
 class OverlapUnknown(LevymixError):

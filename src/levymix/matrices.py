@@ -25,6 +25,7 @@ from .errors import (
     InvalidGenerator,
     NonFiniteInput,
     NotCompact,
+    NotReached,
     NotSPD,
     SingularMatrix,
 )
@@ -511,22 +512,31 @@ def _words(generators, max_len=None):
 
 
 def find_noncompact_witness(generators, max_word_len=6):
-    """Breadth-first search for a word with non-compact cyclic closure.
+    """A word in the generators whose cyclic closure is not compact.
 
-    Returns the first such word as a matrix, or None if no word up to
-    max_word_len qualifies.  None alone does not certify that the
-    generated group is compact; haar_average_form decides that.
+    Returns None when haar_average_form certifies that the generated
+    group is compact.  Otherwise searches the words breadth-first up to
+    max_word_len and returns the first one that qualifies.  Without one it
+    raises NotReached if the group was decided non-compact, or else the
+    IllConditioned or ConvergenceFailure that left it undecided.
     """
     gens = _generator_list(generators)
     if not all(in_measure_preserving_group(g) for g in gens):
         raise InvalidGenerator("generator must have |det| = 1")
+    try:
+        haar_average_form(gens)
+        return None
+    except NotCompact:
+        undecided = NotReached(f"no witness up to word length {max_word_len}")
+    except (IllConditioned, ConvergenceFailure) as exc:
+        undecided = exc
     for w in _words(gens, max_word_len):
         try:
             if not cyclic_closure_compact(w):
                 return w
         except IllConditioned:
             pass  # borderline word; keep searching
-    return None
+    raise undecided
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from . import rng as _rng
 from .errors import (ApproximationTooCoarse, CompactClosure,
                      DimensionMismatch, InvalidArgument, InvalidGenerator,
                      NonFiniteInput, NotReached, OverlapUnknown,
-                     SamplingFailure)
+                     SamplingFailure, UnboundedRegion)
 from .matrices import (
     BlockKind,
     RealJordanDecomposition,
@@ -32,7 +32,8 @@ from .matrices import (
     cyclic_closure_compact,
     real_jordan_form,
 )
-from .regions import BLOCK_POINTS, Region, _ordered_product, clipped_area
+from .regions import (BLOCK_POINTS, Region, _ordered_product, clipped_area,
+                      volume)
 
 
 @dataclass(frozen=True)
@@ -206,13 +207,34 @@ def _sample_in_family(fam, t, n, rng, tail_floor=0.01, max_tries=1000):
     return np.ascontiguousarray(np.hstack(out)[:, :n])
 
 
+def _certified_power(fam, t, yb):
+    """H with every column of yb in the cone D_t at every power h >= H.
+
+    On a block lam I + N the tail y_k becomes lam^h y_k and the coordinate
+    before it lam^h y_(k-1) + h lam^(h-1) y_k, at least
+    |lam|^h (h |y_k| / |lam| - |y_(k-1)|) in size; a pair block reads the
+    norms of its last two pairs.  The tail is then at most rho times that
+    coordinate once h >= |lam| (|y_(k-1)| + |y_k| / rho) / |y_k|.  Returns
+    the largest such bound as a float, inf or NaN where there is none.
+    """
+    w = 2 if fam.pair else 1
+    tail, prev = _norms(yb[-w:]), _norms(yb[-2 * w:-w])
+    lam = abs(fam.decomposition.blocks[fam.block_index].eigen)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(lam * (prev + tail / fam.param(t)) / tail))
+
+
 def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
                    h_max=200, seed=0):
-    """Smallest h0 with A^h D_{t_large} samples inside D_{t_small} for h >= h0.
+    """Smallest h0 with A^h D_{t_large} samples in D_{t_small} for all h >= h0.
 
     Returns (h0, 0): h0 is one past the last power at which some sample
-    lies outside D_{t_small}, so no (sample, h) fails from h0 on.
-    Raises NotReached when h_max is insufficient.
+    lies outside D_{t_small}, so no (sample, h) fails from h0 on, at any
+    power.  A cone family steps the sample only up to the power that
+    _certified_power gives, past which every sample stays inside; a ball
+    of a contracting size-1 block is forward invariant, so its walk stops
+    at the first power with every sample inside.  Raises NotReached when
+    h_max bounds neither that power nor that walk.
 
     D_t is sampled and stepped in the tagged block's own coordinates:
     it is defined through the decomposition's T, so the block K of
@@ -227,13 +249,20 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
     rng = _rng.stream(seed, "absorption")
     cur = _sample_in_family(fam, t_large, n_samples, rng)
     K = fam.decomposition.blocks[fam.block_index].materialize()
+    stop = h_max + 1
+    if fam.uses_cone:
+        bound = _certified_power(fam, t_small, cur)
+        if not bound <= h_max:
+            raise NotReached(f"absorption not certified within h_max={h_max}")
+        stop = math.ceil(bound)
     h0 = 0
-    for h in range(h_max + 1):
+    for h in range(stop):
         if not _in_family(fam, t_small, cur).all():
             h0 = h + 1
-        if h < h_max:
-            cur = K @ cur
-    if h0 > h_max:
+        elif not fam.uses_cone:
+            return h, 0  # all inside a forward-invariant ball from h on
+        cur = K @ cur
+    if not fam.uses_cone:
         raise NotReached(f"absorption not reached within h_max={h_max}")
     return h0, 0
 
@@ -264,14 +293,20 @@ def family_overlap(fam: ShrinkingFamily, t, C: Region) -> float:
     or the strip |y_off| <= eps of a real scalar block.  Each convex
     cell of it is cut out by two half-planes, and a.y <= b is
     (a T^-1).x <= b.  Every parallelotope of C is clipped against every
-    cell and the areas are summed.
+    cell and the areas are summed.  Where rho rounds to 1 (t above about
+    2^53), D_t is the whole plane and the measure is that of C.  A C with
+    an unbounded piece raises UnboundedRegion.
     """
     if fam.dim != 2 or fam.pair or C.dim != 2:
         raise ApproximationTooCoarse("exact C n D_t needs d=2 and a real block")
     if not C.disjoint:
         raise OverlapUnknown("exact overlap requires disjoint pieces")
+    if not all(np.all(np.isfinite(piece.box)) for piece in C.pieces):
+        raise UnboundedRegion("exact C n D_t needs bounded pieces")
     if fam.uses_cone:
         rho = fam.param(t)
+        if rho == 1.0:
+            return volume(C)
         k = rho / np.sqrt(1.0 - rho * rho)
         cells = [[(np.array([-side * k, 1.0]), 0.0),
                   (np.array([-side * k, -1.0]), 0.0)] for side in (1.0, -1.0)]

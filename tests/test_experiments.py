@@ -127,6 +127,28 @@ def test_family_overlap_multi_piece_matches_mc():
         assert abs(got - est) <= 4.0 * np.sqrt(var)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1e16, 1e17])
+def test_family_overlap_where_the_cone_is_the_plane(t):
+    # rho = 1/(1 + 1/t) rounds to 1: D_t is the whole plane
+    fam = build_family(shear())
+    assert fam.param(t) == 1.0
+    C = Region((Piece(rotation(0.3), np.array([[0.0, 1.0], [0.0, 2.0]])),
+                Piece(shear(), np.array([[-2.0, -1.0], [-1.0, 0.0]]))))
+    assert family_overlap(fam, t, UNIT) == 1.0
+    assert family_overlap(fam, t, C) == volume(C)
+
+
+@pytest.mark.parametrize("bounds", [[[0.0, np.inf], [0.0, 1.0]],
+                                    [[0.0, 1.0], [0.0, np.inf]],
+                                    [[-np.inf, 0.0], [0.0, 1.0]],
+                                    [[0.0, 1.0], [-np.inf, 0.0]]])
+def test_family_overlap_rejects_unbounded_regions(bounds):
+    for g in (shear(), squeeze()):
+        with pytest.raises(errors.UnboundedRegion):
+            family_overlap(build_family(g), 1.0, box_region(bounds))
+
+
 def test_family_overlap_too_coarse():
     shear3 = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(errors.ApproximationTooCoarse):

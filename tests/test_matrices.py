@@ -406,6 +406,27 @@ def test_witness_search_returns_a_shear_with_a_huge_entry(entry):
         lm.haar_average_form([g])
 
 
+@pytest.mark.parametrize("cond", [10.0, 100.0])
+@pytest.mark.parametrize("order", [3, 4, 6, 8])
+def test_witness_none_certifies_compactness(order, cond):
+    # None comes from the group decision; no word it skips is non-compact
+    P = _conditioned(2, cond, stream(order, "dihedral"))
+    gens = _conjugated(P, dihedral_generators(order))
+    assert lm.find_noncompact_witness(gens) is None
+    words = list(_words(gens, 6))
+    assert len(words) == 2 * order - 1  # the group, less the identity
+    assert all(lm.cyclic_closure_compact(w) for w in words)
+
+
+def test_witness_search_without_a_witness_raises():
+    # the pair generates a non-compact group, but no single letter is a witness
+    with pytest.raises(errors.NotReached, match="no witness up to word length 1"):
+        lm.find_noncompact_witness(_elliptic_pair(), max_word_len=1)
+    # a rotation by 1e-7 is undecided, and so is each short word of it
+    with pytest.raises(errors.IllConditioned):
+        lm.find_noncompact_witness([conjugated_rotation(1e-7, stream(7, "tiny"))])
+
+
 # ---------------------------------------------------------------------------
 # Weyl's trick
 

@@ -65,6 +65,15 @@ def _reference_lag(start, step, member, h_max):
     return h0, int(fails[:, h0:].sum())
 
 
+def _reference_certificate(fam, t, Y):
+    """max over the (n, rows) block rows Y of H(y) = ceil(|lam| (|y_(k-1)| +
+    |y_k| / rho) / |y_k|), y_k the last coordinate (pair) of a cone block."""
+    lam, rho = abs(fam.decomposition.blocks[fam.block_index].eigen), fam.param(t)
+    w = 2 if fam.pair else 1
+    return max(math.ceil(lam * (math.hypot(*y[-2 * w:-w]) + math.hypot(*y[-w:]) / rho)
+                         / math.hypot(*y[-w:])) for y in Y)
+
+
 def _outcome(fn, *args):
     """fn(*args), or the type of the package error it raises."""
     try:
@@ -472,7 +481,9 @@ def test_absorption_lag_matches_reference_loop(kind, log_cond, pair, h_max, seed
     # lag.  The loop that steps (n, d) points by A and tests them through
     # T^-1 is a second reference at h_max 40, fed the same sample mapped
     # through T's block columns; past that the expanding coordinate's
-    # rounding drowns the contracting one.
+    # rounding drowns the contracting one.  A cone family's lag is
+    # certified only up to h_max: where the sample's certificate exceeds
+    # it, NotReached is due whatever the walk finds below h_max.
     block = TAGGED[kind]
     d = max(block.rows, 2)
     cond = (1000.0 if kind == "squeeze" else 20.0) ** log_cond
@@ -485,12 +496,44 @@ def test_absorption_lag_matches_reference_loop(kind, log_cond, pair, h_max, seed
         assert got == (math.ceil(math.log2(t_large / t_small)), 0)
     Y = _sample_in_family(fam, t_large, 200, stream(seed, "absorption")).T
     K = fam.decomposition.blocks[fam.block_index].materialize()
-    assert got == _outcome(_reference_lag, Y, lambda y: y @ K.T,
-                           lambda y: _reference_contains(fam, t_small, y), h_max)
+    uncertified = fam.uses_cone and _reference_certificate(fam, t_small, Y) > h_max
+
+    def expect(outcome):
+        return errors.NotReached if uncertified else outcome
+
+    assert got == expect(_outcome(_reference_lag, Y, lambda y: y @ K.T,
+                                  lambda y: _reference_contains(fam, t_small, y),
+                                  h_max))
     if h_max == 40:
         X = Y @ fam.decomposition.conjugator[:, fam.offset:fam.offset + fam.rows].T
-        assert got == _outcome(_reference_lag, X, lambda x: x @ A.T,
-                               lambda x: contains_many(fam, t_small, x), h_max)
+        assert got == expect(_outcome(_reference_lag, X, lambda x: x @ A.T,
+                                      lambda x: contains_many(fam, t_small, x),
+                                      h_max))
+
+
+@pytest.mark.parametrize("cond", [1.0, 20.0])
+@pytest.mark.parametrize("kind", sorted(TAGGED))
+def test_absorbed_samples_stay_inside_past_the_certified_power(kind, cond):
+    # the lag's stop must survive roundoff: from H on (the certificate of a
+    # cone, the lag of a forward-invariant ball) no sample leaves D_t_small
+    block = TAGGED[kind]
+    d = max(block.rows, 2)
+    P = _conjugator(d, cond, stream(3, "conjugator"))
+    fam = lm.build_family(P @ _padded_form(block, d) @ np.linalg.inv(P))
+    K = fam.decomposition.blocks[fam.block_index].materialize()
+    for i, t_small in enumerate(GRID):
+        for t_large in GRID[i + 1:]:
+            cur = _sample_in_family(fam, t_large, 200, stream(0, "absorption"))
+            if fam.uses_cone:
+                H = math.ceil(shrinking._certified_power(fam, t_small, cur))
+                assert H == _reference_certificate(fam, t_small, cur.T)
+            else:
+                H, _ = lm.absorption_lag(fam, t_small, t_large, 200, 200, 0)
+            assert H <= 200
+            for h in range(H + 501):
+                if h >= H:
+                    assert _reference_contains(fam, t_small, cur.T).all()
+                cur = K @ cur
 
 
 def test_absorption_grid(shear_family, squeeze_family):
