@@ -156,7 +156,10 @@ def simulate(spec_str, regions_path, n, seed, out_dir):
         spec = _noise.NoiseSpec(kind, float(param) if param else 1.0)
     except ValueError as exc:
         raise ConfigError(f"--spec {spec_str}: {exc}") from exc
-    regions = [Region.from_json(o) for o in read_json(regions_path)]
+    objs = read_json(regions_path)
+    if not isinstance(objs, list):
+        raise ConfigError(f"{regions_path}: expected a list of region objects")
+    regions = [Region.from_json(o) for o in objs]
     real = _noise.realize(spec, regions, n_atom_samples=n, seed=seed)
     dump = real.to_json()
     dump["region_masses"] = [real.value(i) for i in range(len(regions))]

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import (ApproximationTooCoarse, ConfigError, DimensionMismatch,
-                     InvalidArgument, InvalidGenerator, NonFiniteInput)
+                     InvalidArgument, InvalidGenerator, NonFiniteInput,
+                     UnboundedRegion)
 from .gallery import parse_matrix
 from .matrices import (
     _generator_list,
@@ -42,7 +43,7 @@ from .regions import (
     transform,
     volume,
 )
-from .shrinking import build_family, family_overlap
+from .shrinking import build_family, family_region
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 MC_SAMPLES = 200_000  # points per Monte Carlo overlap or atom table
@@ -159,7 +160,9 @@ def tail_triviality_decay(g, f=None, C: Region = None,
     """Variance of conditional expectations along the shrinking family of g.
 
     For each t, the conditioning set is D_t, and the overlap measure of
-    C with it is exact (family_overlap, planar g only); the variance of
+    C with it is exact: intersection_volume of C and family_region(fam, t),
+    for planar g only, whose stderr of 0 goes into the series row.  A C of
+    infinite measure raises UnboundedRegion.  The variance of
     E[f(mass(C)) | D_t] is estimated from n_reps samples and compared
     with the conditional variance implied by that overlap.  The series
     must decay to below 10% of the unconditional variance.
@@ -172,6 +175,8 @@ def tail_triviality_decay(g, f=None, C: Region = None,
         f = lambda v: v
     fam = build_family(as_matrix(g))
     lam_C = volume(C)
+    if not np.isfinite(lam_C):
+        raise UnboundedRegion("C n D_t needs a C of finite measure")
     report = ExperimentReport(
         "tail_triviality_decay",
         {"g": as_matrix(g).tolist(), "C": C.to_json(),
@@ -187,12 +192,12 @@ def tail_triviality_decay(g, f=None, C: Region = None,
     t_sorted = sorted(t_grid, reverse=True)
     variances, verrs = [], []
     for t in t_sorted:
-        s = family_overlap(fam, t, C)
+        s, s_err = intersection_volume(C, family_region(fam, t))
         rng = _rng.stream(seed, "tail", t)
         samples = gaussian_conditional_samples(f, s, lam_C, n_reps, rng)
         var = float(samples.var(ddof=1))
         verr = var * np.sqrt(2.0 / (n_reps - 1))
-        report.add("overlap", t, s, 0.0)
+        report.add("overlap", t, s, s_err)
         report.add("cond_variance", t, var, verr)
         variances.append(var)
         verrs.append(verr)
@@ -483,10 +488,13 @@ def run_all(config_path=None, seed_override=None, out_override=None):
     verdict is pass.
     """
     config = default_config() if config_path is None else read_json(config_path)
-    if not isinstance(config, dict) or "experiments" not in config:
+    if not isinstance(config, dict) or not isinstance(config.get("experiments"), list):
         raise ConfigError("config must be an object with an 'experiments' list")
     seed = seed_override if seed_override is not None else config.get("seed", 0)
     out_dir = out_override if out_override is not None else config.get("out", "reports")
+    if type(seed) is not int or not isinstance(out_dir, str):  # a bool is no seed
+        raise ConfigError(f"config: need an integer seed and a string out, "
+                          f"got {seed!r} and {out_dir!r}")
     os.makedirs(out_dir, exist_ok=True)
     reports = {}
     for i, entry in enumerate(config["experiments"]):

@@ -3,13 +3,13 @@
 A Region is a finite union of linear images of axis-aligned boxes.
 Volumes are exact: |det M| times the box volume, summed over the pieces
 of a region flagged disjoint.  A piece whose frame is a signed
-permutation times a diagonal is itself an axis box; unions of such
-pieces get exact overlaps and an exact sweep-grid atomization.  Overlaps
-of other planar pieces are exact too: of each pair, a bounded piece is
-clipped against the four half-planes of the other (Sutherland-Hodgman) and
-the shoelace areas are summed.  Overlaps in d >= 3 with other frames, and
-the atoms of any family that is not all axis boxes, are Monte Carlo, in a
-sample box that must be finite.
+permutation times a diagonal is itself an axis box; families of such
+pieces get an exact sweep-grid atomization.  Exact overlaps take one loop
+over the piece pairs whose bounds meet: two axis boxes add the product of
+their common intervals, any other planar pair clips its bounded piece
+against the four half-planes of the other (Sutherland-Hodgman).  Overlaps
+in d >= 3 with other frames, and the atoms of any family that is not all
+axis boxes, are Monte Carlo, in a sample box that must be finite.
 
 Monte Carlo points are stratified, and they are drawn, classified and
 counted one block of strata at a time, about BLOCK_POINTS points a block,
@@ -136,8 +136,10 @@ class Piece:
         return self.frame.shape[0]
 
     def volume(self):
-        return abs(float(np.linalg.det(self.frame))) * float(
-            np.prod(self.box[:, 1] - self.box[:, 0]))
+        widths = self.box[:, 1] - self.box[:, 0]
+        if not widths.all():
+            return 0.0  # a flat box, even one with an infinite side
+        return abs(float(np.linalg.det(self.frame))) * float(np.prod(widths))
 
     def is_axis_aligned(self):
         return self._intervals is not None
@@ -224,8 +226,9 @@ class Piece:
                                     indexing="ij"), axis=-1).reshape(-1, d)
         return grid @ self.frame.T
 
-    def polygon(self):
-        """The four corners of a planar piece in cyclic order."""
+    @cached_property
+    def _polygon(self):
+        """The four corners of a planar piece in cyclic order, computed once."""
         return self.corners()[[0, 1, 3, 2]]
 
     @cached_property
@@ -314,13 +317,16 @@ class Region:
         """Region from {"box": [[lo, hi], ...]} or a to_json() object."""
         if not isinstance(obj, dict) or not {"box", "pieces"} & obj.keys():
             raise ConfigError("region: expected a box or pieces object")
+        disjoint = obj.get("disjoint", True)
+        if not isinstance(disjoint, bool):
+            raise ConfigError(f"region: disjoint must be true or false, got {disjoint!r}")
         try:
             if "box" in obj:
                 return box_region(obj["box"])
             pieces = [Piece(np.asarray(e["frame"], dtype=float),
                             np.asarray(e["box"], dtype=float))
                       for e in obj["pieces"]]
-            return Region(tuple(pieces), disjoint=bool(obj.get("disjoint", True)))
+            return Region(tuple(pieces), disjoint=disjoint)
         except (LevymixError, LookupError, TypeError, ValueError) as exc:
             raise ConfigError(f"region: {exc}") from exc
 
@@ -454,33 +460,27 @@ def clipped_area(poly, halfplanes):
     return 0.5 * abs(x @ np.roll(y, -1) - y @ np.roll(x, -1))
 
 
-def _axis_overlap(r1: Region, r2: Region):
-    total = 0.0
-    for p1 in r1.pieces:
-        iv1 = p1.intervals()
-        for p2 in r2.pieces:
-            iv2 = p2.intervals()
-            lo = np.maximum(iv1[:, 0], iv2[:, 0])
-            hi = np.minimum(iv1[:, 1], iv2[:, 1])
-            if np.all(hi > lo):
-                total += float(np.prod(hi - lo))
-    return total
-
-
-def _planar_overlap(r1: Region, r2: Region):
+def _overlap(r1: Region, r2: Region):
+    """Exact measure of r1 n r2 (both flagged disjoint), summed over piece
+    pairs whose bounds meet: two axis boxes add the product of their common
+    intervals, any other pair (d = 2) clips its bounded piece, the first if
+    both are, against the other's half-planes; UnboundedRegion if neither is."""
     total = 0.0
     bounds2 = [p2.bounds() for p2 in r2.pieces]
     for p1 in r1.pieces:
         b1 = p1.bounds()
         for p2, b2 in zip(r2.pieces, bounds2):
-            if np.any(np.maximum(b1[:, 0], b2[:, 0])
-                      >= np.minimum(b1[:, 1], b2[:, 1])):
-                continue  # bounding boxes do not meet
-            # clip the bounded piece of the pair, the first if both are
+            lo = np.maximum(b1[:, 0], b2[:, 0])
+            hi = np.minimum(b1[:, 1], b2[:, 1])
+            if np.any(hi <= lo):
+                continue  # bounds do not meet
+            if p1.is_axis_aligned() and p2.is_axis_aligned():
+                total += float(np.prod(hi - lo))
+                continue
             clip, cut = (p1, p2) if np.all(np.isfinite(p1.box)) else (p2, p1)
             if not np.all(np.isfinite(clip.box)):
                 raise UnboundedRegion("two unbounded pieces meet")
-            total += clipped_area(clip.polygon(), cut._halfplanes)
+            total += clipped_area(clip._polygon, cut._halfplanes)
     return float(total)
 
 
@@ -489,34 +489,29 @@ def intersection_volume(r1: Region, r2: Region, method="auto",
     """(value, stderr) of the measure of the intersection of two regions.
 
     "axis" is exact for axis-aligned regions; "mc" samples in the bounding
-    box of r1, and raises UnboundedRegion if it is not finite.  "auto"
-    takes the axis sweep when both regions are axis-aligned, else clips
-    every planar piece pair exactly when d = 2, else Monte Carlo.  The
-    exact paths need both regions' disjoint flag, since they sum over piece
-    pairs; without it "axis" raises OverlapUnknown and "auto" falls back to
-    Monte Carlo.
+    box of r1, and raises UnboundedRegion if it is not finite.  "auto" is
+    exact when both regions are flagged disjoint and either both are
+    axis-aligned or d = 2, else Monte Carlo.  Exact overlaps sum over piece
+    pairs (_overlap), so "axis" raises OverlapUnknown without both flags.
     """
     if r1.dim != r2.dim:
         raise DimensionMismatch("regions have different dimensions")
+    if method not in ("auto", "axis", "mc"):
+        raise InvalidArgument(f"unknown method {method!r}")
     disjoint = r1.disjoint and r2.disjoint
     axis = r1.is_axis_aligned() and r2.is_axis_aligned()
-    if method == "auto":
-        if disjoint and not axis and r1.dim == 2:
-            return _planar_overlap(r1, r2), 0.0
-        method = "axis" if disjoint and axis else "mc"
     if method == "axis":
         if not axis:
             raise NotAxisAligned("axis-exact overlap needs axis-aligned frames")
         if not disjoint:
             raise OverlapUnknown("exact overlap requires disjoint pieces")
-        return _axis_overlap(r1, r2), 0.0
-    if method == "mc":
+    if method == "mc" or not (disjoint and (axis or r1.dim == 2)):
         return _stratified_hits(
             _common_bounding_box([r1]),
             lambda c, spans: (r1._contains_columns(c, spans)
                               & r2._contains_columns(c, spans)),
             n, seed, "overlap")
-    raise InvalidArgument(f"unknown method {method!r}")
+    return _overlap(r1, r2), 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ and the complement of its union are Lebesgue null, and high powers of
 the matrix map D_t'' into D_t' for any t' < t''.
 Membership takes one path: each point is scaled by powers of two until
 its tagged block rows lie near unit size, so no row or square over- or
-underflows, however far the point lies from unit size.
+underflows, however far the point lies from unit size.  In the plane,
+family_region gives D_t of a real block as a Region, so its overlaps
+with other regions take the one exact pair loop of the regions module.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import (ApproximationTooCoarse, CompactClosure,
                      DimensionMismatch, InvalidArgument, InvalidGenerator,
-                     NonFiniteInput, NotReached, OverlapUnknown,
-                     SamplingFailure, UnboundedRegion)
+                     NonFiniteInput, NotReached, SamplingFailure)
 from .matrices import (
     BlockKind,
     RealJordanDecomposition,
@@ -32,8 +33,7 @@ from .matrices import (
     cyclic_closure_compact,
     real_jordan_form,
 )
-from .regions import (BLOCK_POINTS, Region, _ordered_product, clipped_area,
-                      volume)
+from .regions import BLOCK_POINTS, Piece, Region, _ordered_product
 
 
 @dataclass(frozen=True)
@@ -285,34 +285,34 @@ def null_boundary_check(fam: ShrinkingFamily, n_samples=100_000, seed=0):
     return frac_outside, frac_inside
 
 
-def family_overlap(fam: ShrinkingFamily, t, C: Region) -> float:
-    """Exact measure of C n D_t for a shrinking family in the plane.
+def family_region(fam: ShrinkingFamily, t) -> Region:
+    """D_t as a Region, for a family of the plane with a real block.
 
-    In Jordan coordinates y = T^-1 x, D_t is the double wedge
-    |y2| <= k |y1|, k = rho / sqrt(1 - rho^2), of a size-2 real block,
-    or the strip |y_off| <= eps of a real scalar block.  Each convex
-    cell of it is cut out by two half-planes, and a.y <= b is
-    (a T^-1).x <= b.  Every parallelotope of C is clipped against every
-    cell and the areas are summed.  Where rho rounds to 1 (t above about
-    2^53), D_t is the whole plane and the measure is that of C.  A C with
-    an unbounded piece raises UnboundedRegion.
+    With T the conjugator, a strip |y_off| <= eps is the piece T B, B the
+    box [-eps, eps] on row off and R on the other; the cone |y2| <= rho |y|
+    is T W [0, inf)^2 u T W (-inf, 0]^2, W = [[c, c], [rho, -rho]] holding
+    the unit rays, c = sqrt((1 - rho)(1 + rho)).  The computed T W is
+    T (W + E), each column of E under 2 sqrt(2) u kappa (u = 2**-53,
+    kappa = |T|_F |T^-1|_F >= cond(T)), so two rays that close may round to
+    one.  Where rho <= 8 u kappa, D_t is taken as its null limit, the line
+    T (R x {0}), and where c <= 8 u kappa (rho = 1 too) as the plane.  That
+    moves the measure of C n D_t by at most 2 arcsin(min(rho, c)) kappa R**2
+    for C within radius R of 0, below 16.1 u kappa**2 R**2.  Other families
+    raise ApproximationTooCoarse.
     """
-    if fam.dim != 2 or fam.pair or C.dim != 2:
-        raise ApproximationTooCoarse("exact C n D_t needs d=2 and a real block")
-    if not C.disjoint:
-        raise OverlapUnknown("exact overlap requires disjoint pieces")
-    if not all(np.all(np.isfinite(piece.box)) for piece in C.pieces):
-        raise UnboundedRegion("exact C n D_t needs bounded pieces")
-    if fam.uses_cone:
-        rho = fam.param(t)
-        if rho == 1.0:
-            return volume(C)
-        k = rho / np.sqrt(1.0 - rho * rho)
-        cells = [[(np.array([-side * k, 1.0]), 0.0),
-                  (np.array([-side * k, -1.0]), 0.0)] for side in (1.0, -1.0)]
-    else:
-        e = np.eye(2)[fam.offset]
-        cells = [[(e, fam.param(t)), (-e, fam.param(t))]]
-    cells = [[(a @ fam.basis_inv, b) for a, b in cell] for cell in cells]
-    return float(sum(clipped_area(piece.polygon(), cell)
-                     for piece in C.pieces for cell in cells))
+    if fam.dim != 2 or fam.pair:
+        raise ApproximationTooCoarse("D_t as a region needs d=2 and a real block")
+    T, plane = fam.decomposition.conjugator, np.array([[-np.inf, np.inf]] * 2)
+    if not fam.uses_cone:
+        plane[fam.offset] = [-fam.param(t), fam.param(t)]
+        return Region((Piece(T, plane),))
+    rho = fam.param(t)
+    c = math.sqrt((1.0 - rho) * (1.0 + rho))
+    floor = 8 * 2.0**-53 * np.linalg.norm(T) * np.linalg.norm(fam.basis_inv)
+    if c <= floor:
+        return Region((Piece(np.eye(2), plane),))
+    if rho <= floor:
+        return Region((Piece(T, [plane[0], [0.0, 0.0]]),))
+    frame = T @ np.array([[c, c], [rho, -rho]])
+    return Region((Piece(frame, [[0.0, np.inf]] * 2),
+                   Piece(frame, [[-np.inf, 0.0]] * 2)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -19,7 +20,6 @@ from levymix.experiments import (
     compact_invariant_demo,
     default_config,
     equivariance_check,
-    family_overlap,
     mixing_curve,
     run_all,
     tail_triviality_decay,
@@ -31,10 +31,9 @@ from levymix.regions import (
     atomize,
     box_region,
     intersection_volume,
-    unit_box,
     volume,
 )
-from levymix.shrinking import contains_many
+from levymix.shrinking import contains_many, family_region
 
 
 UNIT = box_region(np.array([[0.0, 1.0], [0.0, 1.0]]))
@@ -82,17 +81,28 @@ TAIL_T = (5.0, 2.0, 1.0, 0.5, 0.2, 0.1)
 
 
 def _shear_square_overlap(t):
-    """Area of the unit square inside the wedge x2 <= k x1."""
-    rho = t / (1.0 + t)
-    k = rho / np.sqrt(1.0 - rho * rho)
+    """Area of the unit square inside the wedge x2 <= k x1, at the
+    family's own rho = 1/(1 + 1/t): near rho = 1 an ulp of rho moves
+    k = rho / c, c = sqrt((1 - rho)(1 + rho)), by far more than 1e-15."""
+    rho = 1.0 / (1.0 + 1.0 / t)
+    if rho == 1.0:
+        return 1.0
+    k = rho / np.sqrt((1.0 - rho) * (1.0 + rho))
     return k / 2.0 if k <= 1.0 else 1.0 - 1.0 / (2.0 * k)
+
+
+def _family_overlap(fam, t, C):
+    """Measure of C n D_t by the exact overlap path, whose stderr is 0."""
+    s, err = intersection_volume(C, family_region(fam, t))
+    assert err == 0.0
+    return s
 
 
 def test_family_overlap_shear_closed_form():
     fam = build_family(shear())
-    got = [family_overlap(fam, t, UNIT) for t in TAIL_T]
+    got = [_family_overlap(fam, t, UNIT) for t in TAIL_T]
     want = [_shear_square_overlap(t) for t in TAIL_T]
-    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
     assert want[0] == pytest.approx(0.66834, abs=1e-5)
     assert want[-1] == pytest.approx(0.04564, abs=1e-5)
 
@@ -103,7 +113,7 @@ def test_family_overlap_squeeze_strip():
     C = box_region(np.array([[0.0, 2.0], [-1.0, 3.0]]))
     for t in (0.25, 0.5, 1.0, 2.0, 5.0):
         want = 2.0 * (min(t, 3.0) + min(t, 1.0))
-        assert family_overlap(fam, t, C) == pytest.approx(want, abs=1e-12)
+        assert _family_overlap(fam, t, C) == pytest.approx(want, abs=1e-12)
 
 
 def test_family_overlap_multi_piece_matches_mc():
@@ -122,7 +132,7 @@ def test_family_overlap_multi_piece_matches_mc():
             frac = contains_many(fam, t, y @ piece.frame.T).mean()
             est += piece.volume() * frac
             var += piece.volume() ** 2 * frac * (1 - frac) / n
-        got = family_overlap(fam, t, C)
+        got = _family_overlap(fam, t, C)
         assert 0.0 < got < volume(C)
         assert abs(got - est) <= 4.0 * np.sqrt(var)
 
@@ -130,13 +140,14 @@ def test_family_overlap_multi_piece_matches_mc():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t", [1e16, 1e17])
 def test_family_overlap_where_the_cone_is_the_plane(t):
-    # rho = 1/(1 + 1/t) rounds to 1: D_t is the whole plane
+    # rho = 1/(1 + 1/t) rounds to 1: D_t is the whole plane; an axis box
+    # keeps its exact product, other pieces their shoelace areas
     fam = build_family(shear())
     assert fam.param(t) == 1.0
     C = Region((Piece(rotation(0.3), np.array([[0.0, 1.0], [0.0, 2.0]])),
                 Piece(shear(), np.array([[-2.0, -1.0], [-1.0, 0.0]]))))
-    assert family_overlap(fam, t, UNIT) == 1.0
-    assert family_overlap(fam, t, C) == volume(C)
+    assert _family_overlap(fam, t, UNIT) == 1.0
+    assert _family_overlap(fam, t, C) == pytest.approx(volume(C), rel=1e-15)
 
 
 @pytest.mark.parametrize("bounds", [[[0.0, np.inf], [0.0, 1.0]],
@@ -144,17 +155,58 @@ def test_family_overlap_where_the_cone_is_the_plane(t):
                                     [[-np.inf, 0.0], [0.0, 1.0]],
                                     [[0.0, 1.0], [-np.inf, 0.0]]])
 def test_family_overlap_rejects_unbounded_regions(bounds):
+    # the tail experiment needs a C of finite measure, and an unbounded C
+    # meets the unbounded wedges of the shear's D_t
     for g in (shear(), squeeze()):
         with pytest.raises(errors.UnboundedRegion):
-            family_overlap(build_family(g), 1.0, box_region(bounds))
+            tail_triviality_decay(g, C=box_region(bounds), t_grid=(1.0,))
+    with pytest.raises(errors.UnboundedRegion):
+        intersection_volume(box_region(bounds), family_region(
+            build_family(shear()), 1.0))
 
 
 def test_family_overlap_too_coarse():
     shear3 = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(errors.ApproximationTooCoarse):
-        family_overlap(build_family(shear3), 1.0, unit_box(3))
+        family_region(build_family(shear3), 1.0)
     with pytest.raises(errors.ApproximationTooCoarse):  # D_t is a disc
-        family_overlap(build_family(0.5 * rotation(1.0)), 1.0, UNIT)
+        family_region(build_family(0.5 * rotation(1.0)), 1.0)
+
+
+EXTREME_T = (5e-324, 1e-310, 1e-200, 1e-20, 3e-16, 1e-15, 1e-13, 1e-8, 1e-3,
+             0.2, 1.0, 1e3, 1e8, 1e12, 1e15, 1e16, 1e17)
+U = 2.0**-53
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cond", [None, 1.0, 20.0, 1000.0])
+@pytest.mark.parametrize("g", [shear(), squeeze()], ids=["shear", "squeeze"])
+def test_family_overlap_at_extreme_t(g, cond):
+    # D_t as a region raises nothing at any t.  The shear itself meets the
+    # closed form within 1e-15.  Every family, conjugated at condition
+    # number cond or not, meets the same construction in Jordan
+    # coordinates, where T = I, within the bound family_region states,
+    # 16.1 u kappa^2 R^2 with R^2 = 2 for the unit square, and that
+    # construction within its own: 16.1 u 2^2 R'^2 |det T| for the
+    # kappa of I, 2, and the radius R' <= R |T^-1| of T^-1 C, which comes
+    # to at most 16.1 u 4 kappa R^2.
+    h = np.eye(2) if cond is None else (
+        rotation(0.7) @ np.diag([1.0, 1.0 / cond]) @ rotation(0.3))
+    fam = build_family(h @ g @ np.linalg.inv(h))
+    T = fam.decomposition.conjugator
+    kappa = np.linalg.norm(T) * np.linalg.norm(fam.basis_inv)
+    jordan = dataclasses.replace(fam, decomposition=dataclasses.replace(
+        fam.decomposition, conjugator=np.eye(2)), basis_inv=np.eye(2))
+    C_jordan = Region((Piece(fam.basis_inv, [[0.0, 1.0], [0.0, 1.0]]),))
+    bound = 16.1 * U * (kappa**2 + 4.0 * kappa) * 2.0
+    for t in EXTREME_T:
+        s = _family_overlap(fam, t, UNIT)
+        want = abs(np.linalg.det(T)) * _family_overlap(jordan, t, C_jordan)
+        assert abs(s - want) <= bound, t
+        if cond is None and g[0, 1] == 1.0:
+            assert abs(s - _shear_square_overlap(t)) <= 1e-15, t
+    if fam.uses_cone:  # the null line of a thin wedge is flat
+        assert volume(family_region(fam, 1e-20)) == 0.0
 
 
 def test_tail_triviality_decay_shear():
@@ -163,7 +215,7 @@ def test_tail_triviality_decay_shear():
     assert rep.verdict == PASS
     assert "box" not in rep.inputs
     for t, est, err in rep.rows("overlap"):
-        assert est == pytest.approx(_shear_square_overlap(t), abs=1e-12)
+        assert abs(est - _shear_square_overlap(t)) <= 1e-15
         assert err == 0.0
     var_rows = rep.rows("cond_variance")
     assert var_rows[0][1] > var_rows[-1][1]
@@ -259,6 +311,14 @@ def test_run_all_config_errors(tmp_path):
          "C": {"box": [[0, 1], [0, 1]]}}]}))
     with pytest.raises(errors.ConfigError, match="no-such-matrix"):
         run_all(str(alias), out_override=str(tmp_path))
+    for experiments in (5, {}):
+        bad.write_text(json.dumps({"experiments": experiments}))
+        with pytest.raises(errors.ConfigError, match="'experiments' list"):
+            run_all(str(bad))
+    for key, value in (("seed", "x"), ("seed", 1.5), ("seed", True), ("out", 5)):
+        bad.write_text(json.dumps({key: value, "experiments": []}))
+        with pytest.raises(errors.ConfigError, match="integer seed and a string out"):
+            run_all(str(bad))
     unit = {"box": [[0, 1], [0, 1]]}
     for entry, match in (
             ({"kind": "mixing_curve", "C": unit}, "missing 'g'"),
@@ -478,9 +538,23 @@ def test_cli_has_no_format_option():
     ["jordan", "--matrix", "infinite_order.json"],
     ["jordan", "--matrix", "huge_shear.json"],
     ["classify", "--matrix", "huge_shear.json"],
+    *(["experiment", "run", "--config", f"config_{name}.json"]
+      for name in ("experiments", "seed_text", "seed_float", "out")),
+    *(["simulate", "--regions", f"{name}.json"]
+      for name in ("five", "null", "one_region", "disjoint_text")),
 ])
 def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
+    for name, config in (("experiments", {"experiments": 5}),
+                         ("seed_text", {"seed": "x", "experiments": []}),
+                         ("seed_float", {"seed": 1.5, "experiments": []}),
+                         ("out", {"out": 5, "experiments": []})):
+        (tmp_path / f"config_{name}.json").write_text(json.dumps(config))
+    (tmp_path / "five.json").write_text("5")
+    (tmp_path / "null.json").write_text("null")
+    (tmp_path / "one_region.json").write_text(json.dumps({"box": [[0, 1], [0, 1]]}))
+    (tmp_path / "disjoint_text.json").write_text(json.dumps([{"pieces": [
+        {"frame": [[1, 0], [0, 1]], "box": [[0, 1], [0, 1]]}], "disjoint": "false"}]))
     (tmp_path / "regions.json").write_text(json.dumps([{"box": [[0, 1], [0, 1]]}]))
     (tmp_path / "rotated.json").write_text(json.dumps([{"pieces": [
         {"frame": [[0.6, -0.8], [0.8, 0.6]], "box": [[0, 1], [0, 1]]}]}]))

@@ -15,11 +15,11 @@ from levymix.regions import (
     AtomTable,
     Piece,
     Region,
-    _axis_overlap,
-    _planar_overlap,
+    _overlap,
     _stratified_blocks,
     atomize,
     box_region,
+    clipped_area,
     intersection_volume,
     transform,
     unit_box,
@@ -112,9 +112,13 @@ def test_region_json_round_trip():
 def test_region_from_json_box_form_and_errors():
     r = Region.from_json({"box": [[0.0, 2.0], [1.0, 2.0]]})
     assert r.is_axis_aligned() and volume(r) == 2.0
+    pieces = [{"frame": [[1, 0], [0, 1]], "box": [[0, 1], [0, 1]]}]
+    assert not Region.from_json({"pieces": pieces, "disjoint": False}).disjoint
     for bad in ({"box": [[1.0, 0.0], [0.0, 1.0]]}, {"box": 3}, {"pieces": [{}]},
                 {"pieces": [{"frame": [[1, 0], [0, 1]], "box": [[0, 1]]}]},
-                {"circle": 1.0}, [[0.0, 1.0]]):
+                {"circle": 1.0}, [[0.0, 1.0]],
+                {"pieces": [{"frame": [[1, 0], [0, 1]], "box": [[0, 1], [0, 1]]}],
+                 "disjoint": "false"}):
         with pytest.raises(errors.ConfigError):
             Region.from_json(bad)
 
@@ -124,13 +128,16 @@ def test_axis_intersection_exact():
     b = box_region(np.array([[0.5, 1.5], [0.0, 2.0]]))
     assert intersection_volume(a, b, method="axis") == (0.5, 0.0)
     assert intersection_volume(a, b, method="auto") == (0.5, 0.0)
-    # the planar clip agrees with the axis sweep on axis boxes, also on
-    # boxes turned by a rotation90 power whose frame is off by 1e-16
-    assert _planar_overlap(a, b) == _planar_overlap(b, a) == 0.5
+    # the pair loop takes the product of intervals on axis boxes, also on
+    # boxes turned by a rotation90 power whose frame is off by 1e-16, and
+    # the planar clip agrees with it there
+    assert _overlap(a, b) == _overlap(b, a) == 0.5
     r90 = np.linalg.matrix_power(rotation(math.pi / 2), 3)
     ra, rb = transform(r90, a), transform(r90, b)
-    assert _axis_overlap(ra, rb) == 0.5
-    assert _planar_overlap(ra, rb) == pytest.approx(0.5, abs=1e-12)
+    assert _overlap(ra, rb) == 0.5
+    assert clipped_area(a.pieces[0]._polygon, b.pieces[0]._halfplanes) == 0.5
+    assert clipped_area(ra.pieces[0]._polygon,
+                        rb.pieces[0]._halfplanes) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_axis_intersection_rejects_rotated():
@@ -157,6 +164,20 @@ def test_planar_overlap_closed_forms():
     D = transform(shear(), box_region(np.array([[0.5, 1.5], [0.0, 1.0]])))
     est, err = intersection_volume(C, D)
     assert est == pytest.approx(0.5, abs=1e-12) and err == 0.0
+
+
+def test_pair_loop_mixes_products_and_clips():
+    # one planar region of a turned piece and an axis box: the axis pair
+    # adds the product of its intervals, the other pair its clipped area,
+    # and pairs whose bounds do not meet add nothing
+    B = box_region(np.array([[-0.5, 0.5], [-0.5, 0.5]]))
+    turned = transform(rotation(math.pi / 4), B).pieces[0]
+    r1 = Region((turned, Piece(np.eye(2), [[2.0, 3.0], [0.0, 1.0]])))
+    r2 = Region((B.pieces[0], Piece(np.eye(2), [[2.5, 4.0], [0.5, 2.0]])))
+    est, err = intersection_volume(r1, r2)
+    assert err == 0.0
+    assert est == pytest.approx(2 * (math.sqrt(2) - 1) + 0.25, abs=1e-12)
+    assert _overlap(r1, r2) == est
 
 
 def test_exact_overlap_needs_disjoint_pieces():

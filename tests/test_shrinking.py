@@ -236,6 +236,65 @@ def test_membership_increases_in_t_at_edge_points(kind, t1, seed):
         assert contains(fam, t2, x)
 
 
+U = 2.0**-53
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["shear", "squeeze"]), log_cond=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**16), log_t=st.floats(-20.0, 15.0),
+       points=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([-1.0, 1.0]),
+                                 st.floats(0.0, 40.0), st.floats(-5.0, 5.0)),
+                       min_size=1, max_size=16))
+def test_family_region_membership_agrees_beyond_the_margin(kind, log_cond, seed,
+                                                          log_t, points):
+    # family_region(fam, t).contains and contains_many agree at every point
+    # whose Jordan coordinates y lie beyond a margin from D_t's boundary:
+    #   cone:  angle to the nearest boundary ray > 1.5e-12 rho/c + 32 u kappa
+    #   strip: ||y_off| - eps| > 1.5e-12 eps + 32 u kappa |y|
+    # with c = sqrt((1 - rho)(1 + rho)), u = 2^-53, kappa = |T|_F |T^-1|_F.
+    # The 1e-12 slack of contains_many admits |y2| <= rho (1 + 1e-12) |y|,
+    # an angle of about 1e-12 rho/c past each ray (every point, once
+    # rho (1 + 1e-12) >= 1: t above about 1e12), or |y_off| up to
+    # eps (1 + 1e-12); its norms and products round by a few u, a few
+    # u rho/c in angle, well inside the other 0.5e-12 rho/c.  Roundoff
+    # in kappa: the test point x = fl(T y), contains_many's T^-1 x, the
+    # wedge frame fl(T W) = T (W + E) and the inverse frame's product each
+    # move y by at most about 2 sqrt(2) u kappa |y|, under 16 u kappa in all.
+    # A strip reads y_off by the same inverse and product on both paths.
+    g = {"shear": shear(), "squeeze": squeeze()}[kind]
+    h = _conjugator(2, 10.0**log_cond, stream(seed, "conj"))
+    fam = lm.build_family(h @ g @ np.linalg.inv(h))
+    T = fam.decomposition.conjugator
+    kappa, t = np.linalg.norm(T) * np.linalg.norm(fam.basis_inv), 10.0**log_t
+    region = shrinking.family_region(fam, t)
+    ys, margins, gaps = [], [], []
+    for ray, side, e, log_r in points:
+        r = math.exp(log_r)
+        if fam.uses_cone:
+            rho = fam.param(t)
+            margin = 1.5e-12 * rho / math.sqrt((1 - rho) * (1 + rho)) + 32 * U * kappa
+            theta = math.asin(rho)
+            rays = np.array([theta, -theta, math.pi - theta, math.pi + theta])
+            phi = rays[ray] + side * margin * 2.0**e
+            gap = np.abs((phi - rays + math.pi) % (2 * math.pi) - math.pi).min()
+            y = r * np.array([math.cos(phi), math.sin(phi)])
+        else:
+            eps = fam.param(t)
+            y = np.zeros(2)
+            y[1 - fam.offset] = r if ray < 2 else -r
+            margin0 = 1.5e-12 * eps + 32 * U * kappa * (r + 2 * eps)
+            y[fam.offset] = (1 if ray % 2 else -1) * (eps + side * margin0 * 2.0**e)
+            gap = abs(abs(y[fam.offset]) - eps)
+            margin = 1.5e-12 * eps + 32 * U * kappa * np.linalg.norm(y)
+        ys.append(y)
+        margins.append(margin)
+        gaps.append(gap)
+    x = np.array(ys) @ T.T
+    beyond = np.array(gaps) > np.array(margins)
+    assert np.array_equal(region.contains(x)[beyond],
+                          contains_many(fam, t, x)[beyond])
+
+
 def test_cone_membership_scale_invariant(shear_family):
     rng = stream(2, "scale")
     pts = rng.standard_normal((5_000, 2))
