@@ -7,7 +7,7 @@ permutation times a diagonal is itself an axis box; families of such
 pieces get an exact sweep-grid atomization.  Exact overlaps take one loop
 over the piece pairs whose bounds meet: two axis boxes add the product of
 their common intervals, any other planar pair clips its bounded piece
-against the four half-planes of the other (Sutherland-Hodgman).  Overlaps
+against the finite half-planes of the other (Sutherland-Hodgman).  Overlaps
 in d >= 3 with other frames, and the atoms of any family that is not all
 axis boxes, are Monte Carlo, in a sample box that must be finite.
 
@@ -113,9 +113,9 @@ class Piece:
         box = np.asarray(self.box, dtype=float)
         if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] != self.frame.shape[0]:
             raise DimensionMismatch("box must be a d x 2 interval array")
-        if np.any(np.isnan(box)):
+        if np.isnan(box).any():
             raise NonFiniteInput("box entries must not be NaN")
-        if np.any(box[:, 0] > box[:, 1]):
+        if (box[:, 0] > box[:, 1]).any():
             raise InvalidArgument("interval lo must not exceed hi")
         object.__setattr__(self, "box", box)
 
@@ -125,7 +125,7 @@ class Piece:
         # times a diagonal: one entry above 1e-12 max|frame| per row and column
         a = np.abs(self.frame)
         big = a > 1e-12 * a.max()
-        if not (np.all(big.sum(axis=0) == 1) and np.all(big.sum(axis=1) == 1)):
+        if not ((big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all()):
             return None
         cols = big.argmax(axis=1)
         scale = self.frame[np.arange(len(cols)), cols]
@@ -155,7 +155,7 @@ class Piece:
         its corners if bounded, else the sums of the terms frame[i, j] * box[j]."""
         if self._intervals is not None:
             return self._intervals
-        if np.all(np.isfinite(self.box)):
+        if np.isfinite(self.box).all():
             corners = self.corners()
             return np.column_stack([corners.min(axis=0), corners.max(axis=0)])
         F = self.frame[:, :, None]  # a zero entry adds no term, and no 0 * inf
@@ -226,18 +226,18 @@ class Piece:
                                     indexing="ij"), axis=-1).reshape(-1, d)
         return grid @ self.frame.T
 
-    @cached_property
-    def _polygon(self):
-        """The four corners of a planar piece in cyclic order, computed once."""
-        return self.corners()[[0, 1, 3, 2]]
+    def polygon(self):
+        """The four corners of a planar piece in cyclic order."""
+        (lo0, hi0), (lo1, hi1) = self.box
+        return np.array([[lo0, lo1], [lo0, hi1], [hi0, hi1], [hi0, lo1]]) @ self.frame.T
 
     @cached_property
     def _halfplanes(self):
         """Pairs (a, b) whose half-spaces a.x <= b cut out the piece:
-        (F^-1)_k.x <= hi_k and -(F^-1)_k.x <= -lo_k for each axis k."""
-        inv = self._inverse
-        return list(zip(np.vstack([inv, -inv]),
-                        np.concatenate([self.box[:, 1], -self.box[:, 0]])))
+        (F^-1)_k.x <= hi_k and -(F^-1)_k.x <= -lo_k for each finite bound."""
+        inv, box = self._inverse, self.box
+        pairs = zip(np.vstack([inv, -inv]), np.concatenate([box[:, 1], -box[:, 0]]))
+        return [(a, b) for a, b in pairs if b < np.inf]
 
 
 @dataclass(frozen=True)
@@ -441,12 +441,13 @@ def transform(g, region: Region) -> Region:
 def clip_polygon(poly, a, b):
     """Part of the convex polygon `poly` (one vertex per row) where a.x <= b."""
     f = poly @ a - b
+    inside = (f <= 0).tolist()
     out = []
     for k in range(len(poly)):
-        if (f[k] <= 0) != (f[k - 1] <= 0):
+        if inside[k] != inside[k - 1]:
             out.append(poly[k - 1] + f[k - 1] / (f[k - 1] - f[k])
                        * (poly[k] - poly[k - 1]))
-        if f[k] <= 0:
+        if inside[k]:
             out.append(poly[k])
     return np.array(out).reshape(-1, 2)
 
@@ -461,10 +462,10 @@ def clipped_area(poly, halfplanes):
 
 
 def _overlap(r1: Region, r2: Region):
-    """Exact measure of r1 n r2 (both flagged disjoint), summed over piece
-    pairs whose bounds meet: two axis boxes add the product of their common
-    intervals, any other pair (d = 2) clips its bounded piece, the first if
-    both are, against the other's half-planes; UnboundedRegion if neither is."""
+    """Exact measure of r1 n r2 (both flagged disjoint) over piece pairs whose
+    bounds meet: axis boxes add the product of their common intervals, a
+    bounded planar piece its volume if the other is the plane, else its area
+    clipped to the other's half-planes.  UnboundedRegion if it may be infinite."""
     total = 0.0
     bounds2 = [p2.bounds() for p2 in r2.pieces]
     for p1 in r1.pieces:
@@ -472,15 +473,18 @@ def _overlap(r1: Region, r2: Region):
         for p2, b2 in zip(r2.pieces, bounds2):
             lo = np.maximum(b1[:, 0], b2[:, 0])
             hi = np.minimum(b1[:, 1], b2[:, 1])
-            if np.any(hi <= lo):
+            if (hi <= lo).any():
                 continue  # bounds do not meet
-            if p1.is_axis_aligned() and p2.is_axis_aligned():
+            axis = p1.is_axis_aligned() and p2.is_axis_aligned()
+            clip, cut = (p1, p2) if np.isfinite(p1.box).all() else (p2, p1)
+            if not np.isfinite(hi - lo if axis else clip.box).all():
+                raise UnboundedRegion("two pieces may meet in an unbounded set")
+            if axis:
                 total += float(np.prod(hi - lo))
-                continue
-            clip, cut = (p1, p2) if np.all(np.isfinite(p1.box)) else (p2, p1)
-            if not np.all(np.isfinite(clip.box)):
-                raise UnboundedRegion("two unbounded pieces meet")
-            total += clipped_area(clip._polygon, cut._halfplanes)
+            elif np.isinf(cut.box).all():
+                total += clip.volume()  # the plane cuts nothing
+            else:
+                total += clipped_area(clip.polygon(), cut._halfplanes)
     return float(total)
 
 

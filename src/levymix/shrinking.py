@@ -9,9 +9,7 @@ and the complement of its union are Lebesgue null, and high powers of
 the matrix map D_t'' into D_t' for any t' < t''.
 Membership takes one path: each point is scaled by powers of two until
 its tagged block rows lie near unit size, so no row or square over- or
-underflows, however far the point lies from unit size.  In the plane,
-family_region gives D_t of a real block as a Region, so its overlaps
-with other regions take the one exact pair loop of the regions module.
+underflows, however far the point lies from unit size.
 """
 
 from __future__ import annotations

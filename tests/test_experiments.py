@@ -140,14 +140,14 @@ def test_family_overlap_multi_piece_matches_mc():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t", [1e16, 1e17])
 def test_family_overlap_where_the_cone_is_the_plane(t):
-    # rho = 1/(1 + 1/t) rounds to 1: D_t is the whole plane; an axis box
-    # keeps its exact product, other pieces their shoelace areas
+    # rho = 1/(1 + 1/t) rounds to 1: D_t is the whole plane, and every
+    # piece of C keeps its exact volume
     fam = build_family(shear())
     assert fam.param(t) == 1.0
     C = Region((Piece(rotation(0.3), np.array([[0.0, 1.0], [0.0, 2.0]])),
                 Piece(shear(), np.array([[-2.0, -1.0], [-1.0, 0.0]]))))
     assert _family_overlap(fam, t, UNIT) == 1.0
-    assert _family_overlap(fam, t, C) == pytest.approx(volume(C), rel=1e-15)
+    assert _family_overlap(fam, t, C) == volume(C)
 
 
 @pytest.mark.parametrize("bounds", [[[0.0, np.inf], [0.0, 1.0]],
@@ -163,6 +163,14 @@ def test_family_overlap_rejects_unbounded_regions(bounds):
     with pytest.raises(errors.UnboundedRegion):
         intersection_volume(box_region(bounds), family_region(
             build_family(shear()), 1.0))
+    # the squeeze's D_1 is the strip |x2| <= 1: an axis box unbounded along
+    # x1 meets it in an unbounded box, one unbounded along x2 in a unit square
+    strip = family_region(build_family(squeeze()), 1.0)
+    if np.isinf(bounds[0]).any():
+        with pytest.raises(errors.UnboundedRegion):
+            intersection_volume(box_region(bounds), strip)
+    else:
+        assert intersection_volume(box_region(bounds), strip) == (1.0, 0.0)
 
 
 def test_family_overlap_too_coarse():

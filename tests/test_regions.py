@@ -135,9 +135,19 @@ def test_axis_intersection_exact():
     r90 = np.linalg.matrix_power(rotation(math.pi / 2), 3)
     ra, rb = transform(r90, a), transform(r90, b)
     assert _overlap(ra, rb) == 0.5
-    assert clipped_area(a.pieces[0]._polygon, b.pieces[0]._halfplanes) == 0.5
-    assert clipped_area(ra.pieces[0]._polygon,
+    assert clipped_area(a.pieces[0].polygon(), b.pieces[0]._halfplanes) == 0.5
+    assert clipped_area(ra.pieces[0].polygon(),
                         rb.pieces[0]._halfplanes) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_polygon_is_the_corners_in_cyclic_order():
+    # the clip path forms the polygon directly; it must keep corners()' bits
+    sample = np.random.default_rng(4)
+    for scale in (1e-8, 1.0, 1e8):
+        for _ in range(100):
+            p = Piece(sample.normal(size=(2, 2)) * scale,
+                      np.sort(sample.normal(size=(2, 2)), axis=1))
+            assert np.array_equal(p.polygon(), p.corners()[[0, 1, 3, 2]])
 
 
 def test_axis_intersection_rejects_rotated():
