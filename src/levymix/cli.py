@@ -145,7 +145,9 @@ def verify(matrix_spec, t_grid, n_samples, h_max, seed, out_dir):
               help="gaussian, poisson:<intensity> or deterministic:<rate>.")
 @click.option("--regions", "regions_path", required=True,
               help="JSON file with a list of region objects.")
-@click.option("--n", default=100_000, show_default=True)
+@click.option("--n", default=100_000, show_default=True,
+              help="Monte Carlo points for the atom table of a family that "
+                   "is not axis-aligned, at most n.")
 @click.option("--seed", type=int, default=0, envvar="LEVYMIX_SEED")
 @click.option("--out", "out_dir", type=str, default="reports",
               envvar="LEVYMIX_OUT")

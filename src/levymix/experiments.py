@@ -46,7 +46,7 @@ from .regions import (
 from .shrinking import build_family, family_region
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
-MC_SAMPLES = 200_000  # points per Monte Carlo overlap or atom table
+MC_SAMPLES = 400_000  # n of an MC overlap or atom table: 447**2 strata of two
 KS_ALPHA = 0.01       # level of the equivariance KS test
 
 

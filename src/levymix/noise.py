@@ -10,7 +10,7 @@ mass (rate * t).
 from __future__ import annotations
 
 import functools
-import operator
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import InvalidArgument, SamplingFailure, UnsupportedKind
 from .matrices import as_matrix
-from .regions import AtomTable, Region, atomize
+from .regions import BLOCK_POINTS, AtomTable, Region, _count, atomize
 
 GAUSSIAN = "gaussian"
 POISSON = "poisson"
@@ -102,14 +102,19 @@ class NoiseRealization:
 
 def _sample_points_in_atom(atoms, atom_index, regions, count, rng,
                            max_tries=10_000):
-    """Uniform points in one atom via rejection against its signature."""
+    """Uniform points in one atom via rejection against its signature: the
+    first `count` hits among the points of rng's stream, however batches
+    cut it.  Each batch is sized to hold about four times the missing
+    points at the atom's share of the box, max(64, ceil(4 missing /
+    share)), capped at BLOCK_POINTS."""
     bounds = atoms.bounding_box
     d = bounds.shape[0]
     sig = atoms.signatures[atom_index]
+    share = atoms.measures[atom_index] / float(np.prod(bounds[:, 1] - bounds[:, 0]))
     out = np.empty((0, d))
     tries = 0
     while len(out) < count and tries < max_tries:
-        batch = max(64, 4 * (count - len(out)))
+        batch = min(max(64, math.ceil(4 * (count - len(out)) / share)), BLOCK_POINTS)
         pts = bounds[:, 0] + rng.random((batch, d)) * (bounds[:, 1] - bounds[:, 0])
         cols = np.ascontiguousarray(pts.T)
         hit = np.logical_and.reduce([r._contains_columns(cols) == s
@@ -119,18 +124,6 @@ def _sample_points_in_atom(atoms, atom_index, regions, count, rng,
     if len(out) < count:
         raise SamplingFailure("rejection sampling inside atom failed")
     return out[:count]
-
-
-def _count(value, name):
-    """value as an int, if it is a non-negative integer."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise InvalidArgument(
-            f"{name} must be an integer, got {value!r}") from None
-    if n < 0:
-        raise InvalidArgument(f"{name} must be non-negative, got {n}")
-    return n
 
 
 def realize(spec: NoiseSpec, regions, n_atom_samples=100_000, seed=0,

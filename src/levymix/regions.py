@@ -35,6 +35,7 @@ does not depend on the other points it is tested with.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 
@@ -359,14 +360,40 @@ def _spans(lows, tops, width, mag, terms):
     return zip(start.tolist(), stop.tolist())
 
 
+def _count(value, name, least=0):
+    """value as an int, if it is an integer of at least `least`."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidArgument(
+            f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise InvalidArgument(f"{name} must be at least {least}, got {n}")
+    return n
+
+
+def _strata(n, d):
+    """(s, m): s the largest integer with 2 s**d <= n (at least 1), found
+    by bisection in integers, and m = max(n // s**d, 2) points in each of
+    the s**d strata.  So n / 2 < s**d m <= n for n >= 2, and at least two
+    points in each stratum give a variance; n = 100 000 in the plane gives
+    223**2 strata of two, 99 458 points.  n must be an integer of at least
+    1, else InvalidArgument."""
+    n = _count(n, "n", least=1)
+    s, top = 1, 1 << ((n // 2).bit_length() // d + 1)  # 2 top**d > n
+    while top - s > 1:  # 2 s**d <= n (or s = 1) < 2 top**d
+        mid = (s + top) // 2
+        s, top = (mid, top) if 2 * mid**d <= n else (s, mid)
+    return s, max(n // s**d, 2)
+
+
 def _stratified_blocks(bounds, n, rng):
-    """n to 2n stratified-uniform points in the box `bounds`, so that the
-    strata give a variance: m = max(ceil(n / s**d), 2) in each of s**d
-    strata, s the largest integer with s**d < n (at least 1); n = 100 000
-    in the plane gives 199 712.  Returns (s**d, m, blocks): blocks yields
-    (points, spans) for whole rows of strata along axis 0 at a time, at
-    most BLOCK_POINTS points or else one row.  The strata come in ij order,
-    m points each, drawn in that order, so the blocks concatenate to the
+    """More than n / 2 and at most n stratified-uniform points in the box
+    `bounds` (two for n = 1): m in each of s**d strata, (s, m) =
+    _strata(n, d).  Returns (s**d, m, blocks): blocks yields (points,
+    spans) for whole rows of strata along axis 0 at a time, at most
+    BLOCK_POINTS points or else one row.  The strata come in ij order, m
+    points each, drawn in that order, so the blocks concatenate to the
     same points whatever their size.  Each draw is scaled as it is
     transposed to d contiguous rows of coordinates, then shifted one axis
     at a time: u * scale + low, rounded as before the transpose.  So row r
@@ -374,11 +401,8 @@ def _stratified_blocks(bounds, n, rng):
     spans(terms) is _spans over those extents: the points
     Region._contains_columns must compare for each piece (None for an
     unbounded box, which culls none)."""
-    if not n >= 1:
-        raise InvalidArgument(f"need at least one sample point, got n={n}")
     d = bounds.shape[0]
-    s = max(int(np.ceil(n ** (1.0 / d))) - 1, 1)
-    m = max(int(np.ceil(n / s**d)), 2)
+    s, m = _strata(n, d)
     width = s ** (d - 1) * m  # points in one row of strata
     step = max(BLOCK_POINTS // width, 1)  # rows of strata per block
     scale = (bounds[:, 1] - bounds[:, 0]) / s
@@ -492,10 +516,11 @@ def intersection_volume(r1: Region, r2: Region, method="auto",
                         n=100_000, seed=0):
     """(value, stderr) of the measure of the intersection of two regions.
 
-    "axis" is exact for axis-aligned regions; "mc" samples in the bounding
-    box of r1, and raises UnboundedRegion if it is not finite.  "auto" is
-    exact when both regions are flagged disjoint and either both are
-    axis-aligned or d = 2, else Monte Carlo.  Exact overlaps sum over piece
+    "axis" is exact for axis-aligned regions; "mc" samples at most n points,
+    more than n / 2 (_stratified_blocks), in the bounding box of r1, and
+    raises UnboundedRegion if it is not finite.  "auto" is exact when both
+    regions are flagged disjoint and either both are axis-aligned or
+    d = 2, else Monte Carlo.  Exact overlaps sum over piece
     pairs (_overlap), so "axis" raises OverlapUnknown without both flags.
     """
     if r1.dim != r2.dim:
@@ -621,14 +646,15 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
     """AtomTable for the family of regions over their common bounding box.
 
     method="exact" (axis-aligned families only) paints the regions on the
-    endpoint sweep grid by cumulative sums; method="mc" classifies n to 2n
-    stratified-uniform samples (199 712 at n = 100 000 in the plane),
-    drawn and classified one block of strata at a time, each piece only on
-    the rows of strata its reach meets; "auto" prefers exact when
-    available.  Signatures are counted by np.bincount over their codes up
-    to 16 regions, by np.unique above.  Every signature that occurs among
-    the samples is an atom, so each MC atom has a measure of at least the
-    box volume over the number of samples.
+    endpoint sweep grid by cumulative sums; method="mc" classifies at most
+    n stratified-uniform samples, more than n / 2 (_stratified_blocks:
+    99 458 at n = 100 000 in the plane), drawn and classified one block of
+    strata at a time, each piece only on the rows of strata its reach
+    meets; "auto" prefers exact when available.  Signatures are counted by
+    np.bincount over their codes up to 16 regions, by np.unique above.
+    Every signature that occurs among the samples is an atom, so each MC
+    atom has a measure of at least the box volume over the number of
+    samples.
     """
     regions = list(regions)
     if method not in ("auto", "exact", "mc"):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -605,6 +606,10 @@ def test_argument_checks_raise_invalid_argument():
     calls = [
         lambda: intersection_volume(UNIT, UNIT, method="grid"),
         lambda: intersection_volume(UNIT, UNIT, method="mc", n=0),
+        *(lambda n=n: atomize([UNIT], n=n, method="mc")
+          for n in (float("inf"), "100", 2.5)),
+        *(lambda n=n: intersection_volume(UNIT, UNIT, method="mc", n=n)
+          for n in (float("inf"), "100", 2.5)),
         lambda: gallery.conjugated_rotation(0.5, np.random.default_rng(0), d=3),
         lambda: fam.param(0.0),
         lambda: fam.param(float("nan")),
@@ -664,6 +669,24 @@ def test_cli_experiment_run_uses_config_seed_and_out(tmp_path, monkeypatch):
     assert not (tmp_path / "reports").exists()
     obj = json.loads((out / "mix.report.json").read_text())
     assert obj["inputs"]["seed"] == rng.stream_key(42, "experiment", "mix") % 2**31
+
+
+# sha256 over the name and bytes of each *.series.csv and *.report.json
+# file, in name order, that `levymix experiment run --seed 0` writes; a
+# change that moves the battery's output updates it here
+BATTERY_SEED_0_SHA256 = "22fefe22aaa7be670c6dbcacd93abc590ab8117a4c5cb7d2ab5b3a3422937401"
+
+
+def test_battery_output_is_pinned(tmp_path):
+    res = CliRunner().invoke(main, ["experiment", "run", "--seed", "0",
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    files = sorted([*tmp_path.glob("*.series.csv"), *tmp_path.glob("*.report.json")])
+    assert len(files) == 2 * len(default_config()["experiments"])
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == BATTERY_SEED_0_SHA256
 
 
 _WATCH_SCIPY = """

@@ -19,7 +19,7 @@ from levymix.noise import (
     realize,
     realize_masses,
 )
-from levymix.regions import Piece, Region, atomize, box_region, transform
+from levymix.regions import BLOCK_POINTS, Piece, Region, atomize, box_region, transform
 from levymix.rng import stream
 from levymix.shrinking import _sample_in_family, build_family
 
@@ -238,13 +238,17 @@ def test_conditional_smoothing_shrinks_variance():
 
 def _stack_rejection(atoms, atom_index, regions, count, rng):
     """Rejection by comparing each point's stack of region memberships with
-    the atom's signature, one region at a time."""
+    the atom's signature, one region at a time, in batches sized by the
+    atom's share of the box."""
     bounds = atoms.bounding_box
     d = bounds.shape[0]
     sig = np.array(atoms.signatures[atom_index])
+    vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
     out = np.empty((0, d))
     while len(out) < count:
-        batch = max(64, 4 * (count - len(out)))
+        missing = count - len(out)
+        batch = min(max(64, math.ceil(4 * missing * vbox / atoms.measures[atom_index])),
+                    BLOCK_POINTS)
         pts = bounds[:, 0] + rng.random((batch, d)) * (bounds[:, 1] - bounds[:, 0])
         memb = np.stack([r.contains(pts) for r in regions], axis=1)
         out = np.vstack([out, pts[np.all(memb == sig, axis=1)]])
@@ -265,3 +269,21 @@ def test_atom_sampler_matches_signature_stack(n_regions):
         got = _sample_points_in_atom(atoms, i, regions, 7, stream(5, "a", i))
         want = _stack_rejection(atoms, i, regions, 7, stream(5, "a", i))
         assert got.tobytes() == want.tobytes()
+
+
+def test_rejection_batches_grow_as_the_atom_shrinks(monkeypatch):
+    # batches of max(64, 4 missing) points find 7 points in an atom of 1e-3
+    # of the box in 3 tries with probability below 1e-9; sized by the share
+    # each batch expects 28
+    regions = [box_region([[0.0, 1.0], [0.0, 1.0]]),
+               transform(rotation(0.5), box_region([[0.2, 0.23], [0.1, 0.13]]))]
+    atoms = atomize(regions, n=40_000, seed=2)
+    i = atoms.signatures.index((True, True))
+    assert 0 < atoms.measures[i] <= 1e-3 * np.prod(np.diff(atoms.bounding_box))
+    pts = _sample_points_in_atom(atoms, i, regions, 7, stream(1, "small"), max_tries=3)
+    assert len(pts) == 7
+    assert all(r.contains(pts).all() for r in regions)
+    # the first hits of one stream, whatever the batches it is cut into
+    monkeypatch.setattr("levymix.noise.BLOCK_POINTS", 64)
+    again = _sample_points_in_atom(atoms, i, regions, 7, stream(1, "small"))
+    assert again.tobytes() == pts.tobytes()

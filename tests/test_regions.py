@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levymix import errors, noise, regions
+from levymix import errors, experiments, noise, regions
 from levymix import rng as _rng
 from levymix.gallery import rotation, shear, squeeze
 from levymix.regions import (
@@ -482,8 +482,8 @@ def test_mc_hit_counts_pinned():
     # integer hit counts per atom of one seeded MC atomization, as the
     # meshgrid sampler and solve-based membership gave them; a change to
     # either that moves a single point shows here
-    atoms = atomize(_rotated_sheared_family(), n=20_000, seed=7, method="mc")
     n_total = 141 * 141 * 2  # 141**2 strata of two points each
+    atoms = atomize(_rotated_sheared_family(), n=n_total, seed=7, method="mc")
     vbox = float(np.prod(atoms.bounding_box[:, 1] - atoms.bounding_box[:, 0]))
     counts = atoms.measures / vbox * n_total
     assert np.allclose(counts, np.rint(counts), rtol=0.0, atol=1e-6)
@@ -527,11 +527,11 @@ def _concatenated_blocks(bounds, n, seed, label):
 def test_stratified_uniform_layout(d, n, monkeypatch):
     bounds = np.column_stack([np.linspace(-1.0, 0.5, d), np.linspace(0.3, 4.0, d)])
     k, m, _ = _stratified_blocks(bounds, n, _rng.stream(3, "strata"))
-    # s is the largest with s**d < n; so the 100_000 and 200_000 defaults
-    # keep their 316**2 and 447**2 strata of two points
+    # s is the largest with 2 s**d <= n; so the 100_000 default of
+    # `levymix simulate` lays out 223**2 strata of two points
     s = round(k ** (1.0 / d))
-    assert k == s**d < n <= (s + 1) ** d
-    assert m == max(math.ceil(n / k), 2)
+    assert k == s**d and 2 * s**d <= n < 2 * (s + 1) ** d
+    assert m == max(n // k, 2)
     row = s ** (d - 1) * m  # points in one row of strata along axis 0
     # the default block; 40 points, which is one row where a row holds
     # more; and two rows, so the last block is short when s is odd
@@ -545,6 +545,25 @@ def test_stratified_uniform_layout(d, n, monkeypatch):
                                              for i in range(0, s, step)]
         assert all(b.flags.c_contiguous for b in blocks)
         assert _concatenated_blocks(bounds, n, 3, "strata").shape == (d, k * m)
+
+
+def test_strata_take_at_most_n_points_and_more_than_half():
+    # the sizing rule alone, no draws: k = s**d strata of m points, 2 k <= n
+    # < 2 (s + 1)**d, so n / 2 < k m <= n; checked at every n below 3000,
+    # at 300 sizes from there to 10**7, and next to each 2 s**d on the way
+    spread = np.geomspace(3_000, 10**7, 300).astype(int).tolist()
+    for d in (1, 2, 3, 4):
+        roots = np.geomspace(1, 5e6 ** (1.0 / d), 200).astype(int).tolist()
+        edges = {2 * s**d + e for s in roots for e in (-1, 0, 1)}
+        for n in set(range(2, 3_000)) | set(spread) | edges - {1}:
+            s, m = regions._strata(n, d)
+            k = s**d
+            assert 2 * k <= n < 2 * (s + 1) ** d
+            assert m == n // k and n < 2 * k * m <= 2 * n
+        assert regions._strata(1, d) == (1, 2)
+    # `levymix simulate --n` by default, and the experiments' sample size
+    assert regions._strata(100_000, 2) == (223, 2)
+    assert regions._strata(experiments.MC_SAMPLES, 2) == (447, 2)
 
 
 @pytest.mark.parametrize("n", [9_999, 10_000, 40_000])
@@ -572,11 +591,12 @@ def _traced_peak(fn):
 
 
 def test_mc_passes_never_hold_the_whole_sample():
-    # 1.6M points as one (d, n) array are 25.6 MB, and a pass that built
-    # its sample whole peaked at 137 MB (atomize) and 110 MB (overlap);
-    # the overlap keeps one mean per stratum of two points, 6.4 MB
+    # 1264^2 strata of two: 3.2M points as one (d, n) array are 51 MB, and
+    # a pass counted in one block (BLOCK_POINTS above n) peaks at 160 MB
+    # (atomize) and 155 MB (overlap); the overlap keeps one mean per
+    # stratum, 12.8 MB
     family = [unit_box(2), transform(rotation(0.3), unit_box(2))]
-    n = 1_600_000
+    n = 2 * 1264 ** 2
     assert _traced_peak(lambda: atomize(family, n=n, seed=0, method="mc")) < 16e6
     assert _traced_peak(lambda: intersection_volume(
         *family, method="mc", n=n, seed=0)) < 32e6
@@ -874,15 +894,26 @@ def test_axis_unions_make_no_piece_compares(monkeypatch):
     want = [_piecewise_contains(r, pts) for r in family]
     calls = _count_piece_compares(monkeypatch)
     assert all(np.array_equal(r.contains(pts), w) for r, w in zip(family, want))
-    # 81 strata of 2 points: at most TABLE_POINTS per axis box of every region
+    # 49 strata of 2 points: at most TABLE_POINTS per axis box of every region
     atoms = atomize(family, method="mc", n=100, seed=4)
     assert not atoms.exact
+    # Poisson batches grow with 1 / the atom's share; capped at the table
+    # limit of the two-box region, every region reads its table
+    monkeypatch.setattr(noise, "BLOCK_POINTS", 2 * regions.TABLE_POINTS)
     reals = [noise.realize(noise.NoiseSpec(noise.POISSON, 8.0), family, seed=4,
                            atoms=a) for a in (None, atoms)]
     assert calls == []
     assert reals[0].atoms.exact and len(reals[0].points()) > 0
     assert all(real.count_in(r) == real.value(i)
                for real in reals for i, r in enumerate(family))
+    # at the default cap the larger batches compare box by box, and keep
+    # the same first hits of the same stream
+    monkeypatch.setattr(noise, "BLOCK_POINTS", regions.BLOCK_POINTS)
+    for a, real in zip((None, atoms), reals):
+        again = noise.realize(noise.NoiseSpec(noise.POISSON, 8.0), family,
+                              seed=4, atoms=a)
+        assert again.points().tobytes() == real.points().tobytes()
+    assert calls
     calls.clear()
     # beyond the limit, Monte Carlo atomization compares piece by piece
     assert atomize(family, method="mc", n=3_000, seed=4).signatures
