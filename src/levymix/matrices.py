@@ -11,7 +11,9 @@ non-compact matrix tags the blocks that witness it.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,9 +57,21 @@ def as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NonFiniteInput("matrix entries must be finite")
     return A
+
+
+def _count(value, name, least=0):
+    """value as an int, if it is an integer of at least `least`."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidArgument(
+            f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise InvalidArgument(f"need {name} >= {least}, got {n}")
+    return n
 
 
 def matrix_to_json(A) -> dict:
@@ -91,6 +105,7 @@ def in_measure_preserving_group(A, det_tol=DET_TOL) -> bool:
 
 def _connected_clusters(w, delta):
     """Single-linkage grouping of eigenvalues at radius delta."""
+    w = w.tolist()  # Python scalars: the same differences and moduli, faster
     n = len(w)
     parent = list(range(n))
 
@@ -125,7 +140,7 @@ def _cluster_values(w, delta):
     """
     out = []
     for idx in _connected_clusters(w, delta):
-        val = complex(np.mean(w[idx]))
+        val = complex(w[idx].sum() / len(idx))
         if abs(val.imag) <= delta:
             val = complex(val.real, 0.0)
         out.append((val, len(idx)))
@@ -170,7 +185,7 @@ def _jordan_chains(A, lam, alg):
             raise _StructureError(f"power {k} of A - lambda I overflows") from None
         Mk = Mk @ M
         _, s, Vh = np.linalg.svd(Mk)
-        s = np.maximum(s, d * eps * normMk)
+        s = np.maximum(s, d * eps * normMk).tolist()
         # lo <= hi as the nullity is below alg and the last increment >= 1:
         # increments stay >= 1 and non-increasing, reaching alg by power alg <= d
         lo = nullities[-1] + 1
@@ -188,7 +203,7 @@ def _jordan_chains(A, lam, alg):
         nullities.append(n)
 
     # c[k] = number of blocks of size >= k, non-increasing by the window
-    c = [0, *np.diff(nullities).tolist(), 0]
+    c = [0, *(b - a for a, b in zip(nullities, nullities[1:])), 0]
     chains = []  # longest first
     for k in range(len(nullities) - 1, 0, -1):
         need = c[k] - c[k + 1]  # blocks of size exactly k
@@ -453,10 +468,13 @@ def cyclic_closure_compact(A) -> bool:
     False if |det A| != 1; SingularMatrix for a singular A, IllConditioned
     where the invariant-form decision is undecided."""
     A = as_matrix(A)
-    if abs(np.linalg.det(A)) < 1e-12:
+    det = abs(float(np.linalg.det(A)))
+    if det < 1e-12:
         raise SingularMatrix("cyclic closure is defined for invertible matrices")
+    if abs(det - 1.0) > DET_TOL:
+        return False
     try:
-        haar_average_form([A])
+        _invariant_form([A])
     except NotCompact:
         return False
     return True
@@ -464,42 +482,43 @@ def cyclic_closure_compact(A) -> bool:
 
 def _bounded(X):
     """X, or NotCompact if an entry overflowed: the group is unbounded."""
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise NotCompact("word entries overflow; the group is unbounded")
     return X
 
 
-def _dedup_key(M, quantum=1e-9):
+def _dedup_key(M):
+    # M in multiples of 1e-9; + 0.0 maps -0.0 to 0.0.  Only entries past
+    # 1e290 can overflow M / 1e-9, so only they pay for silencing it.
+    if abs(M).max() < 1e290:
+        return (np.rint(M / 1e-9) + 0.0).tobytes()
     with np.errstate(over="ignore", invalid="ignore"):
-        q = np.round(M / quantum) + 0.0  # + 0.0 maps -0.0 to 0.0
-    return _bounded(q).tobytes()
+        return _bounded(np.rint(M / 1e-9) + 0.0).tobytes()
 
 
-def _words(generators, max_len=None):
-    """Distinct words in the generators and their inverses, shortest first.
+def _walk(gens, max_len=None):
+    """(letters, word) for the distinct words in gens and their inverses.
 
     Breadth-first up to length max_len (None: until no new word
     appears): each word of one length is extended on the left by the
-    letters g1, g1^-1, g2, g2^-1, ... in turn.  Words equal up to
-    _dedup_key appear once; the identity (the empty word) is not yielded.
-    A word whose key overflows is yielded too, and not extended.
+    letters g1, g1^-1, g2, g2^-1, ... in turn, whose indices 2i and
+    2i + 1 make up `letters`, so the word is the product of its letters
+    from left to right.  Words equal up to _dedup_key appear once; the
+    identity (the empty word) is not yielded.  A word whose key overflows
+    is yielded too, and not extended.  gens are checked matrices.
     """
-    gens = _generator_list(generators)
     d = gens[0].shape[0]
-    letters = []
-    for g in gens:
-        letters.append(g)
-        letters.append(np.linalg.inv(g))
+    alphabet = [m for g in gens for m in (g, np.linalg.inv(g))]
     seen = {_dedup_key(np.eye(d))}
-    frontier = [np.eye(d)]
+    frontier = [((), np.eye(d))]
     length = 0
     while frontier and (max_len is None or length < max_len):
         nxt = []
-        for w in frontier:
-            for g in letters:
-                cand = g @ w
+        for letters, w in frontier:
+            for a, g in enumerate(alphabet):
+                cand = (a, *letters), g @ w
                 try:
-                    key = _dedup_key(cand)
+                    key = _dedup_key(cand[1])
                 except NotCompact:  # entries past 1e-9 * the float range
                     yield cand
                     continue
@@ -511,31 +530,74 @@ def _words(generators, max_len=None):
         length += 1
 
 
+def _words(gens, max_len=None):
+    """The words of _walk, as matrices alone."""
+    return (w for _, w in _walk(gens, max_len))
+
+
+def _word_class(letters):
+    """Key shared by a word, its cyclic rotations, its inverse and its powers.
+
+    letters index the alphabet of _walk, where a ^ 1 is the inverse of
+    letter a.  The word is reduced freely and cyclically, cut to its
+    primitive root, and keyed by the least rotation of that root or of
+    its inverse; a word that cancels to the identity has the key ().
+    """
+    w = []
+    for a in letters:
+        if w and w[-1] == a ^ 1:
+            w.pop()
+        else:
+            w.append(a)
+    lo, hi = 0, len(w)
+    while hi - lo > 1 and w[lo] == w[hi - 1] ^ 1:
+        lo, hi = lo + 1, hi - 1
+    w = tuple(w[lo:hi])
+    n = len(w)
+    root = next((w[:k] for k in range(1, n) if n % k == 0 and w[:k] * (n // k) == w),
+                w)
+    inverse = tuple(a ^ 1 for a in reversed(root))
+    return min((u[k:] + u[:k] for u in (root, inverse) for k in range(len(u))),
+               default=())
+
+
 def find_noncompact_witness(generators, max_word_len=6):
     """A word in the generators whose cyclic closure is not compact.
 
     Returns None when haar_average_form certifies that the generated
     group is compact.  Otherwise searches the words breadth-first up to
-    max_word_len and returns the first one that qualifies.  Without one it
+    max_word_len letters, a non-negative integer, and returns the first
+    one that qualifies.  A word is not decided when a word of its
+    _word_class was decided compact already: its cyclic rotations are
+    its conjugates, its inverse generates the same group and its powers
+    a subgroup of finite index, so each has compact cyclic closure
+    exactly when it has.  Only compact words are skipped, so the witness
+    is the word that deciding every word would return.  Without one it
     raises NotReached if the group was decided non-compact, or else the
     IllConditioned or ConvergenceFailure that left it undecided.
     """
     gens = _generator_list(generators)
+    max_word_len = _count(max_word_len, "max_word_len")
     if not all(in_measure_preserving_group(g) for g in gens):
         raise InvalidGenerator("generator must have |det| = 1")
     try:
-        haar_average_form(gens)
+        _invariant_form(gens)
         return None
     except NotCompact:
         undecided = NotReached(f"no witness up to word length {max_word_len}")
     except (IllConditioned, ConvergenceFailure) as exc:
         undecided = exc
-    for w in _words(gens, max_word_len):
+    compact = set()  # classes of the words decided compact
+    for letters, w in _walk(gens, max_word_len):
+        key = _word_class(letters)
+        if key in compact:
+            continue
         try:
             if not cyclic_closure_compact(w):
                 return w
         except IllConditioned:
-            pass  # borderline word; keep searching
+            continue  # borderline word; keep searching
+        compact.add(key)
     raise undecided
 
 
@@ -547,10 +609,28 @@ def _rank(s, scale, what):
     """Count of singular values s >= CLUSTER_TOL * scale; IllConditioned if
     one lies between that and the zero threshold FORM_RESIDUAL_TOL * scale."""
     nonzero = s >= CLUSTER_TOL * scale
-    if np.any(~nonzero & (s > FORM_RESIDUAL_TOL * scale)):
+    if (~nonzero & (s > FORM_RESIDUAL_TOL * scale)).any():
         raise IllConditioned(f"{what}: a singular value is neither zero nor "
                              f"non-zero at scale {scale:.3e}")
-    return int(np.sum(nonzero))
+    return int(nonzero.sum())
+
+
+@functools.lru_cache(maxsize=None)
+def _sym_basis(d):
+    """U: an orthonormal basis of Sym, a vec per column; read-only, as it
+    is shared by every call of one order."""
+    i, j = np.triu_indices(d)
+    U, k = np.zeros((d * d, len(i))), np.arange(len(i))
+    U[i * d + j, k] = U[j * d + i, k] = np.where(i == j, 1.0, math.sqrt(0.5))
+    U.flags.writeable = False
+    return U
+
+
+def _kron_t(g):
+    """np.kron(g.T, g.T), the matrix of X -> g^T X g on vec(X), built from
+    the same products without kron's overhead."""
+    a, n = g.T, g.size
+    return (a[:, None, :, None] * a[None, :, None, :]).reshape(n, n)
 
 
 def haar_average_form(generators):
@@ -569,6 +649,11 @@ def haar_average_form(generators):
     gens = _generator_list(generators)
     if not all(in_measure_preserving_group(g) for g in gens):
         raise NotCompact("a generator has |det| != 1")
+    return _invariant_form(gens)
+
+
+def _invariant_form(gens):
+    """haar_average_form for checked generators, each with |det| = 1."""
     if any(np.max(np.abs(np.abs(_eigvals(g)) - 1.0)) > CLUSTER_TOL
            for g in gens):
         raise NotCompact("a generator has an eigenvalue off the unit circle")
@@ -578,11 +663,8 @@ def haar_average_form(generators):
         S0 = sum(w.T @ w for w in words) / len(words)
     h0 = spd_sqrt_inverse(_bounded(S0))
     h0inv = np.linalg.inv(h0)
-    i, j = np.triu_indices(d)  # U: orthonormal basis of Sym, a vec per column
-    U, k = np.zeros((d * d, len(i))), np.arange(len(i))
-    U[i * d + j, k] = U[j * d + i, k] = np.where(i == j, 1.0, math.sqrt(0.5))
-    frame = [h0inv @ g @ h0 for g in gens]
-    maps = [U.T @ np.kron(g.T, g.T) @ U - np.eye(U.shape[1]) for g in frame]
+    U = _sym_basis(d)
+    maps = [U.T @ _kron_t(h0inv @ g @ h0) @ U - np.eye(U.shape[1]) for g in gens]
     scale = max(1.0, max(_opnorm(M) for M in maps))
     _, s, Vh = np.linalg.svd(np.vstack(maps), full_matrices=False)
     F = Vh[_rank(s, scale, "fixed forms"):].T

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import InvalidArgument, SamplingFailure, UnsupportedKind
-from .matrices import as_matrix
-from .regions import BLOCK_POINTS, AtomTable, Region, _count, atomize
+from .matrices import _count, as_matrix
+from .regions import BLOCK_POINTS, AtomTable, Region, atomize
 
 GAUSSIAN = "gaussian"
 POISSON = "poisson"

@@ -35,7 +35,6 @@ does not depend on the other points it is tested with.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 
@@ -53,7 +52,7 @@ from .errors import (
     SingularMatrix,
     UnboundedRegion,
 )
-from .matrices import as_matrix, matrix_to_json
+from .matrices import _count, as_matrix, matrix_to_json
 
 TABLE_SIZE_CAP = 1 << 20  # elements of a region's membership table
 TABLE_POINTS = 128  # a table is read for up to this many points per axis box
@@ -358,18 +357,6 @@ def _spans(lows, tops, width, mag, terms):
     start = np.searchsorted(tops, terms[:, 0] - pad, "left") * width
     stop = np.searchsorted(lows, terms[:, 1] + pad, "right") * width
     return zip(start.tolist(), stop.tolist())
-
-
-def _count(value, name, least=0):
-    """value as an int, if it is an integer of at least `least`."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise InvalidArgument(
-            f"{name} must be an integer, got {value!r}") from None
-    if n < least:
-        raise InvalidArgument(f"{name} must be at least {least}, got {n}")
-    return n
 
 
 def _strata(n, d):

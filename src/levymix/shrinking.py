@@ -25,6 +25,7 @@ from .errors import (ApproximationTooCoarse, CompactClosure,
                      NonFiniteInput, NotReached, SamplingFailure)
 from .matrices import (
     BlockKind,
+    _count,
     RealJordanDecomposition,
     as_matrix,
     classify_noncompact_blocks,
@@ -232,7 +233,8 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
     _certified_power gives, past which every sample stays inside; a ball
     of a contracting size-1 block is forward invariant, so its walk stops
     at the first power with every sample inside.  Raises NotReached when
-    h_max bounds neither that power nor that walk.
+    h_max bounds neither that power nor that walk.  n_samples >= 1 and
+    h_max >= 0 must be integers, else InvalidArgument.
 
     D_t is sampled and stepped in the tagged block's own coordinates:
     it is defined through the decomposition's T, so the block K of
@@ -240,8 +242,8 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
     """
     if not 0 < t_small <= t_large < math.inf:
         raise InvalidArgument("need 0 < t_small <= t_large < inf")
-    if n_samples < 1 or h_max < 0:
-        raise InvalidArgument("need n_samples >= 1 and h_max >= 0")
+    n_samples = _count(n_samples, "n_samples", least=1)
+    h_max = _count(h_max, "h_max")
     if t_small == t_large:
         return 0, 0  # D_t'' is a subset of D_t' already; monotone convention
     rng = _rng.stream(seed, "absorption")
@@ -272,10 +274,9 @@ def null_boundary_check(fam: ShrinkingFamily, n_samples=100_000, seed=0):
     approximates the measure missing from the union, the fraction inside
     D_{10^-6} approximates the measure of the intersection.  Both target
     Lebesgue-null limit sets, so both fractions should be small (up to
-    the proxy gap).
+    the proxy gap).  n_samples must be an integer of at least 1.
     """
-    if n_samples < 1:
-        raise InvalidArgument("need n_samples >= 1")
+    n_samples = _count(n_samples, "n_samples", least=1)
     rng = _rng.stream(seed, "nullcheck")
     pts = 2.0 * rng.random((n_samples, fam.dim)) - 1.0
     frac_outside = 1.0 - float(contains_many(fam, 1e6, pts).mean())

@@ -620,6 +620,14 @@ def test_argument_checks_raise_invalid_argument():
         lambda: shrinking.absorption_lag(fam, 0.5, 1.0, n_samples=0),
         lambda: shrinking.absorption_lag(fam, 0.5, 1.0, h_max=-1),
         lambda: shrinking.null_boundary_check(fam, n_samples=0),
+        *(lambda v=v: shrinking.absorption_lag(fam, 0.5, 1.0, n_samples=v)
+          for v in ("5", 2.5, float("inf"))),
+        *(lambda v=v: shrinking.null_boundary_check(fam, n_samples=v)
+          for v in ("5", 2.5, float("inf"))),
+        *(lambda f=f: shrinking.absorption_lag(f, 0.5, 1.0, h_max=2.5)
+          for f in (fam, build_family(shear()))),  # a ball and a cone
+        *(lambda v=v: matrices.find_noncompact_witness([squeeze()], max_word_len=v)
+          for v in ("3", 2.5, float("inf"), None, -1)),
         lambda: matrices.jordan_block_power_apply(block, -1, np.ones(2)),
         lambda: matrices.haar_average_form([]),
         lambda: noise.NoiseSpec(noise.POISSON, -1.0),

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levymix as lm
-from levymix import errors
+from levymix import errors, matrices
 from levymix.gallery import (
     assemble_jordan,
     conjugated_rotation,
@@ -24,6 +26,9 @@ from levymix.matrices import (
     _cluster_values,
     _delta_ladder,
     _jordan_chains,
+    _kron_t,
+    _sym_basis,
+    _word_class,
     _words,
     as_matrix,
     in_measure_preserving_group,
@@ -427,6 +432,84 @@ def test_witness_search_without_a_witness_raises():
         lm.find_noncompact_witness([conjugated_rotation(1e-7, stream(7, "tiny"))])
 
 
+def _rotation_pairs(n, seed):
+    """Pairs of rotations of orders 3, 4 and 6, each conjugated apart by a
+    matrix of conditioning between 5 and 100."""
+    rng = stream(seed, "rotation pairs")
+    return [[conjugated_rotation(2 * np.pi / rng.choice([3, 4, 6]), rng,
+                                 cond=rng.uniform(5.0, 100.0)) for _ in range(2)]
+            for _ in range(n)]
+
+
+def _decide_every_word(gens, max_len=6):
+    """The first word of _words with non-compact cyclic closure, or None:
+    the search without classes, every word decided."""
+    for w in _words(gens, max_len):
+        try:
+            if not lm.cyclic_closure_compact(w):
+                return w
+        except errors.IllConditioned:
+            pass
+    return None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_witness_search_returns_the_word_that_deciding_every_word_finds():
+    huge = np.array([[1.0, 1e300], [0.0, 1.0]])
+    groups = [*_rotation_pairs(12, seed=0), _elliptic_pair(), [huge],
+              [np.eye(2), huge]]
+    for gens in groups:
+        w = lm.find_noncompact_witness(gens)
+        assert w is not None and np.array_equal(w, _decide_every_word(gens))
+
+
+def test_witness_search_decides_fewer_words_than_it_walks(monkeypatch):
+    counts = {"walked": 0, "decided": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(matrices, "_word_class",
+                        counted("walked", matrices._word_class))
+    monkeypatch.setattr(matrices, "cyclic_closure_compact",
+                        counted("decided", matrices.cyclic_closure_compact))
+    for gens in _rotation_pairs(3, seed=1):
+        counts.update(walked=0, decided=0)
+        lm.find_noncompact_witness(gens)
+        assert 0 < counts["decided"] < counts["walked"]
+
+
+def test_word_class_joins_rotations_inverses_and_powers():
+    # letters: 0 = g, 1 = g^-1, 2 = h, 3 = h^-1
+    key = _word_class((0, 2, 2))
+    assert _word_class((2, 0, 2)) == _word_class((2, 2, 0)) == key  # rotations
+    assert _word_class((3, 3, 1)) == key  # the inverse
+    assert _word_class((0, 2, 2, 0, 2, 2)) == key  # a power
+    assert _word_class((1, 0, 0, 2, 2)) == key  # not freely reduced
+    assert _word_class((3, 0, 2, 2, 2)) == key  # not cyclically reduced
+    assert _word_class((0, 0)) == _word_class((1,)) == _word_class((0,))
+    for cancels in ((0, 1), (2, 0, 1, 3), (1, 3, 2, 0)):
+        assert _word_class(cancels) == ()
+    assert _word_class(()) == ()
+    apart = [(0,), (2,), (0, 2), (0, 3), (0, 0, 2), (0, 2, 2), (0, 2, 1, 3)]
+    assert len({_word_class(w) for w in apart}) == len(apart)
+
+
+def test_sym_basis_is_shared_read_only_and_orthonormal():
+    for d in range(1, 5):
+        U = _sym_basis(d)
+        assert _sym_basis(d) is U and not U.flags.writeable
+        with pytest.raises(ValueError):
+            U[0, 0] = 2.0
+        assert U.shape == (d * d, d * (d + 1) // 2)
+        assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-15)
+        g = stream(d, "kron").standard_normal((d, d))
+        assert np.array_equal(_kron_t(g), np.kron(g.T, g.T))
+
+
 # ---------------------------------------------------------------------------
 # Weyl's trick
 
@@ -696,3 +779,50 @@ def test_weyl_conjugation_preserves_determinant():
     hinv = np.linalg.inv(h)
     for g in gens:
         assert np.isclose(np.linalg.det(hinv @ g @ h), np.linalg.det(g))
+
+
+# ---------------------------------------------------------------------------
+# the groups layer's outputs, pinned
+
+
+def _groups_layer_digest():
+    """sha256 over what real_jordan_form, cyclic_closure_compact,
+    weyl_conjugator and find_noncompact_witness return on a small seeded
+    gallery corpus; an error counts by its class name."""
+    digest = hashlib.sha256()
+
+    def feed(fn, *args):
+        try:
+            out = fn(*args)
+        except errors.LevymixError as exc:
+            out = type(exc).__name__
+        if isinstance(out, lm.RealJordanDecomposition):
+            digest.update(out.conjugator.tobytes())
+            out = ([(b.kind.value, b.size, b.eigen) for b in out.blocks],
+                   out.residual.hex())
+        digest.update(out.tobytes() if isinstance(out, np.ndarray)
+                      else repr(out).encode())
+
+    corpus = [A for A, _ in jordan_corpus(8, seed=11)]
+    corpus += [random_jordan_matrix(d, stream(1, "pin unit", d), unit_moduli=True)[0]
+               for d in range(2, 6)]
+    for A in corpus:
+        feed(lm.real_jordan_form, A)
+        feed(lm.cyclic_closure_compact, A)
+    dihedral = [_conjugated(_conditioned(2, 10.0, stream(n, "pin dihedral")),
+                            dihedral_generators(n)) for n in (3, 4, 6)]
+    rotations = [[conjugated_rotation(theta, stream(i, "pin rotation"), d=d)]
+                 for i, (theta, d) in enumerate([(1.0, 2), (2.5, 4)])]
+    for gens in dihedral + rotations:
+        feed(lm.weyl_conjugator, gens)
+    for gens in dihedral + _rotation_pairs(4, seed=2) + [_elliptic_pair()]:
+        feed(lm.find_noncompact_witness, gens)
+    return digest.hexdigest()
+
+
+# a change that moves one of these outputs updates the pin here
+GROUPS_LAYER_SHA256 = "8bbc84b03a8de2f5e8a62274b0c0ca7d91e6b5ae73a085395510c5fcfe520fba"
+
+
+def test_groups_layer_output_is_pinned():
+    assert _groups_layer_digest() == GROUPS_LAYER_SHA256
