@@ -3,7 +3,9 @@
 A non-compact measure-preserving map mixes: the covariance between the
 mass of C and the mass of g^m C equals the overlap measure and decays
 geometrically.  A compact map admits an invariant region whose mass is
-a non-degenerate random variable, so no mixing takes place.
+a non-degenerate random variable, so no mixing takes place.  Two compact
+rotations can generate a non-compact group; a word of the two that is
+not compact is found, and it mixes.
 
 Run:  python3 demos/05_mixing_experiments.py
 """
@@ -12,6 +14,7 @@ import numpy as np
 
 from levymix.experiments import compact_invariant_demo, mixing_curve, tail_triviality_decay
 from levymix.gallery import rotation, shear, squeeze
+from levymix.matrices import find_noncompact_witness
 from levymix.regions import box_region
 
 C = box_region(np.array([[0.0, 1.0], [0.0, 1.0]]))
@@ -30,6 +33,17 @@ rep = mixing_curve(rotation(np.pi / 2), C2, m_range=(0, 4), n_reps=4_000,
                    seed=0)
 for m, cov, err in rep.rows("covariance"):
     print(f"  m={int(m)}: covariance {cov:.3f} (measure of C is 4)")
+print(f"  verdict: {rep.verdict}")
+
+print("\nrotation(2 pi/3) and P rotation(pi/2) P^-1, P = diag(2, 1/2):")
+P = np.diag([2.0, 0.5])
+w = find_noncompact_witness([rotation(2 * np.pi / 3),
+                             P @ rotation(np.pi / 2) @ np.linalg.inv(P)])
+print(f"  each is compact; their group is not, witness {np.round(w, 3).tolist()}")
+rep = mixing_curve(w, C, m_range=(0, 8), n_reps=4_000, seed=0)
+for (m, ov, _), (_, cov, err) in zip(rep.rows("overlap"),
+                                     rep.rows("covariance")):
+    print(f"  m={int(m)}: overlap {ov:.2e}, covariance {cov:+.4f} (+- {err:.4f})")
 print(f"  verdict: {rep.verdict}")
 
 print("\nconditional variance decay along the shear family:")

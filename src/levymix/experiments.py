@@ -11,6 +11,7 @@ invariant region with non-degenerate mass).
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -22,22 +23,17 @@ from .errors import (ApproximationTooCoarse, ConfigError, DimensionMismatch,
                      UnboundedRegion)
 from .gallery import parse_matrix
 from .matrices import (
+    _count,
     _generator_list,
     as_matrix,
     cyclic_closure_compact,
     in_measure_preserving_group,
     weyl_conjugator,
 )
-from .noise import (
-    GAUSSIAN,
-    NoiseSpec,
-    gaussian_conditional_samples,
-    realize_masses,
-)
+from .noise import GAUSSIAN, NoiseSpec, gaussian_conditional_samples
 from .regions import (
     Piece,
     Region,
-    atomize,
     box_region,
     intersection_volume,
     transform,
@@ -46,7 +42,7 @@ from .regions import (
 from .shrinking import build_family, family_region
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
-MC_SAMPLES = 400_000  # n of an MC overlap or atom table: 447**2 strata of two
+MC_SAMPLES = 400_000  # n of an MC overlap: 447**2 strata of two
 KS_ALPHA = 0.01       # level of the equivariance KS test
 
 
@@ -93,18 +89,30 @@ def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000,
                  seed=0) -> ExperimentReport:
     """Overlap measure and empirical mass covariance along powers of g.
 
-    For each m the overlap of C with g^m C is estimated, together with
-    the covariance of the Gaussian masses of the two regions over n_reps
-    independent realizations.  Non-compact maps mix (covariance decays);
-    a compact map fixing C keeps the covariance at the measure of C.
+    For each m, the overlap ov of C with g^m C is measured once, by
+    intersection_volume on the stream key sub of (seed, "mix", m), and
+    reported as measured.  The Gaussian masses of the overlap, the rest
+    of C and the rest of g^m C, of measures ov, measure(C) - ov and
+    measure(g^m C) - ov, are drawn as x, y and z over n_reps independent
+    realizations, part i on the stream (sub, "atom", i); then the mass
+    of C is x + y and that of g^m C is x + z.  Before the parts are
+    formed, ov is clipped into [0, min(measure(C), measure(g^m C))]: an
+    exact overlap moves by roundoff only, and a Monte Carlo one (d >= 3,
+    frames not axis-aligned) is projected onto the possible values.
+    Non-compact maps mix (covariance decays); a compact map fixing C
+    keeps the covariance at the measure of C.  A C of infinite measure
+    raises UnboundedRegion.
     """
     g = as_matrix(g)
     if not in_measure_preserving_group(g, det_tol=1e-6):
         raise InvalidGenerator("mixing map must have |det| = 1")
     if m_range[0] > m_range[1]:
         raise InvalidArgument(f"m_range {tuple(m_range)} holds no power")
+    n_reps = _count(n_reps, "n_reps", least=2)
     compact = cyclic_closure_compact(g)
     lam_C = volume(C)
+    if not np.isfinite(lam_C):
+        raise UnboundedRegion("mixing needs a C of finite measure")
     spec = NoiseSpec(GAUSSIAN)
     report = ExperimentReport(
         "mixing_curve",
@@ -117,13 +125,12 @@ def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000,
         gm = np.linalg.matrix_power(g, m)
         Cm = transform(gm, C) if m else C
         sub = _rng.stream_key(seed, "mix", m) % 2**31
-        overlap, ov_err = intersection_volume(C, Cm, method="auto",
-                                              n=MC_SAMPLES, seed=sub)
-        atoms = atomize([C, Cm], n=MC_SAMPLES, seed=sub)
-        masses = realize_masses(spec, atoms, n_reps, seed=sub)
-        pi_C = masses[:, atoms.atoms_of_region(0)].sum(axis=1)
-        pi_Cm = masses[:, atoms.atoms_of_region(1)].sum(axis=1)
-        cmat = np.cov(pi_C, pi_Cm)
+        overlap, ov_err = intersection_volume(C, Cm, n=MC_SAMPLES, seed=sub)
+        lam_Cm = volume(Cm)
+        ov = min(max(overlap, 0.0), lam_C, lam_Cm)
+        x, y, z = (spec.sample_mass(v, _rng.stream(sub, "atom", i), n_reps)
+                   for i, v in enumerate((ov, lam_C - ov, lam_Cm - ov)))
+        cmat = np.cov(x + y, x + z)
         c = float(cmat[0, 1])
         c_err = _cov_stderr(cmat[0, 0], cmat[1, 1], c, n_reps)
         report.add("overlap", m, overlap, ov_err)
@@ -260,10 +267,10 @@ def equivariance_check(g, C: Region, B: Region, f=None, n_reps=10_000,
     if f is None:
         f = np.tanh
     lam_C = volume(C)
-    s1, e1 = intersection_volume(C, B, method="auto", n=MC_SAMPLES,
+    s1, e1 = intersection_volume(C, B, n=MC_SAMPLES,
                                  seed=_rng.stream_key(seed, "eq", 0) % 2**31)
     gC, gB = transform(g, C), transform(g, B)
-    s2, e2 = intersection_volume(gC, gB, method="auto", n=MC_SAMPLES,
+    s2, e2 = intersection_volume(gC, gB, n=MC_SAMPLES,
                                  seed=_rng.stream_key(seed, "eq", 1) % 2**31)
     rng1 = _rng.stream(seed, "eq-samples", 0)
     rng2 = _rng.stream(seed, "eq-samples", 1)
@@ -378,20 +385,12 @@ def _function(name):
     return _FUNCTIONS[name]
 
 
-def _at_least(low):
-    """Parser of an integer no smaller than `low`."""
-    def parse(value):
-        n = int(value)
-        if n < low:
-            raise InvalidArgument(f"need an integer of at least {low}, got {n}")
-        return n
-    return parse
-
-
 def _positive(t):
-    """t unchanged, if positive and finite.  Not converted to float: the
-    tail experiment keys its random streams by the text of t."""
-    if not 0.0 < float(t) < np.inf:
+    """t unchanged, if a positive and finite real number, not a bool.  Not
+    converted to float: the tail experiment keys its random streams by the
+    text of t."""
+    if (isinstance(t, bool) or not isinstance(t, numbers.Real)
+            or not 0 < t < np.inf):
         raise InvalidArgument(f"need a positive number, got {t!r}")
     return t
 
@@ -455,12 +454,13 @@ def _run_one(entry, master_seed):
         except (ConfigError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name}: {key}: {exc}") from exc
 
-    replicates = _at_least(2)  # the fewest samples that have a variance
+    def replicates(value):  # two are the fewest samples that have a variance
+        return _count(value, "n_reps", least=2)
 
     if kind == "mixing_curve":
         return name, mixing_curve(
             field("g", parse_matrix), field("C", Region.from_json),
-            m_range=(0, field("m_max", _at_least(0), 8)),
+            m_range=(0, field("m_max", lambda v: _count(v, "m_max"), 8)),
             n_reps=field("n_reps", replicates, 10_000), seed=seed)
     if kind == "tail_triviality_decay":
         return name, tail_triviality_decay(

@@ -63,8 +63,10 @@ def as_matrix(A) -> np.ndarray:
 
 
 def _count(value, name, least=0):
-    """value as an int, if it is an integer of at least `least`."""
+    """value as an int, if it is an integer, not a bool, of at least `least`."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         n = operator.index(value)
     except TypeError:
         raise InvalidArgument(

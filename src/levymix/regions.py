@@ -503,25 +503,19 @@ def intersection_volume(r1: Region, r2: Region, method="auto",
                         n=100_000, seed=0):
     """(value, stderr) of the measure of the intersection of two regions.
 
-    "axis" is exact for axis-aligned regions; "mc" samples at most n points,
-    more than n / 2 (_stratified_blocks), in the bounding box of r1, and
-    raises UnboundedRegion if it is not finite.  "auto" is exact when both
-    regions are flagged disjoint and either both are axis-aligned or
-    d = 2, else Monte Carlo.  Exact overlaps sum over piece
-    pairs (_overlap), so "axis" raises OverlapUnknown without both flags.
+    "auto" is exact when both regions are flagged disjoint and either
+    both are axis-aligned or d = 2: it sums over piece pairs (_overlap),
+    with stderr 0.  Else, and for "mc", it samples at most n points, more
+    than n / 2 (_stratified_blocks), in the bounding box of r1, and raises
+    UnboundedRegion if it is not finite.
     """
     if r1.dim != r2.dim:
         raise DimensionMismatch("regions have different dimensions")
-    if method not in ("auto", "axis", "mc"):
+    if method not in ("auto", "mc"):
         raise InvalidArgument(f"unknown method {method!r}")
-    disjoint = r1.disjoint and r2.disjoint
     axis = r1.is_axis_aligned() and r2.is_axis_aligned()
-    if method == "axis":
-        if not axis:
-            raise NotAxisAligned("axis-exact overlap needs axis-aligned frames")
-        if not disjoint:
-            raise OverlapUnknown("exact overlap requires disjoint pieces")
-    if method == "mc" or not (disjoint and (axis or r1.dim == 2)):
+    if method == "mc" or not (r1.disjoint and r2.disjoint
+                              and (axis or r1.dim == 2)):
         return _stratified_hits(
             _common_bounding_box([r1]),
             lambda c, spans: (r1._contains_columns(c, spans)
@@ -632,26 +626,24 @@ def _atomize_axis_exact(regions, bounds):
 def atomize(regions, n=100_000, seed=0, method="auto"):
     """AtomTable for the family of regions over their common bounding box.
 
-    method="exact" (axis-aligned families only) paints the regions on the
-    endpoint sweep grid by cumulative sums; method="mc" classifies at most
-    n stratified-uniform samples, more than n / 2 (_stratified_blocks:
-    99 458 at n = 100 000 in the plane), drawn and classified one block of
-    strata at a time, each piece only on the rows of strata its reach
-    meets; "auto" prefers exact when available.  Signatures are counted by
+    method="auto" paints an axis-aligned family on the endpoint sweep
+    grid by cumulative sums, exactly; any other family, and method="mc",
+    classifies at most n stratified-uniform samples, more than n / 2
+    (_stratified_blocks: 99 458 at n = 100 000 in the plane), drawn and
+    classified one block of strata at a time, each piece only on the rows
+    of strata its reach meets.  Signatures are counted by
     np.bincount over their codes up to 16 regions, by np.unique above.
     Every signature that occurs among the samples is an atom, so each MC
     atom has a measure of at least the box volume over the number of
     samples.
     """
     regions = list(regions)
-    if method not in ("auto", "exact", "mc"):
+    if method not in ("auto", "mc"):
         raise InvalidArgument(f"unknown method {method!r}")
     if not regions:
         raise InvalidArgument("atomize needs at least one region, got an empty family")
     bounds = _common_bounding_box(regions)
-    if method == "auto":
-        method = "exact" if all(r.is_axis_aligned() for r in regions) else "mc"
-    if method == "exact":
+    if method == "auto" and all(r.is_axis_aligned() for r in regions):
         return _atomize_axis_exact(regions, bounds)
     vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
     rng = _rng.stream(seed, "atomize")

@@ -32,6 +32,7 @@ from levymix.regions import (
     atomize,
     box_region,
     intersection_volume,
+    transform,
     volume,
 )
 from levymix.shrinking import contains_many, family_region
@@ -76,6 +77,68 @@ def test_mixing_curve_compact_fixed_region():
 def test_mixing_curve_rejects_non_measure_preserving():
     with pytest.raises(errors.InvalidGenerator):
         mixing_curve(2.0 * np.eye(2), UNIT)
+
+
+def test_mixing_curve_rejects_a_region_of_infinite_measure():
+    # the half-strip and its image under rotation(pi) do not meet, so the
+    # overlap is finite, but the rest of C has no Gaussian mass
+    C = Region((UNIT.pieces[0], Piece(np.eye(2), [[2.0, np.inf], [0.0, 1.0]])))
+    with pytest.raises(errors.UnboundedRegion):
+        mixing_curve(rotation(np.pi), C, m_range=(1, 1))
+
+
+def _rotation_pair_witness():
+    """A non-compact word in two compact rotations of the plane."""
+    P = np.diag([2.0, 0.5])
+    return matrices.find_noncompact_witness(
+        [rotation(2 * np.pi / 3), P @ rotation(np.pi / 2) @ np.linalg.inv(P)])
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_mixing_curve_witness_of_two_rotations_passes(seed):
+    # the overlaps fall to 5.7e-5 at m = 8, and each part's mass is drawn
+    # on its exact measure, so no covariance row reads 0 +- 0
+    rep = mixing_curve(_rotation_pair_witness(), UNIT, n_reps=4_000, seed=seed)
+    assert rep.verdict == PASS
+    assert all(err > 0.0 for _, _, err in rep.rows("covariance"))
+    assert all(err == 0.0 for _, _, err in rep.rows("overlap"))
+
+
+def test_mixing_curve_builds_no_atom_table(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mixing_curve must not atomize or sample a region")
+
+    monkeypatch.setattr("levymix.regions.atomize", forbidden)
+    monkeypatch.setattr("levymix.regions._stratified_blocks", forbidden)
+    monkeypatch.setattr("levymix.noise.realize_masses", forbidden)
+    for g in (_rotation_pair_witness(), shear()):
+        rep = mixing_curve(g, UNIT, m_range=(0, 3), n_reps=500, seed=0)
+        assert len(rep.rows("covariance")) == 4
+
+
+def test_mixing_curve_clips_an_exact_overlap_above_the_measure():
+    # rotation90 maps the tilted square onto itself through frames that
+    # are not axis-aligned; the measured overlap at m = 1 exceeds measure(C)
+    # by 8.9e-16, which unclipped gives the rest of C a negative variance
+    C = transform(rotation(0.7), box_region(np.array([[-1.0, 1.0], [-1.0, 1.0]])))
+    rep = mixing_curve(rotation(np.pi / 2), C, m_range=(0, 4), n_reps=1_000,
+                       seed=0)
+    assert rep.verdict == PASS
+    assert rep.rows("overlap")[1][1] > volume(C)
+
+
+def test_mixing_curve_clips_a_monte_carlo_overlap_in_3d():
+    # Q [-1, 1]^3 is fixed by Q R90 Q^T; at m = 0 the Monte Carlo overlap
+    # reads 8.0069 > 8 = measure(C), and the report keeps that value
+    a = np.ones(3) / np.sqrt(3.0)
+    K = np.cross(np.eye(3), a)  # K @ x = a x x
+    Q = np.eye(3) + np.sin(0.7) * K + (1.0 - np.cos(0.7)) * K @ K
+    R90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    C = transform(Q, box_region(np.array([[-1.0, 1.0]] * 3)))
+    rep = mixing_curve(Q @ R90 @ Q.T, C, m_range=(0, 2), n_reps=500, seed=0)
+    assert rep.verdict == PASS
+    assert rep.rows("overlap")[0][1] > volume(C)
+    assert np.all(np.isfinite([row[1:] for row in rep.series]))
 
 
 TAIL_T = (5.0, 2.0, 1.0, 0.5, 0.2, 0.1)
@@ -351,6 +414,14 @@ def test_run_all_config_errors(tmp_path):
               "n_reps": float("inf")}, "mixing_curve: n_reps"),
             ({"kind": "mixing_curve", "g": "shear", "C": unit,
               "m_max": -1}, "mixing_curve: m_max"),
+            ({"kind": "mixing_curve", "g": "shear", "C": unit,
+              "m_max": 2.5}, "mixing_curve: m_max"),
+            ({"kind": "mixing_curve", "g": "shear", "C": unit,
+              "m_max": True}, "mixing_curve: m_max"),
+            ({"kind": "mixing_curve", "g": "shear", "C": unit,
+              "n_reps": "4000"}, "mixing_curve: n_reps"),
+            ({"kind": "compact_invariant_demo", "generators": ["rotation90"],
+              "n_reps": True}, "compact_invariant_demo: n_reps"),
             ({"kind": "tail_triviality_decay", "g": "shear", "C": unit,
               "t_grid": []}, "t_grid: need a non-empty list"),
             ({"kind": "tail_triviality_decay", "g": "shear", "C": unit,
@@ -361,6 +432,10 @@ def test_run_all_config_errors(tmp_path):
               "t_grid": [1.0, "x"]}, "tail_triviality_decay: t_grid"),
             ({"kind": "tail_triviality_decay", "g": "shear", "C": unit,
               "t_grid": [1.0, 0.0]}, "tail_triviality_decay: t_grid"),
+            ({"kind": "tail_triviality_decay", "g": "shear", "C": unit,
+              "t_grid": ["10", "2", "0.5"]}, "tail_triviality_decay: t_grid"),
+            ({"kind": "tail_triviality_decay", "g": "shear", "C": unit,
+              "t_grid": [1.0, True]}, "tail_triviality_decay: t_grid"),
             ({"kind": "compact_invariant_demo", "generators": "rotation90"},
              "compact_invariant_demo: generators: need a non-empty list"),
             ({"kind": "compact_invariant_demo", "generators": []},
@@ -604,7 +679,8 @@ def test_argument_checks_raise_invalid_argument():
     atoms = atomize([UNIT], n=0)
     wide = atomize([box_region(np.array([[0.0, 4.0], [0.0, 1.0]]))], n=0)
     calls = [
-        lambda: intersection_volume(UNIT, UNIT, method="grid"),
+        *(lambda m=m: intersection_volume(UNIT, UNIT, method=m)
+          for m in ("grid", "axis")),
         lambda: intersection_volume(UNIT, UNIT, method="mc", n=0),
         *(lambda n=n: atomize([UNIT], n=n, method="mc")
           for n in (float("inf"), "100", 2.5)),
@@ -627,7 +703,7 @@ def test_argument_checks_raise_invalid_argument():
         *(lambda f=f: shrinking.absorption_lag(f, 0.5, 1.0, h_max=2.5)
           for f in (fam, build_family(shear()))),  # a ball and a cone
         *(lambda v=v: matrices.find_noncompact_witness([squeeze()], max_word_len=v)
-          for v in ("3", 2.5, float("inf"), None, -1)),
+          for v in ("3", 2.5, float("inf"), None, -1, True)),
         lambda: matrices.jordan_block_power_apply(block, -1, np.ones(2)),
         lambda: matrices.haar_average_form([]),
         lambda: noise.NoiseSpec(noise.POISSON, -1.0),
@@ -680,13 +756,17 @@ def test_cli_experiment_run_uses_config_seed_and_out(tmp_path, monkeypatch):
 
 
 # sha256 over the name and bytes of each *.series.csv and *.report.json
-# file, in name order, that `levymix experiment run --seed 0` writes; a
+# file, in name order, that `levymix experiment run --seed N` writes; a
 # change that moves the battery's output updates it here
-BATTERY_SEED_0_SHA256 = "22fefe22aaa7be670c6dbcacd93abc590ab8117a4c5cb7d2ab5b3a3422937401"
+BATTERY_SHA256 = {
+    0: "22fefe22aaa7be670c6dbcacd93abc590ab8117a4c5cb7d2ab5b3a3422937401",
+    42: "f3329bda7c12a8bb5fe41f15c55bf4dac9e7fe48031e6d7463ec4a9c3715caf3",
+}
 
 
-def test_battery_output_is_pinned(tmp_path):
-    res = CliRunner().invoke(main, ["experiment", "run", "--seed", "0",
+@pytest.mark.parametrize("seed", sorted(BATTERY_SHA256))
+def test_battery_output_is_pinned(tmp_path, seed):
+    res = CliRunner().invoke(main, ["experiment", "run", "--seed", str(seed),
                                     "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     files = sorted([*tmp_path.glob("*.series.csv"), *tmp_path.glob("*.report.json")])
@@ -694,7 +774,7 @@ def test_battery_output_is_pinned(tmp_path):
     digest = hashlib.sha256()
     for path in files:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert digest.hexdigest() == BATTERY_SEED_0_SHA256
+    assert digest.hexdigest() == BATTERY_SHA256[seed]
 
 
 _WATCH_SCIPY = """

@@ -126,8 +126,7 @@ def test_region_from_json_box_form_and_errors():
 def test_axis_intersection_exact():
     a = box_region(np.array([[0.0, 1.0], [0.0, 1.0]]))
     b = box_region(np.array([[0.5, 1.5], [0.0, 2.0]]))
-    assert intersection_volume(a, b, method="axis") == (0.5, 0.0)
-    assert intersection_volume(a, b, method="auto") == (0.5, 0.0)
+    assert intersection_volume(a, b) == (0.5, 0.0)
     # the pair loop takes the product of intervals on axis boxes, also on
     # boxes turned by a rotation90 power whose frame is off by 1e-16, and
     # the planar clip agrees with it there
@@ -148,13 +147,6 @@ def test_polygon_is_the_corners_in_cyclic_order():
             p = Piece(sample.normal(size=(2, 2)) * scale,
                       np.sort(sample.normal(size=(2, 2)), axis=1))
             assert np.array_equal(p.polygon(), p.corners()[[0, 1, 3, 2]])
-
-
-def test_axis_intersection_rejects_rotated():
-    a = unit_box(2)
-    b = transform(rotation(0.4), a)
-    with pytest.raises(errors.NotAxisAligned):
-        intersection_volume(a, b, method="axis")
 
 
 def test_mc_intersection_octagon_oracle():
@@ -191,16 +183,18 @@ def test_pair_loop_mixes_products_and_clips():
 
 
 def test_exact_overlap_needs_disjoint_pieces():
+    # without the disjoint flag a pair is sampled, even of axis boxes
     twice = Region(unit_box(2).pieces * 2, disjoint=False)
-    with pytest.raises(errors.OverlapUnknown):
-        intersection_volume(twice, unit_box(2), method="axis")
     assert intersection_volume(twice, unit_box(2)) == (1.0, 0.0)
+    half = box_region(np.array([[0.5, 1.5], [0.0, 1.0]]))
+    est, err = intersection_volume(twice, half)
+    assert err > 0.0 and (est, err) == intersection_volume(twice, half, method="mc")
     tilted = transform(rotation(0.3), twice)
     assert intersection_volume(tilted, unit_box(2)) == intersection_volume(
         tilted, unit_box(2), method="mc")
 
 
-@pytest.mark.parametrize("method", ["auto", "axis", "mc"])
+@pytest.mark.parametrize("method", ["auto", "mc"])
 def test_intersection_volume_dimension_mismatch(method):
     with pytest.raises(errors.DimensionMismatch):
         intersection_volume(unit_box(2), unit_box(3), method=method)
@@ -331,7 +325,8 @@ def test_atomize_exact_two_overlapping_boxes():
 def test_atomize_mc_close_to_exact():
     a = box_region(np.array([[0.0, 1.0], [0.0, 1.0]]))
     b = box_region(np.array([[0.5, 1.5], [0.0, 1.0]]))
-    exact = atomize([a, b], method="exact")
+    exact = atomize([a, b])
+    assert exact.exact
     mc = atomize([a, b], method="mc", n=100_000, seed=4)
     for sig, m, e in zip(mc.signatures, mc.measures, mc.stderrs):
         if sig in exact.signatures:
@@ -716,13 +711,15 @@ def test_atomize_matches_dict_counting(family, method, seed):
 
 
 @pytest.mark.parametrize("n_regions", [1, 8, 9, 16, 17, 64, 70])
-@pytest.mark.parametrize("method", ["exact", "mc"])
+@pytest.mark.parametrize("method", ["auto", "mc"], ids=["exact", "mc"])
 def test_atomize_code_widths_match_dict_counting(n_regions, method):
+    # a family of axis boxes takes the exact sweep under "auto"
     rng = np.random.default_rng(n_regions)
     lo = rng.uniform(0.0, 3.0, size=(n_regions, 2))
     family = [box_region(np.column_stack([a, a + rng.uniform(0.5, 2.0, 2)]))
               for a in lo]
     atoms = _assert_matches_dict_atoms(family, method, 5_000, n_regions)
+    assert atoms.exact == (method == "auto")
     assert len(atoms.signatures) >= n_regions
 
 
@@ -746,8 +743,9 @@ def test_piece_rejects_nan_box_and_keeps_infinite_boxes():
 
 
 def test_atomize_rejects_unknown_method_and_empty_family():
-    with pytest.raises(errors.InvalidArgument, match="unknown method 'bogus'"):
-        atomize([unit_box(2)], method="bogus")
+    for method in ("bogus", "exact"):
+        with pytest.raises(errors.InvalidArgument, match=f"unknown method '{method}'"):
+            atomize([unit_box(2)], method=method)
     with pytest.raises(errors.InvalidArgument, match="empty family"):
         atomize([])
     with pytest.raises(errors.InvalidArgument, match="empty family"):
@@ -850,8 +848,8 @@ def test_painted_sweep_over_64_staircases():
             assert np.array_equal(pieces[-1].intervals(), iv)
         family.append(Region(tuple(pieces), disjoint=False))
     assert all(r._axis_table is not None for r in family)
-    atoms = _assert_matches_dict_atoms(family, "exact", 0, 0)
-    assert len(atoms.signatures[0]) == 70
+    atoms = _assert_matches_dict_atoms(family, "auto", 0, 0)
+    assert atoms.exact and len(atoms.signatures[0]) == 70
     _assert_matches_dict_atoms(family, "mc", 4_000, 3)
 
 
