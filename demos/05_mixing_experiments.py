@@ -20,7 +20,7 @@ from levymix.regions import box_region
 C = box_region(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
 print("squeeze map, C = unit square:")
-rep = mixing_curve(squeeze(), C, m_range=(0, 6), n_reps=4_000, seed=0)
+rep = mixing_curve(squeeze(), C, m_max=6, n_reps=4_000, seed=0)
 for (m, ov, _), (_, cov, err) in zip(rep.rows("overlap"),
                                      rep.rows("covariance")):
     print(f"  m={int(m)}: overlap {ov:.4f}, covariance {cov:.4f} "
@@ -29,7 +29,7 @@ print(f"  verdict: {rep.verdict}")
 
 print("\norder-4 rotation, C = [-1,1]^2 (invariant):")
 C2 = box_region(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
-rep = mixing_curve(rotation(np.pi / 2), C2, m_range=(0, 4), n_reps=4_000,
+rep = mixing_curve(rotation(np.pi / 2), C2, m_max=4, n_reps=4_000,
                    seed=0)
 for m, cov, err in rep.rows("covariance"):
     print(f"  m={int(m)}: covariance {cov:.3f} (measure of C is 4)")
@@ -40,7 +40,7 @@ P = np.diag([2.0, 0.5])
 w = find_noncompact_witness([rotation(2 * np.pi / 3),
                              P @ rotation(np.pi / 2) @ np.linalg.inv(P)])
 print(f"  each is compact; their group is not, witness {np.round(w, 3).tolist()}")
-rep = mixing_curve(w, C, m_range=(0, 8), n_reps=4_000, seed=0)
+rep = mixing_curve(w, C, m_max=8, n_reps=4_000, seed=0)
 for (m, ov, _), (_, cov, err) in zip(rep.rows("overlap"),
                                      rep.rows("covariance")):
     print(f"  m={int(m)}: overlap {ov:.2e}, covariance {cov:+.4f} (+- {err:.4f})")

@@ -6,12 +6,14 @@ covariance mixing curves under iterated maps, conditional-variance decay
 along a shrinking family, equivariance of conditional expectations under
 measure-preserving maps, and the compact-group counterexample (an
 invariant region with non-degenerate mass).
+Each checks its arguments on entry by the rules in matrices; the config
+runner only converts JSON, with no check or default of its own.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -25,6 +27,7 @@ from .gallery import parse_matrix
 from .matrices import (
     _count,
     _generator_list,
+    _real,
     as_matrix,
     cyclic_closure_compact,
     in_measure_preserving_group,
@@ -44,6 +47,8 @@ from .shrinking import build_family, family_region
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 MC_SAMPLES = 400_000  # n of an MC overlap: 447**2 strata of two
 KS_ALPHA = 0.01       # level of the equivariance KS test
+# fewest samples whose KS test can reject at KS_ALPHA: least p is 2 / C(2n, n)
+KS_MIN_REPS = next(n for n in range(1, 100) if 2 / math.comb(2 * n, n) < KS_ALPHA)
 
 
 @dataclass
@@ -77,21 +82,17 @@ class ExperimentReport:
         }
 
 
-def _cov_stderr(v1, v2, c, n):
-    return np.sqrt(max(v1 * v2 + c * c, 0.0) / max(n - 1, 1))
-
-
 # ---------------------------------------------------------------------------
 # mixing curve
 
 
-def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000,
+def mixing_curve(g, C: Region, m_max=8, n_reps=10_000,
                  seed=0) -> ExperimentReport:
     """Overlap measure and empirical mass covariance along powers of g.
 
-    For each m, the overlap ov of C with g^m C is measured once, by
-    intersection_volume on the stream key sub of (seed, "mix", m), and
-    reported as measured.  The Gaussian masses of the overlap, the rest
+    For each m = 0, ..., m_max, the overlap ov of C with g^m C is measured
+    once, by intersection_volume on the stream key sub of (seed, "mix", m),
+    and reported as measured.  The Gaussian masses of the overlap, the rest
     of C and the rest of g^m C, of measures ov, measure(C) - ov and
     measure(g^m C) - ov, are drawn as x, y and z over n_reps independent
     realizations, part i on the stream (sub, "atom", i); then the mass
@@ -103,12 +104,10 @@ def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000,
     keeps the covariance at the measure of C.  A C of infinite measure
     raises UnboundedRegion.
     """
+    m_max, n_reps = _count(m_max, "m_max"), _count(n_reps, "n_reps", least=2)
     g = as_matrix(g)
-    if not in_measure_preserving_group(g, det_tol=1e-6):
+    if not in_measure_preserving_group(g):
         raise InvalidGenerator("mixing map must have |det| = 1")
-    if m_range[0] > m_range[1]:
-        raise InvalidArgument(f"m_range {tuple(m_range)} holds no power")
-    n_reps = _count(n_reps, "n_reps", least=2)
     compact = cyclic_closure_compact(g)
     lam_C = volume(C)
     if not np.isfinite(lam_C):
@@ -116,12 +115,12 @@ def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000,
     spec = NoiseSpec(GAUSSIAN)
     report = ExperimentReport(
         "mixing_curve",
-        {"g": g.tolist(), "C": C.to_json(), "m_range": list(m_range),
+        {"g": g.tolist(), "C": C.to_json(), "m_range": [0, m_max],
          "n_reps": n_reps, "seed": seed, "compact": compact},
     )
     ok_cov, identical_region = True, True
     last_cov = None
-    for m in range(m_range[0], m_range[1] + 1):
+    for m in range(m_max + 1):
         gm = np.linalg.matrix_power(g, m)
         Cm = transform(gm, C) if m else C
         sub = _rng.stream_key(seed, "mix", m) % 2**31
@@ -132,7 +131,7 @@ def mixing_curve(g, C: Region, m_range=(0, 8), n_reps=10_000,
                    for i, v in enumerate((ov, lam_C - ov, lam_Cm - ov)))
         cmat = np.cov(x + y, x + z)
         c = float(cmat[0, 1])
-        c_err = _cov_stderr(cmat[0, 0], cmat[1, 1], c, n_reps)
+        c_err = np.sqrt(max(cmat[0, 0] * cmat[1, 1] + c * c, 0.0) / (n_reps - 1))
         report.add("overlap", m, overlap, ov_err)
         report.add("covariance", m, c, c_err)
         tol = 3.0 * np.hypot(c_err, ov_err)
@@ -172,33 +171,36 @@ def tail_triviality_decay(g, f=None, C: Region = None,
     infinite measure raises UnboundedRegion.  The variance of
     E[f(mass(C)) | D_t] is estimated from n_reps samples and compared
     with the conditional variance implied by that overlap.  The series
-    must decay to below 10% of the unconditional variance.
+    must decay to below 10% of the unconditional variance.  t_grid is a
+    non-empty list or tuple of positive reals.
     """
-    if not len(t_grid):
-        raise InvalidArgument("t_grid holds no t")
+    n_reps = _count(n_reps, "n_reps", least=2)
+    if not isinstance(t_grid, (list, tuple)) or not t_grid:
+        raise InvalidArgument(f"t_grid: need a non-empty list, got {t_grid!r}")
+    t_grid = [_real(t, f"t_grid[{i}]", positive=True) for i, t in enumerate(t_grid)]
     if C is None:
         C = box_region([[0.0, 1.0], [0.0, 1.0]])
     if f is None:
         f = lambda v: v
-    fam = build_family(as_matrix(g))
+    g = as_matrix(g)
+    fam = build_family(g)
     lam_C = volume(C)
     if not np.isfinite(lam_C):
         raise UnboundedRegion("C n D_t needs a C of finite measure")
     report = ExperimentReport(
         "tail_triviality_decay",
-        {"g": as_matrix(g).tolist(), "C": C.to_json(),
+        {"g": g.tolist(), "C": C.to_json(),
          "t_grid": [float(t) for t in t_grid], "n_reps": n_reps,
          "seed": seed},
     )
     # unconditional variance of f(mass(C))
     rng_total = _rng.stream(seed, "tail", "total")
-    totals = np.asarray(f(rng_total.normal(0.0, np.sqrt(lam_C), size=100_000)))
+    totals = gaussian_conditional_samples(f, lam_C, lam_C, 100_000, rng_total)
     var_total = float(totals.var(ddof=1))
     report.add("total_variance", 0.0, var_total,
                var_total * np.sqrt(2.0 / (len(totals) - 1)))
-    t_sorted = sorted(t_grid, reverse=True)
     variances, verrs = [], []
-    for t in t_sorted:
+    for t in sorted(t_grid, reverse=True):
         s, s_err = intersection_volume(C, family_region(fam, t))
         rng = _rng.stream(seed, "tail", t)
         samples = gaussian_conditional_samples(f, s, lam_C, n_reps, rng)
@@ -258,14 +260,14 @@ def ks_2samp_equal(x1, x2):
     return k / n, min(2 * p, 1.0)
 
 
-def equivariance_check(g, C: Region, B: Region, f=None, n_reps=10_000,
+def equivariance_check(g, C: Region, B: Region, f=np.tanh, n_reps=10_000,
                        seed=0) -> ExperimentReport:
-    """Two-sample KS test of conditional-expectation laws for (C, B) vs (gC, gB)."""
+    """Two-sample KS test of conditional-expectation laws for (C, B) vs (gC, gB),
+    on n_reps >= KS_MIN_REPS samples, the fewest at which it can reject."""
+    n_reps = _count(n_reps, "n_reps", least=KS_MIN_REPS)
     g = as_matrix(g)
-    if not in_measure_preserving_group(g, det_tol=1e-6):
+    if not in_measure_preserving_group(g):
         raise InvalidGenerator("map must have |det| = 1")
-    if f is None:
-        f = np.tanh
     lam_C = volume(C)
     s1, e1 = intersection_volume(C, B, n=MC_SAMPLES,
                                  seed=_rng.stream_key(seed, "eq", 0) % 2**31)
@@ -322,6 +324,7 @@ def compact_invariant_demo(generators, n_reps=10_000,
     400 strips.  Checks invariance at 10 000 points (within 1% for the
     disc) and positivity of the mass variance.
     """
+    n_reps = _count(n_reps, "n_reps", least=2)
     gens = _generator_list(generators)
     h = weyl_conjugator(gens)
     hinv = np.linalg.inv(h)
@@ -360,8 +363,8 @@ def compact_invariant_demo(generators, n_reps=10_000,
             invariant = False
         if abs(vg - lam) > 1e-9 * lam:
             invariant = False
-    masses = _rng.stream(seed, "invariant-mass").normal(
-        0.0, np.sqrt(lam), size=n_reps)
+    masses = NoiseSpec(GAUSSIAN).sample_mass(
+        lam, _rng.stream(seed, "invariant-mass"), n_reps)
     var = float(masses.var(ddof=1))
     verr = var * np.sqrt(2.0 / (n_reps - 1))
     report.add("mass_variance", 0, var, verr)
@@ -385,23 +388,23 @@ def _function(name):
     return _FUNCTIONS[name]
 
 
-def _positive(t):
-    """t unchanged, if a positive and finite real number, not a bool.  Not
-    converted to float: the tail experiment keys its random streams by the
-    text of t."""
-    if (isinstance(t, bool) or not isinstance(t, numbers.Real)
-            or not 0 < t < np.inf):
-        raise InvalidArgument(f"need a positive number, got {t!r}")
-    return t
+def _generators(value):
+    """A non-empty JSON list of matrices, each read by parse_matrix."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"need a non-empty list, got {value!r}")
+    return [parse_matrix(v) for v in value]
 
 
-def _nonempty_list(parse):
-    """Parser of a non-empty list, applying `parse` to each item."""
-    def parse_list(value):
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigError(f"need a non-empty list, got {value!r}")
-        return [parse(v) for v in value]
-    return parse_list
+# JSON conversion of the keys that need one; other keys pass as given
+_PARSERS = {"g": parse_matrix, "C": Region.from_json, "B": Region.from_json,
+            "f": _function, "generators": _generators}
+# kind: (experiment, keys an entry must give, keys it may give)
+_KINDS = {
+    "mixing_curve": (mixing_curve, "g C", "m_max n_reps"),
+    "tail_triviality_decay": (tail_triviality_decay, "g C", "f t_grid n_reps"),
+    "equivariance_check": (equivariance_check, "g C B", "f n_reps"),
+    "compact_invariant_demo": (compact_invariant_demo, "generators", "n_reps"),
+}
 
 
 def read_json(path):
@@ -441,44 +444,31 @@ def default_config():
 
 
 def _run_one(entry, master_seed):
-    kind = entry.get("kind")
+    """One entry's experiment, on the keys it gives, converted from JSON; a
+    key missing or unknown, or an InvalidArgument, is a ConfigError."""
+    kind = entry["kind"]
     name = entry.get("name", kind)
-    seed = _rng.stream_key(master_seed, "experiment", name) % 2**31
-
-    def field(key, parse, default=None):
-        """parse(entry[key]), with ConfigError naming the entry and key."""
-        if key not in entry and default is None:
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    experiment, required, optional = _KINDS[kind]
+    for key in required.split():
+        if key not in entry:
             raise ConfigError(f"{name}: missing {key!r}")
+    args = {}
+    for key, value in entry.items():
+        if key in ("kind", "name"):
+            continue
+        if key not in f"{required} {optional}".split():
+            raise ConfigError(f"{name}: unknown key {key!r}")
         try:
-            return parse(entry.get(key, default))
-        except (ConfigError, TypeError, ValueError, OverflowError) as exc:
+            args[key] = _PARSERS[key](value) if key in _PARSERS else value
+        except ConfigError as exc:
             raise ConfigError(f"{name}: {key}: {exc}") from exc
-
-    def replicates(value):  # two are the fewest samples that have a variance
-        return _count(value, "n_reps", least=2)
-
-    if kind == "mixing_curve":
-        return name, mixing_curve(
-            field("g", parse_matrix), field("C", Region.from_json),
-            m_range=(0, field("m_max", lambda v: _count(v, "m_max"), 8)),
-            n_reps=field("n_reps", replicates, 10_000), seed=seed)
-    if kind == "tail_triviality_decay":
-        return name, tail_triviality_decay(
-            field("g", parse_matrix), f=field("f", _function, "identity"),
-            C=field("C", Region.from_json),
-            t_grid=field("t_grid", _nonempty_list(_positive),
-                         (5.0, 2.0, 1.0, 0.5, 0.2, 0.1)),
-            n_reps=field("n_reps", replicates, 10_000), seed=seed)
-    if kind == "equivariance_check":
-        return name, equivariance_check(
-            field("g", parse_matrix), field("C", Region.from_json),
-            field("B", Region.from_json), f=field("f", _function, "tanh"),
-            n_reps=field("n_reps", replicates, 10_000), seed=seed)
-    if kind == "compact_invariant_demo":
-        return name, compact_invariant_demo(
-            field("generators", _nonempty_list(parse_matrix)),
-            n_reps=field("n_reps", replicates, 10_000), seed=seed)
-    raise ConfigError(f"unknown experiment kind {kind!r}")
+    seed = _rng.stream_key(master_seed, "experiment", name) % 2**31
+    try:
+        return name, experiment(**args, seed=seed)
+    except InvalidArgument as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def run_all(config_path=None, seed_override=None, out_override=None):

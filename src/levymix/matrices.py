@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -76,6 +77,17 @@ def _count(value, name, least=0):
     return n
 
 
+def _real(value, name, positive=False):
+    """value unchanged, if a real number, not a bool, that is finite and,
+    where `positive`, above 0.  Not converted to float: the tail experiment
+    keys its random streams by the text of t."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not -math.inf < value < math.inf or positive and not value > 0):
+        raise InvalidArgument(f"{name} must be a {'positive, ' if positive else ''}"
+                              f"finite real number, got {value!r}")
+    return value
+
+
 def matrix_to_json(A) -> dict:
     A = as_matrix(A)
     return {"d": int(A.shape[0]), "rows": [[float(v) for v in row] for row in A]}
@@ -96,9 +108,9 @@ def _opnorm(A):
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def in_measure_preserving_group(A, det_tol=DET_TOL) -> bool:
-    """|det A| = 1 within det_tol."""
-    return abs(abs(float(np.linalg.det(as_matrix(A)))) - 1.0) <= det_tol
+def in_measure_preserving_group(A) -> bool:
+    """|det A| = 1 within DET_TOL: the rule for a measure-preserving map."""
+    return abs(abs(float(np.linalg.det(as_matrix(A)))) - 1.0) <= DET_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +437,7 @@ def jordan_block_power_apply(block: RealJordanBlock, h: int, x) -> np.ndarray:
     """
     if block.kind is not BlockKind.REAL:
         raise DimensionMismatch("closed-form power applies to REAL blocks only")
-    if h < 0:
-        raise InvalidArgument("h must be a non-negative integer")
+    h = _count(h, "h")
     x = np.asarray(x, dtype=float)
     a = block.size
     if x.shape != (a,):

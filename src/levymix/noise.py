@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import InvalidArgument, SamplingFailure, UnsupportedKind
-from .matrices import _count, as_matrix
+from .matrices import _count, _real, as_matrix
 from .regions import BLOCK_POINTS, AtomTable, Region, atomize
 
 GAUSSIAN = "gaussian"
@@ -31,7 +31,7 @@ class NoiseSpec:
     """Infinitely divisible marginal family, indexed by measure t.
 
     gaussian: Normal(0, t); poisson: Poisson(intensity * t);
-    deterministic: point mass at rate * t.
+    deterministic: point mass at rate * t.  A poisson intensity is positive.
     """
 
     kind: str
@@ -40,11 +40,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, POISSON, DETERMINISTIC):
             raise UnsupportedKind(f"unknown noise kind {self.kind!r}")
-        if not np.isfinite(self.intensity):
-            raise InvalidArgument(f"noise intensity must be finite, "
-                                  f"got {self.intensity!r}")
-        if self.kind == POISSON and self.intensity <= 0:
-            raise InvalidArgument("poisson intensity must be positive")
+        _real(self.intensity, f"{self.kind} intensity", positive=self.kind == POISSON)
 
     def sample_mass(self, measure, rng, size):
         """`size` draws from the marginal law at parameter `measure`."""

@@ -26,6 +26,7 @@ from .errors import (ApproximationTooCoarse, CompactClosure,
 from .matrices import (
     BlockKind,
     _count,
+    _real,
     RealJordanDecomposition,
     as_matrix,
     classify_noncompact_blocks,
@@ -55,12 +56,10 @@ class ShrinkingFamily:
 
         A cone's rho = 1/(1 + 1/t) takes monotone, correctly rounded steps,
         so D_t increases in t as computed; where 1/t overflows (subnormal t
-        up to about 2^-1024), rho is 0.
+        up to about 2^-1024), rho is 0.  t is read by matrices._real.
         """
-        t = float(t)
-        if not 0 < t < math.inf:
-            raise InvalidArgument("t must be positive and finite")
-        return 1.0 / (1.0 + 1.0 / t) if self.uses_cone else t
+        t = _real(t, "t", positive=True)
+        return 1.0 / (1.0 + 1.0 / t) if self.uses_cone else float(t)
 
 
 def build_family(A) -> ShrinkingFamily:
@@ -102,8 +101,8 @@ def _tail(fam, yb):
     return _norms(yb[-2:]) if fam.pair else np.abs(yb[-1])
 
 
-def _in_family(fam: ShrinkingFamily, t, yb, exp=0) -> np.ndarray:
-    """Membership in D_t of points given as the tagged block's rows (rows, n).
+def _in_family(fam: ShrinkingFamily, p, yb, exp=0) -> np.ndarray:
+    """Membership in D_t, p = fam.param(t), of the tagged block's rows (rows, n).
 
     Column i stands for its point scaled by 2^exp[i]: cones are
     scale-invariant, and a ball's radius is scaled to match.
@@ -112,9 +111,9 @@ def _in_family(fam: ShrinkingFamily, t, yb, exp=0) -> np.ndarray:
     # closed sets: let boundary points in despite roundoff
     slack = 1.0 + 1e-12
     if fam.uses_cone:
-        return _tail(fam, yb) <= fam.param(t) * norm * slack
+        return _tail(fam, yb) <= p * norm * slack
     with np.errstate(over="ignore"):  # a radius past the float range lets all in
-        radius = np.ldexp(fam.param(t) * slack, exp)
+        radius = np.ldexp(p * slack, exp)
     return norm <= radius
 
 
@@ -153,6 +152,7 @@ def contains_many(fam: ShrinkingFamily, t, points) -> np.ndarray:
     A point's answer is the same alone as in any batch, so the points are
     taken BLOCK_POINTS at a time, which keeps the temporaries small.
     """
+    p = fam.param(t)
     pts = np.atleast_2d(_floats(points, "points"))
     if pts.ndim != 2 or pts.shape[1] != fam.dim:
         raise DimensionMismatch(f"points must have dimension {fam.dim}")
@@ -162,7 +162,7 @@ def contains_many(fam: ShrinkingFamily, t, points) -> np.ndarray:
     out = np.empty(len(pts), dtype=bool)
     for i in range(0, len(pts), BLOCK_POINTS):
         block = pts[i:i + BLOCK_POINTS]
-        out[i:i + len(block)] = _in_family(fam, t, *_scaled_block_rows(inv, block))
+        out[i:i + len(block)] = _in_family(fam, p, *_scaled_block_rows(inv, block))
     return out
 
 
@@ -233,15 +233,17 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
     _certified_power gives, past which every sample stays inside; a ball
     of a contracting size-1 block is forward invariant, so its walk stops
     at the first power with every sample inside.  Raises NotReached when
-    h_max bounds neither that power nor that walk.  n_samples >= 1 and
-    h_max >= 0 must be integers, else InvalidArgument.
+    h_max bounds neither that power nor that walk.  t_small is a
+    positive real and t_large a real of at least t_small, n_samples >= 1
+    and h_max >= 0 are integers, else InvalidArgument.
 
     D_t is sampled and stepped in the tagged block's own coordinates:
     it is defined through the decomposition's T, so the block K of
     T^-1 A T is the map it is about.
     """
-    if not 0 < t_small <= t_large < math.inf:
-        raise InvalidArgument("need 0 < t_small <= t_large < inf")
+    t_small = _real(t_small, "t_small", positive=True)
+    if _real(t_large, "t_large (>= t_small)") < t_small:
+        raise InvalidArgument(f"need t_small <= t_large, got {t_small!r}, {t_large!r}")
     n_samples = _count(n_samples, "n_samples", least=1)
     h_max = _count(h_max, "h_max")
     if t_small == t_large:
@@ -255,9 +257,9 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
         if not bound <= h_max:
             raise NotReached(f"absorption not certified within h_max={h_max}")
         stop = math.ceil(bound)
-    h0 = 0
+    h0, p_small = 0, fam.param(t_small)
     for h in range(stop):
-        if not _in_family(fam, t_small, cur).all():
+        if not _in_family(fam, p_small, cur).all():
             h0 = h + 1
         elif not fam.uses_cone:
             return h, 0  # all inside a forward-invariant ball from h on
@@ -301,11 +303,11 @@ def family_region(fam: ShrinkingFamily, t) -> Region:
     """
     if fam.dim != 2 or fam.pair:
         raise ApproximationTooCoarse("D_t as a region needs d=2 and a real block")
+    rho = fam.param(t)  # the cone's rho, or a strip's half-width
     T, plane = fam.decomposition.conjugator, np.array([[-np.inf, np.inf]] * 2)
     if not fam.uses_cone:
-        plane[fam.offset] = [-fam.param(t), fam.param(t)]
+        plane[fam.offset] = [-rho, rho]
         return Region((Piece(T, plane),))
-    rho = fam.param(t)
     c = math.sqrt((1.0 - rho) * (1.0 + rho))
     floor = 8 * 2.0**-53 * np.linalg.norm(T) * np.linalg.norm(fam.basis_inv)
     if c <= floor:

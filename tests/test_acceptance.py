@@ -195,7 +195,7 @@ def test_criterion_6_noise_laws():
 def test_criterion_7_mixing_dichotomy():
     t0 = time.perf_counter()
     C = box_region(np.array([[0.0, 1.0], [0.0, 1.0]]))
-    rep = mixing_curve(squeeze(), C, m_range=(0, 8), n_reps=10_000, seed=0)
+    rep = mixing_curve(squeeze(), C, m_max=8, n_reps=10_000, seed=0)
     ok = rep.verdict == PASS
     for m, est, err in rep.rows("covariance"):
         if abs(est - 2.0 ** (-m)) > 3 * err:
@@ -203,7 +203,7 @@ def test_criterion_7_mixing_dichotomy():
         if m >= 5 and est >= 0.05:
             ok = False
     C2 = box_region(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
-    rep2 = mixing_curve(rotation(np.pi / 2), C2, m_range=(0, 8),
+    rep2 = mixing_curve(rotation(np.pi / 2), C2, m_max=8,
                         n_reps=10_000, seed=0)
     if rep2.verdict != PASS:
         ok = False

@@ -10,17 +10,22 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levymix import (build_family, errors, gallery, matrices, noise, rng,
                      shrinking)
 from levymix.cli import main
 from levymix.experiments import (
     FAIL,
+    KS_ALPHA,
+    KS_MIN_REPS,
     PASS,
     ExperimentReport,
     compact_invariant_demo,
     default_config,
     equivariance_check,
+    ks_2samp_equal,
     mixing_curve,
     run_all,
     tail_triviality_decay,
@@ -55,7 +60,7 @@ def test_report_series_and_json():
 
 
 def test_mixing_curve_noncompact_decay():
-    rep = mixing_curve(squeeze(), UNIT, m_range=(0, 6), n_reps=3_000, seed=0)
+    rep = mixing_curve(squeeze(), UNIT, m_max=6, n_reps=3_000, seed=0)
     assert rep.verdict == PASS
     overlaps = rep.rows("overlap")
     for m, est, _ in overlaps:
@@ -68,7 +73,7 @@ def test_mixing_curve_compact_fixed_region():
     # every power of rotation90 maps the box onto itself as an axis box,
     # so the overlaps are exact
     C = box_region(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
-    rep = mixing_curve(rotation(np.pi / 2), C, m_range=(0, 8), n_reps=3_000,
+    rep = mixing_curve(rotation(np.pi / 2), C, m_max=8, n_reps=3_000,
                        seed=0)
     assert rep.verdict == PASS
     assert [(est, err) for _, est, err in rep.rows("overlap")] == [(4.0, 0.0)] * 9
@@ -84,7 +89,7 @@ def test_mixing_curve_rejects_a_region_of_infinite_measure():
     # overlap is finite, but the rest of C has no Gaussian mass
     C = Region((UNIT.pieces[0], Piece(np.eye(2), [[2.0, np.inf], [0.0, 1.0]])))
     with pytest.raises(errors.UnboundedRegion):
-        mixing_curve(rotation(np.pi), C, m_range=(1, 1))
+        mixing_curve(rotation(np.pi), C, m_max=1)
 
 
 def _rotation_pair_witness():
@@ -112,7 +117,7 @@ def test_mixing_curve_builds_no_atom_table(monkeypatch):
     monkeypatch.setattr("levymix.regions._stratified_blocks", forbidden)
     monkeypatch.setattr("levymix.noise.realize_masses", forbidden)
     for g in (_rotation_pair_witness(), shear()):
-        rep = mixing_curve(g, UNIT, m_range=(0, 3), n_reps=500, seed=0)
+        rep = mixing_curve(g, UNIT, m_max=3, n_reps=500, seed=0)
         assert len(rep.rows("covariance")) == 4
 
 
@@ -121,7 +126,7 @@ def test_mixing_curve_clips_an_exact_overlap_above_the_measure():
     # are not axis-aligned; the measured overlap at m = 1 exceeds measure(C)
     # by 8.9e-16, which unclipped gives the rest of C a negative variance
     C = transform(rotation(0.7), box_region(np.array([[-1.0, 1.0], [-1.0, 1.0]])))
-    rep = mixing_curve(rotation(np.pi / 2), C, m_range=(0, 4), n_reps=1_000,
+    rep = mixing_curve(rotation(np.pi / 2), C, m_max=4, n_reps=1_000,
                        seed=0)
     assert rep.verdict == PASS
     assert rep.rows("overlap")[1][1] > volume(C)
@@ -135,7 +140,7 @@ def test_mixing_curve_clips_a_monte_carlo_overlap_in_3d():
     Q = np.eye(3) + np.sin(0.7) * K + (1.0 - np.cos(0.7)) * K @ K
     R90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     C = transform(Q, box_region(np.array([[-1.0, 1.0]] * 3)))
-    rep = mixing_curve(Q @ R90 @ Q.T, C, m_range=(0, 2), n_reps=500, seed=0)
+    rep = mixing_curve(Q @ R90 @ Q.T, C, m_max=2, n_reps=500, seed=0)
     assert rep.verdict == PASS
     assert rep.rows("overlap")[0][1] > volume(C)
     assert np.all(np.isfinite([row[1:] for row in rep.series]))
@@ -409,11 +414,11 @@ def test_run_all_config_errors(tmp_path):
             ({"kind": "mixing_curve", "g": "shear", "C": unit,
               "n_reps": "many"}, "n_reps"),
             ({"kind": "mixing_curve", "g": "shear", "C": unit,
-              "n_reps": -5}, "mixing_curve: n_reps"),
+              "n_reps": -5}, "mixing_curve: need n_reps >= 2"),
             ({"kind": "mixing_curve", "g": "shear", "C": unit,
               "n_reps": float("inf")}, "mixing_curve: n_reps"),
             ({"kind": "mixing_curve", "g": "shear", "C": unit,
-              "m_max": -1}, "mixing_curve: m_max"),
+              "m_max": -1}, "mixing_curve: need m_max >= 0"),
             ({"kind": "mixing_curve", "g": "shear", "C": unit,
               "m_max": 2.5}, "mixing_curve: m_max"),
             ({"kind": "mixing_curve", "g": "shear", "C": unit,
@@ -439,7 +444,13 @@ def test_run_all_config_errors(tmp_path):
             ({"kind": "compact_invariant_demo", "generators": "rotation90"},
              "compact_invariant_demo: generators: need a non-empty list"),
             ({"kind": "compact_invariant_demo", "generators": []},
-             "compact_invariant_demo: generators: need a non-empty list")):
+             "compact_invariant_demo: generators: need a non-empty list"),
+            ({"kind": "mixing_curve", "g": "shear", "C": unit, "n_rep": 4},
+             "mixing_curve: unknown key 'n_rep'"),
+            ({"kind": "compact_invariant_demo", "generators": ["rotation90"],
+              "t_grid": [1.0]}, "compact_invariant_demo: unknown key 't_grid'"),
+            ({"kind": "equivariance_check", "g": "shear", "C": unit, "B": unit,
+              "n_reps": 2}, "equivariance_check: need n_reps >= 5")):
         bad.write_text(json.dumps({"experiments": [entry]}))
         with pytest.raises(errors.ConfigError, match=match):
             run_all(str(bad), out_override=str(tmp_path))
@@ -447,6 +458,144 @@ def test_run_all_config_errors(tmp_path):
                                         str(bad), "--out", str(tmp_path)])
         assert res.exit_code == 2 and res.stderr.startswith("error: ")
         assert match in res.stderr
+
+
+def test_run_all_adds_no_defaults(tmp_path):
+    # an entry without its optional keys runs its experiment with the
+    # experiment's own defaults, and so writes the same report
+    unit = {"box": [[0.0, 1.0], [0.0, 1.0]]}
+    entries = [
+        {"kind": "mixing_curve", "name": "mix", "g": "squeeze", "C": unit},
+        {"kind": "tail_triviality_decay", "name": "tail", "g": "shear", "C": unit},
+        {"kind": "compact_invariant_demo", "name": "demo",
+         "generators": ["rotation90"]}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 3, "experiments": entries}))
+    _, reports = run_all(str(path), out_override=str(tmp_path))
+    U = box_region(unit["box"])
+    direct = {"mix": lambda seed: mixing_curve(squeeze(), U, seed=seed),
+              "tail": lambda seed: tail_triviality_decay(shear(), C=U, seed=seed),
+              "demo": lambda seed: compact_invariant_demo([rotation(np.pi / 2)],
+                                                          seed=seed)}
+    for name, call in direct.items():
+        seed = rng.stream_key(3, "experiment", name) % 2**31
+        assert reports[name].to_json() == call(seed).to_json()
+
+
+def test_equivariance_check_needs_a_sample_that_can_reject():
+    # two samples that do not overlap give the least p-value, 2 / C(2n, n)
+    def least_p(n):
+        return ks_2samp_equal(np.arange(n), np.arange(n) + n)[1]
+
+    assert least_p(KS_MIN_REPS) < KS_ALPHA <= least_p(KS_MIN_REPS - 1)
+    with pytest.raises(errors.InvalidArgument, match="n_reps >= 5"):
+        equivariance_check(shear(), UNIT, UNIT, n_reps=KS_MIN_REPS - 1)
+    rep = equivariance_check(shear(), UNIT, UNIT, n_reps=KS_MIN_REPS)
+    assert rep.inputs["n_reps"] == KS_MIN_REPS
+
+
+# every row raised or returned something other than a LevymixError before
+# each argument got one rule, checked on entry
+ROTATION_SIX_DIGITS = [[0.5, -0.866025], [0.866025, 0.5]]  # |det| - 1 = -7e-7
+SQUARE = box_region(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: mixing_curve(ROTATION_SIX_DIGITS, SQUARE, n_reps=2000),
+     errors.InvalidGenerator),
+    (lambda: equivariance_check(ROTATION_SIX_DIGITS, SQUARE, SQUARE),
+     errors.InvalidGenerator),
+    (lambda: tail_triviality_decay(shear(), t_grid=("10", "2", "0.5"), n_reps=100),
+     errors.InvalidArgument),
+    (lambda: tail_triviality_decay(shear(), n_reps=2.5), errors.InvalidArgument),
+    (lambda: equivariance_check(shear(), SQUARE, SQUARE, n_reps="5"),
+     errors.InvalidArgument),
+    (lambda: tail_triviality_decay(shear(), n_reps=1), errors.InvalidArgument),
+    (lambda: compact_invariant_demo([rotation(np.pi / 2)], n_reps=1),
+     errors.InvalidArgument),
+    (lambda: mixing_curve(squeeze(), SQUARE, m_max=2.5), errors.InvalidArgument),
+    (lambda: shrinking.absorption_lag(build_family(shear()), "0.5", 1.0),
+     errors.InvalidArgument),
+    (lambda: shrinking.absorption_lag(build_family(shear()), True, 1.0),
+     errors.InvalidArgument),
+    (lambda: contains_many(build_family(shear()), "2", np.zeros((3, 2))),
+     errors.InvalidArgument),
+    (lambda: family_region(build_family(shear()), "2"), errors.InvalidArgument),
+    (lambda: noise.NoiseSpec(noise.DETERMINISTIC, True), errors.InvalidArgument),
+    (lambda: noise.NoiseSpec(noise.GAUSSIAN, "2"), errors.InvalidArgument),
+], ids=["mixing-det", "equivariance-det", "t-text", "n_reps-float",
+        "n_reps-text", "tail-n_reps-1", "demo-n_reps-1", "m_max-float",
+        "t_small-text", "t_small-bool", "contains-t-text", "region-t-text",
+        "rate-bool", "intensity-text"])
+def test_each_argument_has_one_rule(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def _bad_counts(least):
+    """Values no count of at least `least` takes: text, bools, None, every
+    float (NaN, +-inf and non-integral ones among them) and smaller integers."""
+    return st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.floats(),
+                     st.integers(max_value=least - 1))
+
+
+def _bad_reals(positive):
+    """Values no finite real parameter takes; non-positive ones too if `positive`."""
+    bad = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                    st.sampled_from([math.nan, math.inf, -math.inf]))
+    if positive:
+        bad = st.one_of(bad, st.floats(max_value=0.0), st.integers(max_value=0))
+    return bad
+
+
+SHEAR_FAMILY = build_family(shear())
+ARGUMENTS = {
+    "mixing_curve.m_max": (lambda v: mixing_curve(squeeze(), UNIT, m_max=v),
+                           _bad_counts(0)),
+    "mixing_curve.n_reps": (lambda v: mixing_curve(squeeze(), UNIT, n_reps=v),
+                            _bad_counts(2)),
+    "tail_triviality_decay.n_reps": (
+        lambda v: tail_triviality_decay(shear(), n_reps=v), _bad_counts(2)),
+    "tail_triviality_decay.t_grid": (
+        lambda v: tail_triviality_decay(shear(), t_grid=[1.0, v]), _bad_reals(True)),
+    "equivariance_check.n_reps": (
+        lambda v: equivariance_check(shear(), UNIT, UNIT, n_reps=v),
+        _bad_counts(KS_MIN_REPS)),
+    "compact_invariant_demo.n_reps": (
+        lambda v: compact_invariant_demo([rotation(np.pi / 2)], n_reps=v),
+        _bad_counts(2)),
+    "absorption_lag.t_small": (
+        lambda v: shrinking.absorption_lag(SHEAR_FAMILY, v, 1.0), _bad_reals(True)),
+    "absorption_lag.t_large": (
+        lambda v: shrinking.absorption_lag(SHEAR_FAMILY, 0.5, v), _bad_reals(True)),
+    "absorption_lag.n_samples": (
+        lambda v: shrinking.absorption_lag(SHEAR_FAMILY, 0.5, 1.0, n_samples=v),
+        _bad_counts(1)),
+    "absorption_lag.h_max": (
+        lambda v: shrinking.absorption_lag(SHEAR_FAMILY, 0.5, 1.0, h_max=v),
+        _bad_counts(0)),
+    "contains_many.t": (
+        lambda v: contains_many(SHEAR_FAMILY, v, np.zeros((3, 2))), _bad_reals(True)),
+    "family_region.t": (lambda v: family_region(SHEAR_FAMILY, v), _bad_reals(True)),
+    "NoiseSpec.poisson": (lambda v: noise.NoiseSpec(noise.POISSON, v),
+                          _bad_reals(True)),
+    "NoiseSpec.deterministic": (lambda v: noise.NoiseSpec(noise.DETERMINISTIC, v),
+                                _bad_reals(False)),
+    "find_noncompact_witness.max_word_len": (
+        lambda v: matrices.find_noncompact_witness([shear()], max_word_len=v),
+        _bad_counts(0)),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(ARGUMENTS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_invalid_arguments_raise_before_any_work(argument, data):
+    # a LevymixError and nothing else; no draw reaches the work of its call,
+    # so the 20 draws of each argument take milliseconds
+    call, values = ARGUMENTS[argument]
+    with pytest.raises(errors.LevymixError):
+        call(data.draw(values))
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +877,7 @@ def test_argument_checks_raise_invalid_argument():
 
 def test_experiments_reject_empty_inputs():
     calls = [
-        lambda: mixing_curve(squeeze(), UNIT, m_range=(3, 1)),
+        lambda: mixing_curve(squeeze(), UNIT, m_max=-1),
         lambda: tail_triviality_decay(shear(), t_grid=()),
         lambda: compact_invariant_demo([]),
     ]
