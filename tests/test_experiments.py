@@ -467,6 +467,8 @@ def test_run_all_adds_no_defaults(tmp_path):
     entries = [
         {"kind": "mixing_curve", "name": "mix", "g": "squeeze", "C": unit},
         {"kind": "tail_triviality_decay", "name": "tail", "g": "shear", "C": unit},
+        {"kind": "equivariance_check", "name": "eq", "g": "shear", "C": unit,
+         "B": unit},
         {"kind": "compact_invariant_demo", "name": "demo",
          "generators": ["rotation90"]}]
     path = tmp_path / "cfg.json"
@@ -475,6 +477,7 @@ def test_run_all_adds_no_defaults(tmp_path):
     U = box_region(unit["box"])
     direct = {"mix": lambda seed: mixing_curve(squeeze(), U, seed=seed),
               "tail": lambda seed: tail_triviality_decay(shear(), C=U, seed=seed),
+              "eq": lambda seed: equivariance_check(shear(), U, U, seed=seed),
               "demo": lambda seed: compact_invariant_demo([rotation(np.pi / 2)],
                                                           seed=seed)}
     for name, call in direct.items():
