@@ -54,5 +54,9 @@ print(f"  verdict: {rep.verdict}")
 
 print("\ninvariant region for the order-4 rotation group:")
 rep = compact_invariant_demo([rotation(np.pi / 2)], n_reps=4_000, seed=0)
+lam = rep.rows("measure")[0][1]
+bound = rep.rows("symmetric_difference_bound")[0][1]
 var = rep.rows("mass_variance")[0][1]
+print(f"  the ellipsoid h B_2 (here the unit disc), measure {lam:.4f}; "
+      f"measure of gR symdiff R <= {bound:.1e}")
 print(f"  mass variance {var:.3f} > 0, verdict: {rep.verdict}")

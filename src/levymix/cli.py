@@ -39,6 +39,12 @@ def _load_matrices(spec):
     return [parse_matrix(o) for o in (obj if isinstance(obj, list) else [obj])]
 
 
+def _given(**options):
+    """The options given on the command line; an absent one (None) is left
+    out, so the library's default applies."""
+    return {k: v for k, v in options.items() if v is not None}
+
+
 def _emit(obj):
     click.echo(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -81,13 +87,14 @@ def classify(matrix_spec):
 @main.command()
 @click.option("--generators", "gen_spec", required=True,
               help="Alias or JSON file with a matrix or list of matrices.")
-@click.option("--max-word-len", default=6, show_default=True)
+@click.option("--max-word-len", type=int, default=None,
+              help="Longest word searched (default: the library's).")
 def witness(gen_spec, max_word_len):
     """Decide compactness by the group's invariant form; for a non-compact
     group, search for a word with non-compact cyclic closure."""
     try:
         w = find_noncompact_witness(_load_matrices(gen_spec),
-                                    max_word_len=max_word_len)
+                                    **_given(max_word_len=max_word_len))
     except NotReached as exc:
         return _emit({"found": False, "compact": False, "note": str(exc)})
     if w is None:
@@ -114,7 +121,8 @@ def sets():
 @click.option("--n-samples", default=2000, show_default=True,
               help="Points of D_t per absorption lag; the null-boundary "
                    "line always draws 100000 in [-1, 1]^d, at t = 1e6 and 1e-6.")
-@click.option("--h-max", default=200, show_default=True)
+@click.option("--h-max", type=int, default=None,
+              help="Largest power walked (default: the library's).")
 @click.option("--seed", type=int, default=0, envvar="LEVYMIX_SEED")
 @click.option("--out", "out_dir", type=str, default="reports",
               envvar="LEVYMIX_OUT")
@@ -129,7 +137,8 @@ def verify(matrix_spec, t_grid, n_samples, h_max, seed, out_dir):
     for i, t1 in enumerate(grid):
         for t2 in grid[i + 1:]:
             h0, bad = _shrinking.absorption_lag(
-                fam, t1, t2, n_samples=n_samples, h_max=h_max, seed=seed)
+                fam, t1, t2, n_samples=n_samples, seed=seed,
+                **_given(h_max=h_max))
             rows.append(f"{t1!r},{t2!r},{h0},{bad}")
     outside, inside = _shrinking.null_boundary_check(fam, seed=seed)
     rows.append(f"# frac_outside_union={outside!r} frac_in_intersection={inside!r}")
@@ -142,12 +151,13 @@ def verify(matrix_spec, t_grid, n_samples, h_max, seed, out_dir):
 
 @main.command()
 @click.option("--spec", "spec_str", default="gaussian", show_default=True,
-              help="gaussian, poisson:<intensity> or deterministic:<rate>.")
+              help="gaussian, poisson:<intensity> or deterministic:<rate>; "
+                   "a bare kind takes the library's intensity.")
 @click.option("--regions", "regions_path", required=True,
               help="JSON file with a list of region objects.")
-@click.option("--n", default=100_000, show_default=True,
+@click.option("--n", type=int, default=None,
               help="Monte Carlo points for the atom table of a family that "
-                   "is not axis-aligned, at most n.")
+                   "is not axis-aligned, at most n (default: the library's).")
 @click.option("--seed", type=int, default=0, envvar="LEVYMIX_SEED")
 @click.option("--out", "out_dir", type=str, default="reports",
               envvar="LEVYMIX_OUT")
@@ -155,14 +165,15 @@ def simulate(spec_str, regions_path, n, seed, out_dir):
     """Realize noise over a registered region family; dump JSON."""
     kind, _, param = spec_str.partition(":")
     try:
-        spec = _noise.NoiseSpec(kind, float(param) if param else 1.0)
+        spec = _noise.NoiseSpec(kind, **_given(
+            intensity=float(param) if param else None))
     except ValueError as exc:
         raise ConfigError(f"--spec {spec_str}: {exc}") from exc
     objs = read_json(regions_path)
     if not isinstance(objs, list):
         raise ConfigError(f"{regions_path}: expected a list of region objects")
     regions = [Region.from_json(o) for o in objs]
-    real = _noise.realize(spec, regions, n_atom_samples=n, seed=seed)
+    real = _noise.realize(spec, regions, seed=seed, **_given(n_atom_samples=n))
     dump = real.to_json()
     dump["region_masses"] = [real.value(i) for i in range(len(regions))]
     os.makedirs(out_dir, exist_ok=True)

@@ -5,7 +5,8 @@ recomputable from the emitted series alone.  The four experiments are:
 covariance mixing curves under iterated maps, conditional-variance decay
 along a shrinking family, equivariance of conditional expectations under
 measure-preserving maps, and the compact-group counterexample (an
-invariant region with non-degenerate mass).
+invariant region with non-degenerate mass: the ellipsoid that the Weyl
+conjugator makes of the unit ball, exact in every d).
 Each checks its arguments on entry by the rules in matrices; the config
 runner only converts JSON, with no check or default of its own.
 """
@@ -20,13 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .errors import (ApproximationTooCoarse, ConfigError, DimensionMismatch,
-                     InvalidArgument, InvalidGenerator, NonFiniteInput,
+from .errors import (ConfigError, DimensionMismatch, InvalidArgument,
+                     InvalidGenerator, LevymixError, NonFiniteInput,
                      UnboundedRegion)
 from .gallery import parse_matrix
 from .matrices import (
+    ORTHOGONALITY_TOL,
     _count,
     _generator_list,
+    _opnorm,
     _real,
     as_matrix,
     cyclic_closure_compact,
@@ -35,7 +38,6 @@ from .matrices import (
 )
 from .noise import GAUSSIAN, NoiseSpec, gaussian_conditional_samples
 from .regions import (
-    Piece,
     Region,
     box_region,
     intersection_volume,
@@ -299,70 +301,43 @@ def equivariance_check(g, C: Region, B: Region, f=np.tanh, n_reps=10_000,
 # compact invariant demo
 
 
-def _disc_strips(radius, n_strips):
-    """Horizontal-strip approximation of the closed disc."""
-    ys = np.linspace(-radius, radius, n_strips + 1)
-    pieces = []
-    for j in range(n_strips):
-        yc = 0.5 * (ys[j] + ys[j + 1])
-        half = np.sqrt(max(radius**2 - yc**2, 0.0))
-        if half <= 0:
-            continue
-        pieces.append(Piece(np.eye(2), np.array([[-half, half],
-                                                 [ys[j], ys[j + 1]]])))
-    return Region(tuple(pieces), disjoint=True)
-
-
 def compact_invariant_demo(generators, n_reps=10_000,
                            seed=0) -> ExperimentReport:
     """Invariant region with non-degenerate mass for a compact group.
 
-    Conjugates the group into the orthogonal group by weyl_conjugator.
-    Builds an invariant region: the cube [-1, 1]^d, exactly invariant
-    when every conjugated generator maps it to an axis box (the rule of
-    Piece.is_axis_aligned), otherwise the image of a disc approximated by
-    400 strips.  Checks invariance at 10 000 points (within 1% for the
-    disc) and positivity of the mass variance.
+    The region is the ellipsoid R = h B_d, for h = weyl_conjugator(generators)
+    and B_d the closed unit ball, in every d.  Its measure, the `measure`
+    row, is exact: |det h| pi^(d/2) / Gamma(d/2 + 1).  Each O = h^-1 g h has
+    delta = ||O^T O - I||_2 at most ORTHOGONALITY_TOL, so the singular
+    values of O lie in [sqrt(1 - delta), sqrt(1 + delta)] and the measure
+    of gR symmetric-difference R is at most
+    measure(R) ((1 + delta)^(d/2) - (1 - delta)^(d/2)), the
+    `symmetric_difference_bound` row of g.  The only draw is of n_reps
+    Gaussian masses of R.  Pass: every bound is within its value at
+    delta = ORTHOGONALITY_TOL, and the mass variance is positive at 3 sigma.
     """
     n_reps = _count(n_reps, "n_reps", least=2)
     gens = _generator_list(generators)
     h = weyl_conjugator(gens)
     hinv = np.linalg.inv(h)
-    d = gens[0].shape[0]
-    cube = np.column_stack([-np.ones(d), np.ones(d)])
-    exact_box = all(Piece(hinv @ g @ h, cube).is_axis_aligned() for g in gens)
-    if exact_box:
-        base = box_region(cube)
-        tol_frac = 0.0
-    else:
-        if d != 2:
-            raise ApproximationTooCoarse("disc approximation implemented for d=2")
-        base = _disc_strips(1.0, 400)
-        tol_frac = 0.01
-    check_points = 10_000
-    region = transform(h, base)
-    lam = volume(region)
+    d = len(h)
+    lam = abs(float(np.linalg.det(h))) * math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+
+    def bound(delta):
+        return lam * ((1.0 + delta) ** (d / 2) - (1.0 - delta) ** (d / 2))
+
     report = ExperimentReport(
         "compact_invariant_demo",
-        {"generators": [g.tolist() for g in gens],
-         "n_reps": n_reps, "seed": seed, "exact_box": exact_box},
+        {"generators": [g.tolist() for g in gens], "n_reps": n_reps,
+         "seed": seed},
     )
-    bb = region.bounding_box()
-    rng = _rng.stream(seed, "invariant-pts")
-    pts = bb[:, 0] + rng.random((check_points, d)) * (bb[:, 1] - bb[:, 0])
-    base_member = region.contains(pts)
-    invariant = True
+    report.add("measure", 0, lam)
     for i, g in enumerate(gens):
-        Rg = transform(g, region)
-        mismatch = float(np.mean(base_member != Rg.contains(pts)))
-        report.add("membership_mismatch", i, mismatch,
-                   np.sqrt(mismatch * (1 - mismatch) / check_points))
-        vg = volume(Rg)
-        report.add("volume_ratio", i, vg / lam)
-        if mismatch > tol_frac + 3.0 * np.sqrt(max(tol_frac, 1e-4) / check_points):
-            invariant = False
-        if abs(vg - lam) > 1e-9 * lam:
-            invariant = False
+        O = hinv @ g @ h
+        report.add("symmetric_difference_bound", i,
+                   bound(_opnorm(O.T @ O - np.eye(d))))
+    invariant = all(b <= bound(ORTHOGONALITY_TOL)
+                    for _, b, _ in report.rows("symmetric_difference_bound"))
     masses = NoiseSpec(GAUSSIAN).sample_mass(
         lam, _rng.stream(seed, "invariant-mass"), n_reps)
     var = float(masses.var(ddof=1))
@@ -370,8 +345,9 @@ def compact_invariant_demo(generators, n_reps=10_000,
     report.add("mass_variance", 0, var, verr)
     positive = var - 3.0 * verr > 0.0
     report.verdict = PASS if (invariant and positive) else FAIL
-    report.criterion = ("every generator fixes the region within tolerance and "
-                        "the region's mass variance is positive at 3 sigma")
+    report.criterion = ("every generator's symmetric-difference bound is within "
+                        "its value at the orthogonality tolerance and the "
+                        "region's mass variance is positive at 3 sigma")
     return report
 
 
@@ -445,7 +421,8 @@ def default_config():
 
 def _run_one(entry, master_seed):
     """One entry's experiment, on the keys it gives, converted from JSON; a
-    key missing or unknown, or an InvalidArgument, is a ConfigError."""
+    key missing or unknown, or any LevymixError of the experiment, is a
+    ConfigError that names the entry, caused by the original error."""
     kind = entry["kind"]
     name = entry.get("name", kind)
     if kind not in _KINDS:
@@ -467,7 +444,7 @@ def _run_one(entry, master_seed):
     seed = _rng.stream_key(master_seed, "experiment", name) % 2**31
     try:
         return name, experiment(**args, seed=seed)
-    except InvalidArgument as exc:
+    except LevymixError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 

@@ -78,11 +78,16 @@ def _count(value, name, least=0):
 
 
 def _real(value, name, positive=False):
-    """value unchanged, if a real number, not a bool, that is finite and,
-    where `positive`, above 0.  Not converted to float: the tail experiment
-    keys its random streams by the text of t."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not -math.inf < value < math.inf or positive and not value > 0):
+    """value unchanged, if a real number, not a bool, that is finite as a
+    float (an int beyond the float range is not) and, where `positive`,
+    above 0.  Not converted to float: the tail experiment keys its random
+    streams by the text of t."""
+    try:  # math.isfinite raises OverflowError for an int beyond the float range
+        real = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        real = False
+    if not real or positive and not value > 0:
         raise InvalidArgument(f"{name} must be a {'positive, ' if positive else ''}"
                               f"finite real number, got {value!r}")
     return value

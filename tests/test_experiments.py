@@ -13,8 +13,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levymix import (build_family, errors, gallery, matrices, noise, rng,
-                     shrinking)
+from levymix import (build_family, cli, errors, gallery, matrices, noise,
+                     rng, shrinking)
 from levymix.cli import main
 from levymix.experiments import (
     FAIL,
@@ -310,26 +310,70 @@ def test_equivariance_rejects_bad_determinant():
         equivariance_check(np.diag([2.0, 1.0]), UNIT, UNIT)
 
 
+def _axis_rotation(theta, axis):
+    """Rotation by theta about `axis` in d = 3 (Rodrigues)."""
+    a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * K @ K
+
+
+def _demo_cap(rep, d):
+    """The bound of every generator at delta = ORTHOGONALITY_TOL."""
+    (_, lam, _), = rep.rows("measure")
+    T = matrices.ORTHOGONALITY_TOL
+    return lam * ((1.0 + T) ** (d / 2) - (1.0 - T) ** (d / 2))
+
+
 def test_compact_invariant_demo_signed_permutation():
     rep = compact_invariant_demo([rotation(np.pi / 2)], n_reps=3_000, seed=0)
     assert rep.verdict == PASS
-    assert rep.inputs["exact_box"]
-    for _, est, _ in rep.rows("volume_ratio"):
-        assert est == pytest.approx(1.0)
+    assert rep.rows("measure") == [(0.0, math.pi, 0.0)]  # h = I: the unit disc
+    assert rep.rows("symmetric_difference_bound") == [(0.0, 0.0, 0.0)]
 
 
 def test_compact_invariant_demo_signed_permutation_in_3d():
     cycle = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     rep = compact_invariant_demo([cycle], n_reps=3_000, seed=0)
     assert rep.verdict == PASS
-    assert rep.inputs["exact_box"]
-    assert [est for _, est, _ in rep.rows("membership_mismatch")] == [0.0]
+    assert rep.rows("measure")[0][1] == pytest.approx(4.0 * math.pi / 3.0,
+                                                      rel=1e-12)
+    assert rep.rows("symmetric_difference_bound")[0][1] <= _demo_cap(rep, 3)
 
 
-def test_compact_invariant_demo_disc_path():
-    rep = compact_invariant_demo([rotation(1.0)], n_reps=3_000, seed=0)
+def test_compact_invariant_demo_rotation_about_an_axis_in_3d():
+    # neither a signed permutation nor planar: the demo used to raise
+    # ApproximationTooCoarse here, where the theorem still holds
+    D = np.diag([2.0, 1.0, 0.5])
+    g = D @ _axis_rotation(1.0, rng.stream(3, "axis").standard_normal(3)) \
+        @ np.linalg.inv(D)
+    for seed in (0, 42):
+        rep = compact_invariant_demo([g], n_reps=3_000, seed=seed)
+        assert rep.verdict == PASS, seed
+        assert rep.rows("symmetric_difference_bound")[0][1] <= _demo_cap(rep, 3)
+        assert [name for name, *_ in rep.series] == [
+            "measure", "symmetric_difference_bound", "mass_variance"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_compact_invariant_demo_ellipsoid_of_a_conjugated_rotation(d):
+    stream = rng.stream(d, "demo ellipsoid")
+    if d == 3:  # conjugated_rotation takes d = 2 or an even d
+        P = gallery.random_det1(3, stream, cond=10.0)
+        g = P @ _axis_rotation(1.0, stream.standard_normal(3)) @ np.linalg.inv(P)
+    else:
+        g = gallery.conjugated_rotation(1.0, stream, d=d)
+    rep = compact_invariant_demo([g], n_reps=3_000, seed=0)
     assert rep.verdict == PASS
-    assert not rep.inputs["exact_box"]
+    for _, bound, _ in rep.rows("symmetric_difference_bound"):
+        assert 0.0 <= bound <= _demo_cap(rep, d)
+    # {x : x^T S x <= 1} for S the Haar average form, whose inverse square
+    # root is h; the unit ball's measure by V_d = 2 pi / d V_(d-2)
+    ball = {0: 1.0, 1: 2.0}
+    for k in range(2, d + 1):
+        ball[k] = 2.0 * math.pi / k * ball[k - 2]
+    S = matrices.haar_average_form([g])
+    want = ball[d] / math.sqrt(np.linalg.det(S))
+    assert rep.rows("measure")[0][1] == pytest.approx(want, rel=1e-12)
 
 
 def test_compact_invariant_demo_two_irrational_rotations():
@@ -338,7 +382,7 @@ def test_compact_invariant_demo_two_irrational_rotations():
     gens = [P @ rotation(t) @ np.linalg.inv(P) for t in (1.0, np.sqrt(2.0))]
     rep = compact_invariant_demo(gens, n_reps=3_000, seed=0)
     assert rep.verdict == PASS
-    assert not rep.inputs["exact_box"]
+    assert len(rep.rows("symmetric_difference_bound")) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +494,10 @@ def test_run_all_config_errors(tmp_path):
             ({"kind": "compact_invariant_demo", "generators": ["rotation90"],
               "t_grid": [1.0]}, "compact_invariant_demo: unknown key 't_grid'"),
             ({"kind": "equivariance_check", "g": "shear", "C": unit, "B": unit,
-              "n_reps": 2}, "equivariance_check: need n_reps >= 5")):
+              "n_reps": 2}, "equivariance_check: need n_reps >= 5"),
+            ({"kind": "mixing_curve", "name": "mix2",
+              "g": {"rows": [[2, 0], [0, 1]]}, "C": unit},
+             "mix2: mixing map must have")):
         bad.write_text(json.dumps({"experiments": [entry]}))
         with pytest.raises(errors.ConfigError, match=match):
             run_all(str(bad), out_override=str(tmp_path))
@@ -458,6 +505,16 @@ def test_run_all_config_errors(tmp_path):
                                         str(bad), "--out", str(tmp_path)])
         assert res.exit_code == 2 and res.stderr.startswith("error: ")
         assert match in res.stderr
+
+
+def test_run_all_keeps_the_experiments_error_as_the_cause(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"experiments": [
+        {"kind": "mixing_curve", "name": "mix2",
+         "g": {"rows": [[2, 0], [0, 1]]}, "C": {"box": [[0, 1], [0, 1]]}}]}))
+    with pytest.raises(errors.ConfigError, match="^mix2: ") as info:
+        run_all(str(bad), out_override=str(tmp_path))
+    assert type(info.value.__cause__) is errors.InvalidGenerator
 
 
 def test_run_all_adds_no_defaults(tmp_path):
@@ -809,6 +866,41 @@ def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     assert not (tmp_path / "reports").exists()
 
 
+def test_cli_leaves_library_defaults_to_the_library(tmp_path, monkeypatch):
+    # a flag not given passes no keyword, so the library's default applies
+    kwargs = {}
+
+    def spy(name, real):
+        def call(*args, **kw):
+            kwargs[name] = kw
+            return real(*args, **kw)
+        return call
+
+    monkeypatch.setattr(cli, "find_noncompact_witness",
+                        spy("witness", matrices.find_noncompact_witness))
+    monkeypatch.setattr(shrinking, "absorption_lag",
+                        spy("lag", shrinking.absorption_lag))
+    monkeypatch.setattr(noise, "realize", spy("realize", noise.realize))
+    monkeypatch.setattr(noise, "NoiseSpec", spy("spec", noise.NoiseSpec))
+    (tmp_path / "regions.json").write_text(json.dumps([{"box": [[0, 1], [0, 1]]}]))
+    monkeypatch.chdir(tmp_path)
+    verify = ["sets", "verify", "--matrix", "squeeze", "--t-grid", "1,2",
+              "--n-samples", "50"]
+    simulate = ["simulate", "--regions", "regions.json"]
+    for name, key, argv, flag, value in (
+            ("witness", "max_word_len", ["witness", "--generators", "squeeze"],
+             ["--max-word-len", "2"], 2),
+            ("lag", "h_max", verify, ["--h-max", "30"], 30),
+            ("realize", "n_atom_samples", simulate, ["--n", "500"], 500),
+            ("spec", "intensity", [*simulate, "--spec", "poisson"],
+             ["--spec", "poisson:3"], 3.0)):
+        for extra in ([], flag):
+            res = CliRunner().invoke(main, argv + extra)
+            assert res.exit_code == 0, res.output
+            got = kwargs.pop(name)
+            assert got.get(key, "absent") == (value if extra else "absent")
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--n-samples", "0", "n_samples >= 1"),
     ("--h-max", "-1", "h_max >= 0"),
@@ -841,6 +933,8 @@ def test_argument_checks_raise_invalid_argument():
         lambda: gallery.conjugated_rotation(0.5, np.random.default_rng(0), d=3),
         lambda: fam.param(0.0),
         lambda: fam.param(float("nan")),
+        *(lambda A=A: build_family(A).param(10**400)  # finite, beyond a float
+          for A in (shear(), squeeze())),
         lambda: shrinking.contains_many(fam, float("inf"), np.zeros((1, 2))),
         lambda: shrinking.absorption_lag(fam, 0.0, 1.0),
         lambda: shrinking.absorption_lag(fam, float("nan"), 1.0),
@@ -911,8 +1005,8 @@ def test_cli_experiment_run_uses_config_seed_and_out(tmp_path, monkeypatch):
 # file, in name order, that `levymix experiment run --seed N` writes; a
 # change that moves the battery's output updates it here
 BATTERY_SHA256 = {
-    0: "22fefe22aaa7be670c6dbcacd93abc590ab8117a4c5cb7d2ab5b3a3422937401",
-    42: "f3329bda7c12a8bb5fe41f15c55bf4dac9e7fe48031e6d7463ec4a9c3715caf3",
+    0: "cdbb8bcea6ec723e0cdbaa054652228038152ec642689f4a58f9ab2ef7d6ea38",
+    42: "15bb0903ed2739754dd331d3c1d3c8d43fd1262a28aed38e5b9ed449b034b115",
 }
 
 
