@@ -50,8 +50,8 @@ def parse_matrix(obj):
     if not (isinstance(obj, dict) and "rows" in obj):
         raise ConfigError("matrix: expected an alias string or a rows object")
     try:
-        A = as_matrix(obj["rows"])
-    except (LevymixError, TypeError, ValueError) as exc:
+        A = as_matrix(obj["rows"], "rows")
+    except LevymixError as exc:
         raise ConfigError(f"matrix: {exc}") from exc
     if obj.get("d", len(A)) != len(A):
         raise ConfigError("matrix: declared order does not match row count")

@@ -7,6 +7,11 @@ Haar average of g^T g (Weyl's trick) is positive definite exactly when
 the closure is compact, and its inverse square root conjugates every
 generator into the orthogonal group.  The real Jordan form of a
 non-compact matrix tags the blocks that witness it.
+The argument rules of the package live here, each applied on entry by
+the function that reads the argument: _count for counts, _real for real
+parameters, _floats for arrays (as_matrix reads every matrix by it) and
+in_measure_preserving_group for |det| = 1.  A seed is read at the first
+draw, by rng.stream_key, which holds its rule.
 """
 
 from __future__ import annotations
@@ -53,9 +58,9 @@ ORTHOGONALITY_TOL = 1e-8
 # matrix plumbing
 
 
-def as_matrix(A) -> np.ndarray:
-    """Validate and return A as a dense float square matrix."""
-    A = np.asarray(A, dtype=float)
+def as_matrix(A, name="matrix") -> np.ndarray:
+    """A, read by _floats, as a dense float square matrix."""
+    A = _floats(A, name)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
@@ -93,6 +98,20 @@ def _real(value, name, positive=False):
     return value
 
 
+def _floats(value, name):
+    """value as a float array, if it converts to an array of integer or
+    float dtype; ragged rows, text, bools, complex numbers and other
+    objects raise InvalidArgument."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind not in "iuf":
+            raise ValueError(f"dtype {a.dtype}")
+    except ValueError as exc:  # also ragged rows
+        raise InvalidArgument(
+            f"{name} must be an array of real numbers: {exc}") from None
+    return a.astype(float, copy=False)
+
+
 def matrix_to_json(A) -> dict:
     A = as_matrix(A)
     return {"d": int(A.shape[0]), "rows": [[float(v) for v in row] for row in A]}
@@ -100,7 +119,7 @@ def matrix_to_json(A) -> dict:
 
 def _generator_list(generators):
     """Generators as validated matrices: at least one, all of one order."""
-    gens = [as_matrix(g) for g in generators]
+    gens = [as_matrix(g, "generator") for g in generators]
     if not gens:
         raise InvalidArgument("need at least one generator")
     if len({g.shape for g in gens}) > 1:
@@ -306,13 +325,9 @@ class RealJordanBlock:
             eta = self.eigen.real
             return eta * np.eye(self.size) + np.eye(self.size, k=1)
         c, s = self.eigen.real, self.eigen.imag
-        b = self.size
-        K = np.zeros((2 * b, 2 * b))
-        cell = np.array([[c, s], [-s, c]])
-        for j in range(b):
-            K[2 * j:2 * j + 2, 2 * j:2 * j + 2] = cell
-            if j + 1 < b:
-                K[2 * j:2 * j + 2, 2 * j + 2:2 * j + 4] = np.eye(2)
+        K = np.eye(2 * self.size, k=2)  # the identity super-diagonal cells
+        for j in range(0, 2 * self.size, 2):
+            K[j:j + 2, j:j + 2] = [[c, s], [-s, c]]
         return K
 
 
@@ -443,20 +458,15 @@ def jordan_block_power_apply(block: RealJordanBlock, h: int, x) -> np.ndarray:
     if block.kind is not BlockKind.REAL:
         raise DimensionMismatch("closed-form power applies to REAL blocks only")
     h = _count(h, "h")
-    x = np.asarray(x, dtype=float)
+    x = _floats(x, "x")
     a = block.size
     if x.shape != (a,):
         raise DimensionMismatch(f"expected a vector of length {a}")
     eta = block.eigen.real
     y = np.zeros(a)
-    for ell in range(1, a + 1):
-        acc = 0.0
-        for i in range(ell, a + 1):
-            j = i - ell
-            if j > h:
-                continue
-            acc += x[i - 1] * math.comb(h, j) * eta ** (h - j)
-        y[ell - 1] = acc
+    for ell in range(a):
+        for j in range(min(a - ell, h + 1)):
+            y[ell] += x[ell + j] * math.comb(h, j) * eta ** (h - j)
     return y
 
 
@@ -546,11 +556,6 @@ def _walk(gens, max_len=None):
                     yield cand
         frontier = nxt
         length += 1
-
-
-def _words(gens, max_len=None):
-    """The words of _walk, as matrices alone."""
-    return (w for _, w in _walk(gens, max_len))
 
 
 def _word_class(letters):
@@ -676,7 +681,7 @@ def _invariant_form(gens):
            for g in gens):
         raise NotCompact("a generator has an eigenvalue off the unit circle")
     d = gens[0].shape[0]
-    words = [np.eye(d), *_words(gens, 2)]
+    words = [np.eye(d), *(w for _, w in _walk(gens, 2))]
     with np.errstate(over="ignore", invalid="ignore"):
         S0 = sum(w.T @ w for w in words) / len(words)
     h0 = spd_sqrt_inverse(_bounded(S0))
@@ -716,6 +721,14 @@ def spd_sqrt_inverse(S) -> np.ndarray:
     return (V * (1.0 / np.sqrt(w))) @ V.T
 
 
+def _conjugator_defects(gens):
+    """(h, defects): h = S^-1/2 for the Haar average S of checked generators,
+    and the orthogonality defect ||O^T O - I||_2 of each O = h^-1 g h."""
+    h = spd_sqrt_inverse(haar_average_form(gens))
+    hinv = np.linalg.inv(h)
+    return h, [_opnorm(O.T @ O - np.eye(len(h))) for O in (hinv @ g @ h for g in gens)]
+
+
 def weyl_conjugator(generators, *, mode=None) -> np.ndarray:
     """Matrix h with h^-1 g h orthogonal for every generator g.
 
@@ -724,11 +737,8 @@ def weyl_conjugator(generators, *, mode=None) -> np.ndarray:
     against ORTHOGONALITY_TOL.  `mode` is ignored: bench/groups.py still
     passes mode="finite" and mode="cesaro", and bench/tracer.py reads it.
     """
-    gens = _generator_list(generators)
-    h = spd_sqrt_inverse(haar_average_form(gens))
-    hinv = np.linalg.inv(h)
-    defect = max(_opnorm(Q.T @ Q - np.eye(len(h)))
-                 for Q in (hinv @ g @ h for g in gens))
+    h, defects = _conjugator_defects(_generator_list(generators))
+    defect = max(defects)
     if defect > ORTHOGONALITY_TOL:
         raise ConvergenceFailure(
             f"conjugated generator has orthogonality defect {defect:.3e}")

@@ -78,10 +78,7 @@ class NoiseRealization:
 
     def count_in(self, region: Region) -> int:
         """Geometric point count; agrees with value() on registered regions."""
-        pts = self.points()
-        if not len(pts):
-            return 0
-        return int(region.contains(pts).sum())
+        return int(region.contains(self.points()).sum())
 
     def to_json(self):
         out = {
@@ -180,7 +177,7 @@ def apply_transform(g, realization: NoiseRealization) -> NoiseRealization:
     representation; its invariance is exercised through region
     pre-images, so requesting it here is an error.
     """
-    g = as_matrix(g)
+    g = as_matrix(g, "g")
     if realization.spec.kind != POISSON:
         raise UnsupportedKind("pointwise pushforward requires poisson noise")
     moved = tuple(p @ g.T if len(p) else p for p in realization.atom_points)

@@ -52,7 +52,7 @@ from .errors import (
     SingularMatrix,
     UnboundedRegion,
 )
-from .matrices import _count, as_matrix, matrix_to_json
+from .matrices import _count, _floats, as_matrix, matrix_to_json
 
 TABLE_SIZE_CAP = 1 << 20  # elements of a region's membership table
 TABLE_POINTS = 128  # a table is read for up to this many points per axis box
@@ -60,8 +60,8 @@ BLOCK_POINTS = 1 << 16  # Monte Carlo points drawn, classified and counted at a 
 
 
 def _columns(points, d):
-    """An (n, d) array of points, or one point, as d contiguous rows."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """(n, d) points, or one point, read by _floats, as d contiguous rows."""
+    pts = np.atleast_2d(_floats(points, "points"))
     if pts.ndim != 2 or pts.shape[1] != d:
         raise DimensionMismatch(
             f"points must form an (n, {d}) array, got shape {pts.shape}")
@@ -109,8 +109,8 @@ class Piece:
     box: np.ndarray    # d x 2 array of [lo, hi]
 
     def __post_init__(self):
-        object.__setattr__(self, "frame", as_matrix(self.frame))
-        box = np.asarray(self.box, dtype=float)
+        object.__setattr__(self, "frame", as_matrix(self.frame, "frame"))
+        box = _floats(self.box, "box")
         if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] != self.frame.shape[0]:
             raise DimensionMismatch("box must be a d x 2 interval array")
         if np.isnan(box).any():
@@ -323,18 +323,16 @@ class Region:
         try:
             if "box" in obj:
                 return box_region(obj["box"])
-            pieces = [Piece(np.asarray(e["frame"], dtype=float),
-                            np.asarray(e["box"], dtype=float))
-                      for e in obj["pieces"]]
+            pieces = [Piece(e["frame"], e["box"]) for e in obj["pieces"]]
             return Region(tuple(pieces), disjoint=disjoint)
-        except (LevymixError, LookupError, TypeError, ValueError) as exc:
+        except (LevymixError, LookupError, TypeError) as exc:
             raise ConfigError(f"region: {exc}") from exc
 
 
 def box_region(bounds):
     """Axis-aligned box region from a d x 2 interval array."""
-    bounds = np.asarray(bounds, dtype=float)
-    return Region((Piece(np.eye(bounds.shape[0]), bounds),))
+    bounds = _floats(bounds, "box")
+    return Region((Piece(np.eye(len(bounds) if bounds.ndim else 1), bounds),))
 
 
 def unit_box(d):
@@ -442,7 +440,7 @@ def volume(region: Region) -> float:
 
 def transform(g, region: Region) -> Region:
     """Image of the region under the linear map g."""
-    g = as_matrix(g)
+    g = as_matrix(g, "g")
     if abs(np.linalg.det(g)) < 1e-12:
         raise SingularMatrix("transform requires an invertible matrix")
     return Region(tuple(Piece(g @ p.frame, p.box) for p in region.pieces),

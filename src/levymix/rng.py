@@ -5,15 +5,22 @@ any worker can rebuild its stream independently of evaluation order.
 """
 
 import hashlib
+import operator
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 
 def stream_key(seed, *path):
-    """Derive a stable 128-bit Philox key from a seed and a path of labels."""
-    parts = [str(int(seed))]
-    for p in path:
-        parts.append(str(p))
+    """Derive a stable 128-bit Philox key from a seed and a path of labels.
+    Every seed is read here: an integer of any sign, not a bool."""
+    try:
+        if isinstance(seed, bool):
+            raise TypeError
+        parts = [str(operator.index(seed)), *map(str, path)]
+    except TypeError:
+        raise InvalidArgument(f"seed must be an integer, got {seed!r}") from None
     digest = hashlib.sha256("/".join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "little")
 

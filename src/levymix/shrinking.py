@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import (ApproximationTooCoarse, CompactClosure,
-                     DimensionMismatch, InvalidArgument, InvalidGenerator,
-                     NonFiniteInput, NotReached, SamplingFailure)
+from .errors import (ApproximationTooCoarse, CompactClosure, InvalidArgument,
+                     InvalidGenerator, NonFiniteInput, NotReached,
+                     SamplingFailure)
 from .matrices import (
     BlockKind,
     _count,
@@ -33,7 +33,7 @@ from .matrices import (
     cyclic_closure_compact,
     real_jordan_form,
 )
-from .regions import BLOCK_POINTS, Piece, Region, _ordered_product
+from .regions import BLOCK_POINTS, Piece, Region, _columns, _ordered_product
 
 
 @dataclass(frozen=True)
@@ -108,41 +108,36 @@ def _in_family(fam: ShrinkingFamily, p, yb, exp=0) -> np.ndarray:
     scale-invariant, and a ball's radius is scaled to match.
     """
     norm = _norms(yb)
-    # closed sets: let boundary points in despite roundoff
-    slack = 1.0 + 1e-12
+    # closed sets: let boundary points in despite roundoff.  A cone's edge
+    # moves out by 4 ulps of angle, 2^-51 times its cosine c: never to rho = 1
     if fam.uses_cone:
-        return _tail(fam, yb) <= p * norm * slack
+        edge = p + 2.0**-51 * math.sqrt((1.0 - p) * (1.0 + p))
+        return _tail(fam, yb) <= edge * norm
     with np.errstate(over="ignore"):  # a radius past the float range lets all in
-        radius = np.ldexp(p * slack, exp)
+        radius = np.ldexp(p * (1.0 + 1e-12), exp)
     return norm <= radius
 
 
-def _scaled_block_rows(inv, pts):
-    """(yb, exp): block rows of the (m, d) points scaled by 2^exp to unit size.
+def _scaled_block_rows(inv, cols):
+    """(yb, exp): block rows of the points (d rows) scaled by 2^exp to unit size.
 
-    Membership forms every point's rows this way.  Each point is first
-    scaled so that its largest term inv[i, j] * x_j lies below 1, which
-    keeps the row sums finite; columns the rows do not read are left out,
-    so their size does not matter.  The rows are then scaled so that the
-    largest lies in [0.5, 1), which keeps their squares from underflowing.
-    Scaling by a power of two is exact.
+    Membership forms every point's rows this way.  With inv's columns scaled
+    to a largest entry in [0.5, 1), each point is scaled so that its largest
+    term inv[i, j] * x_j lies below 2^1000: the row sums stay finite, and
+    terms 2^2000 times smaller stay normal, so they keep every bit where
+    larger ones cancel.  Coordinates the rows do not read are left out.
+    The rows are then scaled so that the largest lies in [0.5, 1), which
+    keeps their squares from underflowing.  Scaling by 2^k is exact.
     """
     used = np.abs(inv).max(axis=0) > 0
-    inv, pts = inv[:, used], pts[:, used]
-    size = np.frexp(pts)[1] + np.frexp(np.abs(inv).max(axis=0))[1]
+    inv, cols = inv[:, used], cols[used]
+    e = np.frexp(np.abs(inv).max(axis=0))[1]
     # a zero point scales to zero; 2000 keeps the scale finite
-    first = np.where(pts != 0, size, -2000).max(axis=1)
-    yb = _ordered_product(inv, np.ldexp(pts, -first[:, None]).T)
+    first = np.where(cols != 0, np.frexp(cols)[1] + e[:, None], -2000).max(axis=0)
+    yb = _ordered_product(np.ldexp(inv, -e),
+                          np.ldexp(cols, e[:, None] + (1000 - first)))
     second = np.frexp(np.abs(yb).max(axis=0))[1]
-    return np.ldexp(yb, -second), -first - second
-
-
-def _floats(obj, what):
-    """obj as a float array; ragged rows or entries that are not numbers raise."""
-    try:
-        return np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgument(f"{what} must be an array of numbers: {exc}") from exc
+    return np.ldexp(yb, -second), 1000 - first - second
 
 
 def contains_many(fam: ShrinkingFamily, t, points) -> np.ndarray:
@@ -153,21 +148,19 @@ def contains_many(fam: ShrinkingFamily, t, points) -> np.ndarray:
     taken BLOCK_POINTS at a time, which keeps the temporaries small.
     """
     p = fam.param(t)
-    pts = np.atleast_2d(_floats(points, "points"))
-    if pts.ndim != 2 or pts.shape[1] != fam.dim:
-        raise DimensionMismatch(f"points must have dimension {fam.dim}")
-    if not np.all(np.isfinite(pts)):
+    cols = _columns(points, fam.dim)
+    if not np.isfinite(cols).all():
         raise NonFiniteInput("points must be finite")  # D_t is unbounded
     inv = fam.basis_inv[fam.offset:fam.offset + fam.rows]
-    out = np.empty(len(pts), dtype=bool)
-    for i in range(0, len(pts), BLOCK_POINTS):
-        block = pts[i:i + BLOCK_POINTS]
-        out[i:i + len(block)] = _in_family(fam, p, *_scaled_block_rows(inv, block))
+    out = np.empty(cols.shape[1], dtype=bool)
+    for i in range(0, len(out), BLOCK_POINTS):
+        scaled = _scaled_block_rows(inv, cols[:, i:i + BLOCK_POINTS])
+        out[i:i + BLOCK_POINTS] = _in_family(fam, p, *scaled)
     return out
 
 
 def contains(fam: ShrinkingFamily, t, x) -> bool:
-    return bool(contains_many(fam, t, np.atleast_1d(_floats(x, "point"))[None, :])[0])
+    return bool(contains_many(fam, t, [x])[0])
 
 
 def _sample_in_family(fam, t, n, rng, tail_floor=0.01, max_tries=1000):

@@ -13,8 +13,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levymix import (build_family, cli, errors, gallery, matrices, noise,
-                     rng, shrinking)
+from levymix import (build_family, cli, errors, experiments, gallery, matrices,
+                     noise, rng, shrinking)
 from levymix.cli import main
 from levymix.experiments import (
     FAIL,
@@ -310,6 +310,19 @@ def test_equivariance_rejects_bad_determinant():
         equivariance_check(np.diag([2.0, 1.0]), UNIT, UNIT)
 
 
+def test_equivariance_check_scales_the_overlap_by_the_determinant():
+    # |det g| = 1 + 5e-9 is within DET_TOL, and the overlap of gC and gB is
+    # exactly |det g| times that of C and B: 0.5 and 0.5000000025
+    g = np.diag([2.0, 0.5 * (1 + 5e-9)])
+    assert matrices.in_measure_preserving_group(g)
+    B = box_region(np.array([[0.5, 1.5], [0.0, 1.0]]))
+    rep = equivariance_check(g, UNIT, B, n_reps=2_000, seed=0)
+    assert [s for _, s, _ in rep.rows("overlap")] == [0.5, 0.5000000025]
+    assert rep.rows("ks_pvalue")[0][1] >= KS_ALPHA
+    assert rep.verdict == PASS
+    assert "|det g|" in rep.criterion
+
+
 def _axis_rotation(theta, axis):
     """Rotation by theta about `axis` in d = 3 (Rodrigues)."""
     a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
@@ -374,6 +387,25 @@ def test_compact_invariant_demo_ellipsoid_of_a_conjugated_rotation(d):
     S = matrices.haar_average_form([g])
     want = ball[d] / math.sqrt(np.linalg.det(S))
     assert rep.rows("measure")[0][1] == pytest.approx(want, rel=1e-12)
+
+
+def test_compact_invariant_demo_fails_a_defect_above_the_tolerance(monkeypatch):
+    # h and every defect are computed once, so a defect above the tolerance
+    # writes its bound row and fails the verdict; weyl_conjugator raises
+    g = gallery.conjugated_rotation(1.0, rng.stream(2, "demo ellipsoid"))
+    h = matrices.weyl_conjugator([g])
+    O = np.linalg.inv(h) @ g @ h
+    delta = np.linalg.norm(O.T @ O - np.eye(2), 2)
+    assert delta > 0.0
+    for module in (matrices, experiments):
+        monkeypatch.setattr(module, "ORTHOGONALITY_TOL", delta / 2)
+    rep = compact_invariant_demo([g], n_reps=3_000, seed=0)
+    assert rep.verdict == FAIL
+    assert [name for name, *_ in rep.series] == [
+        "measure", "symmetric_difference_bound", "mass_variance"]
+    assert rep.rows("symmetric_difference_bound")[0][1] > _demo_cap(rep, 2)
+    with pytest.raises(errors.ConvergenceFailure):
+        matrices.weyl_conjugator([g])
 
 
 def test_compact_invariant_demo_two_irrational_rotations():
@@ -608,6 +640,21 @@ def _bad_reals(positive):
     return bad
 
 
+def _bad_arrays(shape):
+    """Values no array argument of that shape takes: ragged rows, text,
+    bools and complex numbers in that shape, and None."""
+    def shaped(entries):
+        for n in reversed(shape):
+            entries = st.lists(entries, min_size=n, max_size=n)
+        return entries
+    ragged = st.lists(st.lists(st.floats(), min_size=1, max_size=3),
+                      min_size=2, max_size=3).filter(
+                          lambda rows: len({len(r) for r in rows}) > 1)
+    return st.one_of(ragged, shaped(st.text(max_size=3)), shaped(st.booleans()),
+                     shaped(st.complex_numbers()), st.none())
+
+
+BLOCK_AT_1 = matrices.RealJordanBlock(matrices.BlockKind.REAL, 2, 1.0 + 0j)
 SHEAR_FAMILY = build_family(shear())
 ARGUMENTS = {
     "mixing_curve.m_max": (lambda v: mixing_curve(squeeze(), UNIT, m_max=v),
@@ -644,6 +691,16 @@ ARGUMENTS = {
     "find_noncompact_witness.max_word_len": (
         lambda v: matrices.find_noncompact_witness([shear()], max_word_len=v),
         _bad_counts(0)),
+    "as_matrix.A": (matrices.real_jordan_form, _bad_arrays((2, 2))),
+    "Piece.box": (lambda v: Piece(np.eye(2), v), _bad_arrays((2, 2))),
+    "box_region.bounds": (box_region, _bad_arrays((2, 2))),
+    "Region.contains.points": (UNIT.contains, _bad_arrays((3, 2))),
+    "contains_many.points": (lambda v: contains_many(SHEAR_FAMILY, 1.0, v),
+                             _bad_arrays((3, 2))),
+    "jordan_block_power_apply.x": (
+        lambda v: matrices.jordan_block_power_apply(BLOCK_AT_1, 2, v),
+        _bad_arrays((2,))),
+    "ks_2samp_equal.x1": (lambda v: ks_2samp_equal(v, [1.0, 2.0]), _bad_arrays((2,))),
 }
 
 
@@ -656,6 +713,76 @@ def test_invalid_arguments_raise_before_any_work(argument, data):
     call, values = ARGUMENTS[argument]
     with pytest.raises(errors.LevymixError):
         call(data.draw(values))
+
+
+def _bad_seeds():
+    """Values no seed takes: text, bools, None and every float."""
+    return st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.floats())
+
+
+SEED_READERS = {
+    "mixing_curve": lambda s: mixing_curve(squeeze(), UNIT, m_max=0, n_reps=2, seed=s),
+    "realize": lambda s: noise.realize(noise.NoiseSpec(noise.GAUSSIAN), [UNIT], seed=s),
+    "absorption_lag": lambda s: shrinking.absorption_lag(SHEAR_FAMILY, 0.5, 1.0,
+                                                         n_samples=1, seed=s),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(SEED_READERS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_invalid_seeds_raise_where_they_are_read(reader, data):
+    # rng.stream_key reads every seed, at the first draw: after the other
+    # arguments are checked and, it may be, after some work
+    with pytest.raises(errors.InvalidArgument, match="seed must be an integer"):
+        SEED_READERS[reader](data.draw(_bad_seeds()))
+
+
+def test_every_integer_seed_keys_its_stream_as_its_text():
+    for seed, text in ((0, "0"), (-3, "-3"), (2**70, str(2**70)), (np.int64(7), "7"),
+                       (np.uint8(255), "255")):
+        digest = hashlib.sha256(f"{text}/mix/1".encode()).digest()
+        assert rng.stream_key(seed, "mix", 1) == int.from_bytes(digest[:16], "little")
+
+
+# every row raised an error outside LevymixError, a warning, or nothing
+# before arrays and seeds each got one rule
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: matrices.real_jordan_form([[1, 2], [3]]), errors.InvalidArgument),
+    (lambda: transform([[1, 0], [0]], UNIT), errors.InvalidArgument),
+    (lambda: box_region([[0, 1], [0]]), errors.InvalidArgument),
+    (lambda: UNIT.contains([[0.5, 0.5], [1]]), errors.InvalidArgument),
+    (lambda: ks_2samp_equal([1, [2]], [1, 2]), errors.InvalidArgument),
+    (lambda: matrices.jordan_block_power_apply(BLOCK_AT_1, 2, ["a", "b"]),
+     errors.InvalidArgument),
+    (lambda: matrices.real_jordan_form([["1", "0"], ["0", "1"]]),
+     errors.InvalidArgument),
+    (lambda: box_region([["0", "1"], ["0", "1"]]), errors.InvalidArgument),
+    (lambda: UNIT.contains([["0.5", "0.5"]]), errors.InvalidArgument),
+    (lambda: gallery.parse_matrix({"rows": [["1", "0"], ["0", "1"]]}),
+     errors.ConfigError),
+    (lambda: Region.from_json({"box": [["0", "1"], ["0", "1"]]}), errors.ConfigError),
+    (lambda: matrices.cyclic_closure_compact(np.diag([1 + 1j, 1 - 1j])),
+     errors.InvalidArgument),
+    (lambda: mixing_curve(squeeze(), UNIT, m_max=2, n_reps=50, seed=2.5),
+     errors.InvalidArgument),
+    (lambda: mixing_curve(squeeze(), UNIT, m_max=2, n_reps=50, seed="2"),
+     errors.InvalidArgument),
+    (lambda: mixing_curve(squeeze(), UNIT, m_max=2, n_reps=50, seed=True),
+     errors.InvalidArgument),
+    (lambda: mixing_curve(squeeze(), UNIT, m_max=2, n_reps=50, seed=None),
+     errors.InvalidArgument),
+    (lambda: noise.realize(noise.NoiseSpec(noise.GAUSSIAN), [UNIT], seed=None),
+     errors.InvalidArgument),
+], ids=["jordan-ragged", "transform-ragged", "box-ragged", "contains-ragged",
+        "ks-ragged", "power-text", "jordan-text", "box-text", "contains-text",
+        "parse-text", "from_json-text", "compact-complex", "seed-float",
+        "seed-text", "seed-bool", "mixing-seed-none", "realize-seed-none"])
+def test_arrays_and_seeds_have_one_rule(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -1005,8 +1132,8 @@ def test_cli_experiment_run_uses_config_seed_and_out(tmp_path, monkeypatch):
 # file, in name order, that `levymix experiment run --seed N` writes; a
 # change that moves the battery's output updates it here
 BATTERY_SHA256 = {
-    0: "cdbb8bcea6ec723e0cdbaa054652228038152ec642689f4a58f9ab2ef7d6ea38",
-    42: "15bb0903ed2739754dd331d3c1d3c8d43fd1262a28aed38e5b9ed449b034b115",
+    0: "3619774d669f596a50c2501c4f767073f6fea81f00ac8675dd241017ae687539",
+    42: "28150e6848bf7e52892f9ce8d343deb7c6759c8999b8e10722d7d5c3cd827449",
 }
 
 

@@ -28,8 +28,8 @@ from levymix.matrices import (
     _jordan_chains,
     _kron_t,
     _sym_basis,
+    _walk,
     _word_class,
-    _words,
     as_matrix,
     in_measure_preserving_group,
     matrix_to_json,
@@ -418,7 +418,7 @@ def test_witness_none_certifies_compactness(order, cond):
     P = _conditioned(2, cond, stream(order, "dihedral"))
     gens = _conjugated(P, dihedral_generators(order))
     assert lm.find_noncompact_witness(gens) is None
-    words = list(_words(gens, 6))
+    words = [w for _, w in _walk(gens, 6)]
     assert len(words) == 2 * order - 1  # the group, less the identity
     assert all(lm.cyclic_closure_compact(w) for w in words)
 
@@ -442,9 +442,9 @@ def _rotation_pairs(n, seed):
 
 
 def _decide_every_word(gens, max_len=6):
-    """The first word of _words with non-compact cyclic closure, or None:
+    """The first word of _walk with non-compact cyclic closure, or None:
     the search without classes, every word decided."""
-    for w in _words(gens, max_len):
+    for _, w in _walk(gens, max_len):
         try:
             if not lm.cyclic_closure_compact(w):
                 return w
@@ -567,7 +567,7 @@ def test_haar_average_matches_enumeration():
         groups.append([conjugated_rotation(2 * np.pi / n, stream(n, "cesaro"),
                                            cond=8)])
     for gens in groups:
-        elements = [np.eye(len(gens[0])), *_words(gens)]
+        elements = [np.eye(len(gens[0])), *(w for _, w in _walk(gens))]
         want = sum(g.T @ g for g in elements) / len(elements)
         got = lm.haar_average_form(gens)
         assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
@@ -715,9 +715,9 @@ def test_weyl_conjugator_ignores_the_mode_that_the_groups_bench_passes():
 
 def test_word_walk_enumerates_dihedral_groups():
     for n in range(3, 13):
-        words = list(_words(dihedral_generators(n)))
+        words = list(_walk(dihedral_generators(n)))
         assert len(words) + 1 == 2 * n  # plus the identity
-    assert len(list(_words([shear()], max_len=3))) == 6
+    assert len(list(_walk([shear()], max_len=3))) == 6
 
 
 def test_spd_sqrt_inverse():

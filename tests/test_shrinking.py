@@ -14,7 +14,6 @@ from levymix.matrices import BlockKind, RealJordanBlock
 from levymix.rng import stream
 from levymix.shrinking import _sample_in_family, contains, contains_many
 
-SLACK = 1.0 + 1e-12  # the closed-set slack of the membership rule
 GRID = (0.2, 0.5, 1.0, 2.0, 5.0)  # the default t grid of `sets verify`
 
 
@@ -35,8 +34,18 @@ def _in_order_norm(a):
     return np.sqrt(s)
 
 
+def _edge(fam, p):
+    """The membership rule's closed-set slack on p = param(t): a cone's edge
+    rho moves out by 4 ulps of angle, to rho + 4 u c, c = sqrt((1 - rho)(1 + rho));
+    a ball's radius grows by 1e-12."""
+    if fam.uses_cone:
+        return p + 2.0**-51 * math.sqrt((1.0 - p) * (1.0 + p))
+    return p * (1.0 + 1e-12)
+
+
 def _reference_terms(fam, yb):
-    """(lhs, scale) of the rule on block rows yb: in D_t iff lhs <= param(t) * scale * SLACK."""
+    """(lhs, scale) of the rule on block rows yb: in D_t iff
+    lhs <= _edge(fam, param(t)) * scale."""
     norm = _in_order_norm(yb)
     if not fam.uses_cone:
         return norm, np.ones_like(norm)
@@ -46,7 +55,7 @@ def _reference_terms(fam, yb):
 
 def _reference_contains(fam, t, yb):
     lhs, scale = _reference_terms(fam, yb)
-    return lhs <= fam.param(t) * scale * SLACK
+    return lhs <= _edge(fam, fam.param(t)) * scale
 
 
 def _reference_lag(start, step, member, h_max):
@@ -245,18 +254,19 @@ U = 2.0**-53
        points=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([-1.0, 1.0]),
                                  st.floats(0.0, 40.0), st.floats(-5.0, 5.0)),
                        min_size=1, max_size=16))
+@example(kind="shear", log_cond=0.0, seed=0, log_t=0.0, points=[(0, 1.0, 5.0, 0.0)])
+@example(kind="shear", log_cond=0.0, seed=0, log_t=13.0, points=[(0, 1.0, 5.0, 0.0)])
 def test_family_region_membership_agrees_beyond_the_margin(kind, log_cond, seed,
                                                           log_t, points):
     # family_region(fam, t).contains and contains_many agree at every point
     # whose Jordan coordinates y lie beyond a margin from D_t's boundary:
-    #   cone:  angle to the nearest boundary ray > 1.5e-12 rho/c + 32 u kappa
+    #   cone:  angle to the nearest boundary ray > 8 u (1 + rho/c) + 32 u kappa
     #   strip: ||y_off| - eps| > 1.5e-12 eps + 32 u kappa |y|
     # with c = sqrt((1 - rho)(1 + rho)), u = 2^-53, kappa = |T|_F |T^-1|_F.
-    # The 1e-12 slack of contains_many admits |y2| <= rho (1 + 1e-12) |y|,
-    # an angle of about 1e-12 rho/c past each ray (every point, once
-    # rho (1 + 1e-12) >= 1: t above about 1e12), or |y_off| up to
-    # eps (1 + 1e-12); its norms and products round by a few u, a few
-    # u rho/c in angle, well inside the other 0.5e-12 rho/c.  Roundoff
+    # The slack of contains_many admits |y2| <= (rho + 4 u c) |y|, an angle
+    # of about 4 u past each ray, or |y_off| up to eps (1 + 1e-12); its
+    # norms and products round by a few u, a few u rho/c in angle, within
+    # the other 4 u (1 + rho/c) of the cone's margin.  Roundoff
     # in kappa: the test point x = fl(T y), contains_many's T^-1 x, the
     # wedge frame fl(T W) = T (W + E) and the inverse frame's product each
     # move y by at most about 2 sqrt(2) u kappa |y|, under 16 u kappa in all.
@@ -272,7 +282,8 @@ def test_family_region_membership_agrees_beyond_the_margin(kind, log_cond, seed,
         r = math.exp(log_r)
         if fam.uses_cone:
             rho = fam.param(t)
-            margin = 1.5e-12 * rho / math.sqrt((1 - rho) * (1 + rho)) + 32 * U * kappa
+            c = math.sqrt((1 - rho) * (1 + rho))
+            margin = 8 * U * (1 + rho / c) + 32 * U * kappa
             theta = math.asin(rho)
             rays = np.array([theta, -theta, math.pi - theta, math.pi + theta])
             phi = rays[ray] + side * margin * 2.0**e
@@ -293,6 +304,15 @@ def test_family_region_membership_agrees_beyond_the_margin(kind, log_cond, seed,
     beyond = np.array(gaps) > np.array(margins)
     assert np.array_equal(region.contains(x)[beyond],
                           contains_many(fam, t, x)[beyond])
+
+
+def test_cone_stays_short_of_the_plane(shear_family):
+    # the cone's slack is an angle, which vanishes as rho -> 1: the tail
+    # axis stays outside D_t for every t with rho < 1, t below about 2^53
+    axis = shear_family.decomposition.conjugator @ np.array([0.0, 1.0])
+    for t in (1e12, 1e14, 1e15, 2.0**52):
+        assert shear_family.param(t) < 1.0 and not contains(shear_family, t, axis)
+    assert contains(shear_family, 2.0**54, axis)  # rho rounds to 1
 
 
 def test_cone_membership_scale_invariant(shear_family):
@@ -335,14 +355,15 @@ def _boundary_points(fam, t, n, rng):
 
 
 def _edge_ts(fam, lhs, scale):
-    """(t_on, t_under): param(t) * scale * SLACK equal to lhs, or to the float below it.
+    """(t_on, t_under): _edge(fam, param(t)) * scale equal to lhs, or to the float
+    below it.
 
     The threshold never decreases in t, so the last t whose threshold
     lies under lhs is found by bisection, and t_on is the float after it.
     Either is None where the threshold steps past its value.
     """
     def thr(t):
-        return fam.param(t) * scale * SLACK
+        return _edge(fam, fam.param(t)) * scale
     lo, hi = 5e-324, 1e300
     if not thr(lo) < lhs <= thr(hi):
         return None, None
