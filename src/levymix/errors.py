@@ -75,6 +75,10 @@ class ConfigError(LevymixError):
     """A configuration, matrix or region input is unreadable or malformed."""
 
 
+class FloatOverflow(LevymixError, OverflowError):
+    """A result passes the float range."""
+
+
 class SamplingFailure(LevymixError, RuntimeError):
     """A rejection sampler ran out of tries before drawing what was asked."""
 

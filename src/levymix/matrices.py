@@ -17,6 +17,7 @@ draw, by rng.stream_key, which holds its rule.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    FloatOverflow,
     IllConditioned,
     InvalidArgument,
     InvalidGenerator,
@@ -204,7 +206,7 @@ def _jordan_chains(A, lam, alg):
         M = A - lam.real * np.eye(d)
     else:
         M = A.astype(complex) - lam * np.eye(d)
-    normM = max(_opnorm(M), 1.0)
+    normM = 1.0  # max(||M||, 1) once the first power's SVD gives ||M||
     eps = np.finfo(float).eps
 
     # Nullspace filtration of M^k until the nullity reaches alg.  No fixed
@@ -223,6 +225,8 @@ def _jordan_chains(A, lam, alg):
             raise _StructureError(f"power {k} of A - lambda I overflows") from None
         Mk = Mk @ M
         _, s, Vh = np.linalg.svd(Mk)
+        if k == 1:  # ||M|| only scales the gap floor
+            normM = normMk = max(float(s[0]), 1.0)
         s = np.maximum(s, d * eps * normMk).tolist()
         # lo <= hi as the nullity is below alg and the last increment >= 1:
         # increments stay >= 1 and non-increasing, reaching alg by power alg <= d
@@ -453,7 +457,8 @@ def jordan_block_power_apply(block: RealJordanBlock, h: int, x) -> np.ndarray:
     """Apply the h-th power of a REAL Jordan block to x in closed form.
 
     Uses J_a(eta)^h = sum_j C(h, j) eta^(h-j) N^j, i.e.
-    y_l = sum_{i>=l} x_i * C(h, i-l) * eta^(h-(i-l)).
+    y_l = sum_{i>=l} x_i * C(h, i-l) * eta^(h-(i-l)).  Raises FloatOverflow
+    where a term or a sum passes the float range.
     """
     if block.kind is not BlockKind.REAL:
         raise DimensionMismatch("closed-form power applies to REAL blocks only")
@@ -464,9 +469,13 @@ def jordan_block_power_apply(block: RealJordanBlock, h: int, x) -> np.ndarray:
         raise DimensionMismatch(f"expected a vector of length {a}")
     eta = block.eigen.real
     y = np.zeros(a)
-    for ell in range(a):
-        for j in range(min(a - ell, h + 1)):
-            y[ell] += x[ell + j] * math.comb(h, j) * eta ** (h - j)
+    try:  # Python's float power or C(h, j) raises OverflowError, numpy FloatingPointError
+        with np.errstate(over="raise"):
+            for ell in range(a):
+                for j in range(min(a - ell, h + 1)):
+                    y[ell] += x[ell + j] * math.comb(h, j) * eta ** (h - j)
+    except (OverflowError, FloatingPointError):
+        raise FloatOverflow("a term of the block power overflows the float range") from None
     return y
 
 
@@ -558,6 +567,11 @@ def _walk(gens, max_len=None):
         length += 1
 
 
+def _upto(walk, max_len):
+    """The (letters, word) pairs of a _walk up to max_len letters."""
+    return itertools.takewhile(lambda item: len(item[0]) <= max_len, walk)
+
+
 def _word_class(letters):
     """Key shared by a word, its cyclic rotations, its inverse and its powers.
 
@@ -603,15 +617,17 @@ def find_noncompact_witness(generators, max_word_len=6):
     max_word_len = _count(max_word_len, "max_word_len")
     if not all(in_measure_preserving_group(g) for g in gens):
         raise InvalidGenerator("generator must have |det| = 1")
+    # the averaging step walks the words of length <= 2; the search reuses them
+    short, walk = itertools.tee(_walk(gens, max(2, max_word_len)))
     try:
-        _invariant_form(gens)
+        _invariant_form(gens, short)
         return None
     except NotCompact:
         undecided = NotReached(f"no witness up to word length {max_word_len}")
     except (IllConditioned, ConvergenceFailure) as exc:
         undecided = exc
     compact = set()  # classes of the words decided compact
-    for letters, w in _walk(gens, max_word_len):
+    for letters, w in _upto(walk, max_word_len):
         key = _word_class(letters)
         if key in compact:
             continue
@@ -675,24 +691,37 @@ def haar_average_form(generators):
     return _invariant_form(gens)
 
 
-def _invariant_form(gens):
-    """haar_average_form for checked generators, each with |det| = 1."""
+def _invariant_form(gens, walk=None):
+    """haar_average_form for checked generators, each with |det| = 1.
+
+    The averaging step takes the words of length <= 2 from walk, if
+    given: a _walk of gens to 2 letters or more, which
+    find_noncompact_witness shares with its search.  With one generator,
+    as in every cyclic_closure_compact, one SVD of its map gives the rank
+    scale and the bases of the fixed and the moved forms; more generators
+    take three.
+    """
     if any(np.max(np.abs(np.abs(_eigvals(g)) - 1.0)) > CLUSTER_TOL
            for g in gens):
         raise NotCompact("a generator has an eigenvalue off the unit circle")
     d = gens[0].shape[0]
-    words = [np.eye(d), *(w for _, w in _walk(gens, 2))]
+    short = _walk(gens, 2) if walk is None else _upto(walk, 2)
+    words = [np.eye(d), *(w for _, w in short)]
     with np.errstate(over="ignore", invalid="ignore"):
         S0 = sum(w.T @ w for w in words) / len(words)
     h0 = spd_sqrt_inverse(_bounded(S0))
     h0inv = np.linalg.inv(h0)
     U = _sym_basis(d)
     maps = [U.T @ _kron_t(h0inv @ g @ h0) @ U - np.eye(U.shape[1]) for g in gens]
-    scale = max(1.0, max(_opnorm(M) for M in maps))
-    _, s, Vh = np.linalg.svd(np.vstack(maps), full_matrices=False)
+    if len(maps) == 1:
+        Q, s, Vh = np.linalg.svd(maps[0], full_matrices=False)
+        scale, s_moved = max(1.0, float(s[0])), s
+    else:
+        scale = max(1.0, max(_opnorm(M) for M in maps))
+        _, s, Vh = np.linalg.svd(np.vstack(maps), full_matrices=False)
+        Q, s_moved, _ = np.linalg.svd(np.hstack(maps), full_matrices=False)
     F = Vh[_rank(s, scale, "fixed forms"):].T
-    Q, s, _ = np.linalg.svd(np.hstack(maps), full_matrices=False)
-    FW = np.hstack([F, Q[:, :_rank(s, scale, "moved forms")]])
+    FW = np.hstack([F, Q[:, :_rank(s_moved, scale, "moved forms")]])
     # for orthonormal F and W the least singular value is sqrt(1 - cos angle)
     if FW.shape[1] != len(FW) or _rank(np.linalg.svd(FW, compute_uv=False),
                                       1.0, "angle") < len(FW):

@@ -35,6 +35,8 @@ from .matrices import (
 )
 from .regions import BLOCK_POINTS, Piece, Region, _columns, _ordered_product
 
+WALK_BLOCK = 4096  # column-steps that one _in_family call of a cone walk tests
+
 
 @dataclass(frozen=True)
 class ShrinkingFamily:
@@ -200,20 +202,20 @@ def _sample_in_family(fam, t, n, rng, tail_floor=0.01, max_tries=1000):
 
 
 def _certified_power(fam, t, yb):
-    """H with every column of yb in the cone D_t at every power h >= H.
+    """H_i with column i of yb in the cone D_t at every power h >= H_i.
 
     On a block lam I + N the tail y_k becomes lam^h y_k and the coordinate
     before it lam^h y_(k-1) + h lam^(h-1) y_k, at least
     |lam|^h (h |y_k| / |lam| - |y_(k-1)|) in size; a pair block reads the
     norms of its last two pairs.  The tail is then at most rho times that
     coordinate once h >= |lam| (|y_(k-1)| + |y_k| / rho) / |y_k|.  Returns
-    the largest such bound as a float, inf or NaN where there is none.
+    that bound for each column, inf or NaN where there is none.
     """
     w = 2 if fam.pair else 1
     tail, prev = _norms(yb[-w:]), _norms(yb[-2 * w:-w])
     lam = abs(fam.decomposition.blocks[fam.block_index].eigen)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.max(lam * (prev + tail / fam.param(t)) / tail))
+        return lam * (prev + tail / fam.param(t)) / tail
 
 
 def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
@@ -222,11 +224,11 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
 
     Returns (h0, 0): h0 is one past the last power at which some sample
     lies outside D_{t_small}, so no (sample, h) fails from h0 on, at any
-    power.  A cone family steps the sample only up to the power that
-    _certified_power gives, past which every sample stays inside; a ball
-    of a contracting size-1 block is forward invariant, so its walk stops
-    at the first power with every sample inside.  Raises NotReached when
-    h_max bounds neither that power nor that walk.  t_small is a
+    power.  A cone family steps each sample only up to its own power
+    H_i from _certified_power, past which it stays inside; a ball of a
+    contracting size-1 block is forward invariant, so its walk stops at
+    the first power with every sample inside.  Raises NotReached when
+    h_max bounds neither the largest H_i nor that walk.  t_small is a
     positive real and t_large a real of at least t_small, n_samples >= 1
     and h_max >= 0 are integers, else InvalidArgument.
 
@@ -244,22 +246,47 @@ def absorption_lag(fam: ShrinkingFamily, t_small, t_large, n_samples=10_000,
     rng = _rng.stream(seed, "absorption")
     cur = _sample_in_family(fam, t_large, n_samples, rng)
     K = fam.decomposition.blocks[fam.block_index].materialize()
-    stop = h_max + 1
     if fam.uses_cone:
-        bound = _certified_power(fam, t_small, cur)
-        if not bound <= h_max:
-            raise NotReached(f"absorption not certified within h_max={h_max}")
-        stop = math.ceil(bound)
-    h0, p_small = 0, fam.param(t_small)
-    for h in range(stop):
-        if not _in_family(fam, p_small, cur).all():
-            h0 = h + 1
-        elif not fam.uses_cone:
+        return _cone_lag(fam, t_small, K, cur, h_max), 0
+    p_small = fam.param(t_small)
+    for h in range(h_max + 1):
+        if _in_family(fam, p_small, cur).all():
             return h, 0  # all inside a forward-invariant ball from h on
         cur = K @ cur
-    if not fam.uses_cone:
-        raise NotReached(f"absorption not reached within h_max={h_max}")
-    return h0, 0
+    raise NotReached(f"absorption not reached within h_max={h_max}")
+
+
+def _cone_lag(fam, t, K, cur, h_max):
+    """h0 of the walk of cur in D_t: column i is tested below power
+    ceil(H_i), H_i its bound from _certified_power.
+
+    Sorted by bound, the columns still to test at power h are a prefix.  A
+    block of the next powers of that prefix, at most WALK_BLOCK
+    column-steps, is stepped as cur = K @ cur and tested in one _in_family
+    call; a column whose bound falls inside the block is tested to its
+    end, as the walk over every column would.  At least two columns stay:
+    numpy steps one column by a matrix-vector product, whose bits can
+    differ from the matrix product's.
+    """
+    bound, p = _certified_power(fam, t, cur), fam.param(t)
+    if not bound.max() <= h_max:  # NaN fails too
+        raise NotReached(f"absorption not certified within h_max={h_max}")
+    order = np.argsort(-bound, kind="stable")
+    stops, cur = np.ceil(bound[order]), cur[:, order]
+    h0 = h = 0
+    while h < stops[0]:
+        live = max(int(np.count_nonzero(stops > h)), min(2, len(stops)))
+        steps = int(min(max(1, WALK_BLOCK // live), stops[0] - h))
+        block = np.empty((fam.rows, steps, live))
+        cur = cur[:, :live]
+        for k in range(steps):
+            block[:, k] = cur
+            cur = K @ cur
+        out = np.flatnonzero(~_in_family(fam, p, block).all(axis=1))
+        if len(out):
+            h0 = h + int(out[-1]) + 1
+        h += steps
+    return h0
 
 
 def null_boundary_check(fam: ShrinkingFamily, n_samples=100_000, seed=0):

@@ -351,6 +351,18 @@ def test_block_power_rejects_pairs_and_negative_h():
         lm.jordan_block_power_apply(b, -1, np.zeros(2))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_block_power_past_the_float_range_raises_a_package_error():
+    # eta^(h - j), x C(h, j) eta^(h - j) and C(h, j) itself each pass it
+    for eta, h, x in ((2.0, 1100, [1, 1]), (2.0, 1023, [1, 1]),
+                      (0.5, 10**320, [1, 1]), (2.0, 5, [1e308, 1e308])):
+        with pytest.raises(errors.FloatOverflow):
+            lm.jordan_block_power_apply(RealJordanBlock(BlockKind.REAL, 2, eta), h, x)
+    assert issubclass(errors.FloatOverflow, OverflowError)
+    top = lm.jordan_block_power_apply(RealJordanBlock(BlockKind.REAL, 2, 2.0), 1022, [1, 0])
+    assert top.tolist() == [2.0**1022, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # compactness classification
 
@@ -480,6 +492,25 @@ def test_witness_search_decides_fewer_words_than_it_walks(monkeypatch):
         counts.update(walked=0, decided=0)
         lm.find_noncompact_witness(gens)
         assert 0 < counts["decided"] < counts["walked"]
+
+
+def test_witness_search_walks_the_words_once(monkeypatch):
+    # the averaging step's words of length <= 2 are the search's first words;
+    # each word's own cyclic_closure_compact walks a single generator
+    pairs = _rotation_pairs(3, seed=1)
+    want = [_decide_every_word(gens) for gens in pairs]
+    walks = []
+    walk = matrices._walk
+    monkeypatch.setattr(matrices, "_walk",
+                        lambda gens, *rest: walks.append(len(gens)) or walk(gens, *rest))
+    for gens, w in zip(pairs, want):
+        walks.clear()
+        assert np.array_equal(lm.find_noncompact_witness(gens), w)
+        assert walks.count(2) == 1
+    walks.clear()
+    with pytest.raises(errors.NotReached):
+        lm.find_noncompact_witness(_elliptic_pair(), max_word_len=1)
+    assert walks.count(2) == 1
 
 
 def test_word_class_joins_rotations_inverses_and_powers():

@@ -595,7 +595,8 @@ def test_absorption_lag_matches_reference_loop(kind, log_cond, pair, h_max, seed
 @pytest.mark.parametrize("kind", sorted(TAGGED))
 def test_absorbed_samples_stay_inside_past_the_certified_power(kind, cond):
     # the lag's stop must survive roundoff: from H on (the certificate of a
-    # cone, the lag of a forward-invariant ball) no sample leaves D_t_small
+    # cone, the lag of a forward-invariant ball) no sample leaves D_t_small,
+    # and a cone's column i none from its own certificate ceil(H_i) on
     block = TAGGED[kind]
     d = max(block.rows, 2)
     P = _conjugator(d, cond, stream(3, "conjugator"))
@@ -605,15 +606,54 @@ def test_absorbed_samples_stay_inside_past_the_certified_power(kind, cond):
         for t_large in GRID[i + 1:]:
             cur = _sample_in_family(fam, t_large, 200, stream(0, "absorption"))
             if fam.uses_cone:
-                H = math.ceil(shrinking._certified_power(fam, t_small, cur))
+                own = np.ceil(shrinking._certified_power(fam, t_small, cur))
+                assert own.tolist() == [_reference_certificate(fam, t_small, [y])
+                                        for y in cur.T]
+                H = math.ceil(own.max())
                 assert H == _reference_certificate(fam, t_small, cur.T)
             else:
                 H, _ = lm.absorption_lag(fam, t_small, t_large, 200, 200, 0)
+                own = np.full(cur.shape[1], H)
             assert H <= 200
             for h in range(H + 501):
+                inside = _reference_contains(fam, t_small, cur.T)
+                assert inside[own <= h].all()
                 if h >= H:
-                    assert _reference_contains(fam, t_small, cur.T).all()
+                    assert inside.all()
                 cur = K @ cur
+
+
+PAIRS = [(a, b) for i, a in enumerate(GRID) for b in GRID[i + 1:]]
+LAGS = {  # absorption_lag(fam, *pair, n_samples=2000, seed=seed) over PAIRS
+    ("shear", 0): [98, 98, 94, 94, 95, 91, 91, 90, 90, 90],
+    ("shear", 1): [100, 100, 99, 99, 97, 96, 96, 95, 95, 94],
+    ("squeeze", 0): [2, 3, 4, 5, 1, 2, 4, 1, 3, 2],
+    ("squeeze", 1): [2, 3, 4, 5, 1, 2, 4, 1, 3, 2],
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(LAGS))
+def test_absorption_lags_are_pinned(name, seed, shear_family, squeeze_family):
+    fam = shear_family if name == "shear" else squeeze_family
+    assert [lm.absorption_lag(fam, *pair, n_samples=2000, seed=seed)
+            for pair in PAIRS] == [(h0, 0) for h0 in LAGS[name, seed]]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cone_walk_tests_each_sample_up_to_its_own_certificate(seed, shear_family,
+                                                                monkeypatch):
+    # the walk over every sample up to the largest certificate would test
+    # n * max ceil(H_i) columns; each sample needs its own ceil(H_i)
+    tested = []
+    member = shrinking._in_family
+    monkeypatch.setattr(shrinking, "_in_family",
+                        lambda fam, p, yb: tested.append(math.prod(yb.shape[1:]))
+                        or member(fam, p, yb))
+    assert lm.absorption_lag(shear_family, 0.2, 5.0, n_samples=2000, seed=seed) == (
+        LAGS["shear", seed][3], 0)
+    Y = _sample_in_family(shear_family, 5.0, 2000, stream(seed, "absorption")).T
+    own = [_reference_certificate(shear_family, 0.2, [y]) for y in Y]
+    assert sum(own) <= sum(tested) <= len(Y) * max(own) / 4
 
 
 def test_absorption_grid(shear_family, squeeze_family):
