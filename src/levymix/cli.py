@@ -7,7 +7,6 @@ the config's `seed` and `out` keys before the defaults.
 """
 
 import json
-import os
 import sys
 
 import click
@@ -15,7 +14,7 @@ import click
 from . import noise as _noise
 from . import shrinking as _shrinking
 from .errors import ConfigError, LevymixError, NotReached
-from .experiments import read_json, run_all
+from .experiments import read_json, run_all, write_text
 from .gallery import ALIASES, parse_matrix
 from .matrices import (
     classify_noncompact_blocks,
@@ -142,17 +141,14 @@ def verify(matrix_spec, t_grid, n_samples, h_max, seed, out_dir):
             rows.append(f"{t1!r},{t2!r},{h0},{bad}")
     outside, inside = _shrinking.null_boundary_check(fam, seed=seed)
     rows.append(f"# frac_outside_union={outside!r} frac_in_intersection={inside!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "sets_verify.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    click.echo(path)
+    click.echo(write_text(out_dir, "sets_verify.csv", "\n".join(rows) + "\n"))
 
 
 @main.command()
 @click.option("--spec", "spec_str", default="gaussian", show_default=True,
-              help="gaussian, poisson:<intensity> or deterministic:<rate>; "
-                   "a bare kind takes the library's intensity.")
+              help="gaussian (no parameter), poisson:<intensity> or "
+                   "deterministic:<rate>; a bare poisson or deterministic "
+                   "takes the library's intensity.")
 @click.option("--regions", "regions_path", required=True,
               help="JSON file with a list of region objects.")
 @click.option("--n", type=int, default=None,
@@ -176,12 +172,8 @@ def simulate(spec_str, regions_path, n, seed, out_dir):
     real = _noise.realize(spec, regions, seed=seed, **_given(n_atom_samples=n))
     dump = real.to_json()
     dump["region_masses"] = [real.value(i) for i in range(len(regions))]
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "realization.json")
-    with open(path, "w") as fh:
-        json.dump(dump, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    click.echo(path)
+    click.echo(write_text(out_dir, "realization.json",
+                          json.dumps(dump, indent=2, sort_keys=True) + "\n"))
 
 
 @main.group()

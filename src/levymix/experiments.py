@@ -8,7 +8,9 @@ measure-preserving maps, and the compact-group counterexample (an
 invariant region with non-degenerate mass: the ellipsoid that the Weyl
 conjugator makes of the unit ball, exact in every d).
 Each checks its arguments on entry by the rules in matrices; the config
-runner only converts JSON, with no check or default of its own.
+runner only converts JSON, reads each object's keys by matrices._keys
+and checks the entry names, which name the output files; it adds no
+default.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .matrices import (
     _count,
     _floats,
     _generator_list,
+    _keys,
     _real,
     as_matrix,
     cyclic_closure_compact,
@@ -387,6 +390,19 @@ def read_json(path):
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def write_text(out_dir, name, text):
+    """Write text to the file `name` in out_dir, made if missing, and
+    return its path; ConfigError naming the path for any OSError."""
+    path = os.path.join(out_dir, name)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    return path
+
+
 def default_config():
     """The canonical experiment battery: shear, squeeze and rotation."""
     unit = {"box": [[0.0, 1.0], [0.0, 1.0]]}
@@ -412,31 +428,46 @@ def default_config():
     }
 
 
-def _run_one(entry, master_seed):
+def _names(entries):
+    """Each entry's name, its kind if it has none, checked before any entry
+    runs: the kind is known, and the name is a file name that no earlier
+    entry has."""
+    names = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "kind" not in entry:
+            raise ConfigError(f"experiments[{i}]: each entry needs a 'kind'")
+        kind = entry["kind"]
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ConfigError(f"unknown experiment kind {kind!r}")
+        name = entry.get("name", kind)
+        if not isinstance(name, str) or not name:
+            raise ConfigError(f"{name!r}: a name must be a non-empty string")
+        if name in (".", "..") or "/" in name or os.sep in name:
+            raise ConfigError(f"{name}: a name must be a file name")
+        if name in names:
+            raise ConfigError(f"{name}: an earlier entry has this name")
+        names.append(name)
+    return names
+
+
+def _run_one(entry, name, master_seed):
     """One entry's experiment, on the keys it gives, converted from JSON; a
     key missing or unknown, or any LevymixError of the experiment, is a
     ConfigError that names the entry, caused by the original error."""
     kind = entry["kind"]
-    name = entry.get("name", kind)
-    if kind not in _KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    required, optional = _KINDS[kind]
-    for key in required.split():
-        if key not in entry:
-            raise ConfigError(f"{name}: missing {key!r}")
+    required, optional = (keys.split() for keys in _KINDS[kind])
+    _keys(entry, name, required, ("kind", "name", *optional))
     args = {}
     for key, value in entry.items():
         if key in ("kind", "name"):
             continue
-        if key not in f"{required} {optional}".split():
-            raise ConfigError(f"{name}: unknown key {key!r}")
         try:
             args[key] = _PARSERS[key](value) if key in _PARSERS else value
         except ConfigError as exc:
             raise ConfigError(f"{name}: {key}: {exc}") from exc
     seed = _rng.stream_key(master_seed, "experiment", name) % 2**31
     try:
-        return name, globals()[kind](**args, seed=seed)
+        return globals()[kind](**args, seed=seed)
     except LevymixError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -448,24 +479,22 @@ def run_all(config_path=None, seed_override=None, out_override=None):
     verdict is pass.
     """
     config = default_config() if config_path is None else read_json(config_path)
-    if not isinstance(config, dict) or not isinstance(config.get("experiments"), list):
-        raise ConfigError("config must be an object with an 'experiments' list")
+    _keys(config, "config", ("experiments",), ("seed", "out"))
+    entries = config["experiments"]
+    if not isinstance(entries, list):
+        raise ConfigError(f"config: need an 'experiments' list, got {entries!r}")
     seed = seed_override if seed_override is not None else config.get("seed", 0)
     out_dir = out_override if out_override is not None else config.get("out", "reports")
     if type(seed) is not int or not isinstance(out_dir, str):  # a bool is no seed
         raise ConfigError(f"config: need an integer seed and a string out, "
                           f"got {seed!r} and {out_dir!r}")
-    os.makedirs(out_dir, exist_ok=True)
+    if not entries:
+        raise ConfigError("config: the 'experiments' list is empty")
     reports = {}
-    for i, entry in enumerate(config["experiments"]):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ConfigError(f"experiments[{i}]: each entry needs a 'kind'")
-        name, report = _run_one(entry, seed)
-        reports[name] = report
-        with open(os.path.join(out_dir, f"{name}.report.json"), "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(os.path.join(out_dir, f"{name}.series.csv"), "w") as fh:
-            fh.write(report.series_csv())
+    for entry, name in zip(entries, _names(entries)):
+        report = reports[name] = _run_one(entry, name, seed)
+        write_text(out_dir, f"{name}.report.json",
+                   json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+        write_text(out_dir, f"{name}.series.csv", report.series_csv())
     exit_code = 0 if all(r.verdict == PASS for r in reports.values()) else 1
     return exit_code, reports

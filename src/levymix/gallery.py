@@ -12,7 +12,8 @@ import numpy as np
 from . import rng as _rng
 from .errors import (ConfigError, InvalidArgument, LevymixError,
                      SamplingFailure)
-from .matrices import BlockKind, RealJordanBlock, as_matrix, assemble_jordan
+from .matrices import (BlockKind, RealJordanBlock, _keys, as_matrix,
+                       assemble_jordan)
 
 
 def shear():
@@ -40,15 +41,15 @@ ALIASES = {
 def parse_matrix(obj):
     """Matrix from an alias name or a {"rows": ..., "d": ...} object.
 
-    An unknown alias, rows that are not a finite square matrix, and a
-    declared "d" other than the row count raise ConfigError.
+    An unknown alias, an object without "rows" or with any key but "rows"
+    and "d", rows that are not a finite square matrix, and a declared "d"
+    other than the row count raise ConfigError.
     """
     if isinstance(obj, str):
         if obj not in ALIASES:
             raise ConfigError(f"unknown matrix alias {obj!r}")
         return ALIASES[obj]()
-    if not (isinstance(obj, dict) and "rows" in obj):
-        raise ConfigError("matrix: expected an alias string or a rows object")
+    _keys(obj, "matrix", ("rows",), ("d",))
     try:
         A = as_matrix(obj["rows"], "rows")
     except LevymixError as exc:

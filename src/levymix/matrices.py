@@ -27,6 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConvergenceFailure,
     DimensionMismatch,
     FloatOverflow,
@@ -112,6 +113,20 @@ def _floats(value, name):
         raise InvalidArgument(
             f"{name} must be an array of real numbers: {exc}") from None
     return a.astype(float, copy=False)
+
+
+def _keys(obj, where, required, optional=()):
+    """obj, if a JSON object that gives every key of `required` and no key
+    outside `required` and `optional`; else ConfigError after `where`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where}: missing {key!r}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    return obj
 
 
 def matrix_to_json(A) -> dict:

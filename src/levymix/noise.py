@@ -31,7 +31,8 @@ class NoiseSpec:
     """Infinitely divisible marginal family, indexed by measure t.
 
     gaussian: Normal(0, t); poisson: Poisson(intensity * t);
-    deterministic: point mass at rate * t.  A poisson intensity is positive.
+    deterministic: point mass at rate * t.  A poisson intensity is
+    positive; a gaussian spec takes none, so its intensity stays 1.0.
     """
 
     kind: str
@@ -41,6 +42,9 @@ class NoiseSpec:
         if self.kind not in (GAUSSIAN, POISSON, DETERMINISTIC):
             raise UnsupportedKind(f"unknown noise kind {self.kind!r}")
         _real(self.intensity, f"{self.kind} intensity", positive=self.kind == POISSON)
+        if self.kind == GAUSSIAN and self.intensity != 1.0:
+            raise InvalidArgument(f"gaussian noise takes no intensity, "
+                                  f"got {self.intensity!r}")
 
     def sample_mass(self, measure, rng, size):
         """`size` draws from the marginal law at parameter `measure`."""
@@ -120,29 +124,27 @@ def _sample_points_in_atom(atoms, atom_index, regions, count, rng,
 
 
 def realize(spec: NoiseSpec, regions, n_atom_samples=100_000, seed=0,
-            atoms: AtomTable = None, replicate=0) -> NoiseRealization:
+            atoms: AtomTable = None) -> NoiseRealization:
     """One noise realization over the atom partition of `regions`.
 
-    The atom values are row `replicate` of
-    realize_masses(spec, atoms, replicate + 1, seed), and so of every
-    realize_masses call with more rows.  Poisson points are placed in
-    atom i by rejection from the stream (seed, "points", i, replicate),
-    as many as the atom's count; counts summing above MAX_POISSON_POINTS
-    raise InvalidArgument before any point is placed.  The complement
-    atom (outside every region) gets no mass.
+    The atom values are row 0 of realize_masses(spec, atoms, n, seed) at
+    every n.  Poisson points are placed in atom i by rejection from the
+    stream (seed, "points", i, 0), as many as the atom's count; counts
+    summing above MAX_POISSON_POINTS raise InvalidArgument before any
+    point is placed.  The complement atom (outside every region) gets no
+    mass.
     """
-    replicate = _count(replicate, "replicate")
     regions = tuple(regions)
     if atoms is None:
         atoms = atomize(regions, n=n_atom_samples, seed=seed)
-    values = realize_masses(spec, atoms, replicate + 1, seed)[replicate]
+    values = realize_masses(spec, atoms, 1, seed)[0]
     if spec.kind == POISSON and values.sum() > MAX_POISSON_POINTS:
         raise InvalidArgument(f"{values.sum():.0f} Poisson points exceed "
                               f"the bound of {MAX_POISSON_POINTS}")
     empty = np.empty((0, atoms.bounding_box.shape[0]))
     points = tuple(
         _sample_points_in_atom(atoms, i, regions, int(v),
-                               _rng.stream(seed, "points", i, replicate))
+                               _rng.stream(seed, "points", i, 0))
         if spec.kind == POISSON and v else empty
         for i, v in enumerate(values))
     return NoiseRealization(spec, atoms, values, points, seed)
@@ -201,7 +203,7 @@ def gaussian_conditional_samples(f, s, lam_C, n, rng):
     evaluated by 32-node Gauss-Hermite quadrature.
     """
     r = max(lam_C - s, 0.0)
-    v = rng.normal(0.0, np.sqrt(max(s, 0.0)), size=n)
+    v = NoiseSpec(GAUSSIAN).sample_mass(max(s, 0.0), rng, n)
     if r <= 1e-14:
         return np.asarray(f(v), dtype=float)
     nodes, weights = _hermite_rule()

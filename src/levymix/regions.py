@@ -52,7 +52,7 @@ from .errors import (
     SingularMatrix,
     UnboundedRegion,
 )
-from .matrices import _count, _floats, as_matrix, matrix_to_json
+from .matrices import _count, _floats, _keys, as_matrix, matrix_to_json
 
 TABLE_SIZE_CAP = 1 << 20  # elements of a region's membership table
 TABLE_POINTS = 128  # a table is read for up to this many points per axis box
@@ -299,9 +299,6 @@ class Region:
         """The pieces' Piece._reach_terms, one row each."""
         return np.stack([p._reach_terms for p in self.pieces])
 
-    def bounding_box(self):
-        return _hull(self.pieces)
-
     def is_axis_aligned(self):
         return all(p.is_axis_aligned() for p in self.pieces)
 
@@ -314,18 +311,22 @@ class Region:
 
     @staticmethod
     def from_json(obj):
-        """Region from {"box": [[lo, hi], ...]} or a to_json() object."""
-        if not isinstance(obj, dict) or not {"box", "pieces"} & obj.keys():
-            raise ConfigError("region: expected a box or pieces object")
+        """Region from {"box": [[lo, hi], ...]} or a to_json() object:
+        exactly one of "box" and "pieces", each piece a "frame" and a
+        "box", and an optional boolean "disjoint"."""
+        _keys(obj, "region", (), ("box", "pieces", "disjoint"))
+        if ("box" in obj) == ("pieces" in obj):
+            raise ConfigError("region: need exactly one of 'box' and 'pieces'")
         disjoint = obj.get("disjoint", True)
         if not isinstance(disjoint, bool):
             raise ConfigError(f"region: disjoint must be true or false, got {disjoint!r}")
         try:
             if "box" in obj:
                 return box_region(obj["box"])
-            pieces = [Piece(e["frame"], e["box"]) for e in obj["pieces"]]
+            pieces = [Piece(**_keys(e, f"pieces[{i}]", ("frame", "box")))
+                      for i, e in enumerate(obj["pieces"])]
             return Region(tuple(pieces), disjoint=disjoint)
-        except (LevymixError, LookupError, TypeError) as exc:
+        except (LevymixError, TypeError) as exc:
             raise ConfigError(f"region: {exc}") from exc
 
 

@@ -5,22 +5,17 @@ any worker can rebuild its stream independently of evaluation order.
 """
 
 import hashlib
-import operator
+import math
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .matrices import _count
 
 
 def stream_key(seed, *path):
     """Derive a stable 128-bit Philox key from a seed and a path of labels.
     Every seed is read here: an integer of any sign, not a bool."""
-    try:
-        if isinstance(seed, bool):
-            raise TypeError
-        parts = [str(operator.index(seed)), *map(str, path)]
-    except TypeError:
-        raise InvalidArgument(f"seed must be an integer, got {seed!r}") from None
+    parts = [str(_count(seed, "seed", least=-math.inf)), *map(str, path)]
     digest = hashlib.sha256("/".join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "little")
 

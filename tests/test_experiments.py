@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -455,9 +456,10 @@ def test_run_all_config_errors(tmp_path):
     with pytest.raises(errors.ConfigError, match="experiments"):
         run_all(str(nolist))
     unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"experiments": [{"kind": "nope"}]}))
-    with pytest.raises(errors.ConfigError, match="unknown experiment"):
-        run_all(str(unknown), out_override=str(tmp_path))
+    for kind in ("nope", [], 5):
+        unknown.write_text(json.dumps({"experiments": [{"kind": kind}]}))
+        with pytest.raises(errors.ConfigError, match="unknown experiment"):
+            run_all(str(unknown), out_override=str(tmp_path))
     alias = tmp_path / "alias.json"
     alias.write_text(json.dumps({"experiments": [
         {"kind": "mixing_curve", "g": "no-such-matrix",
@@ -472,9 +474,28 @@ def test_run_all_config_errors(tmp_path):
         bad.write_text(json.dumps({key: value, "experiments": []}))
         with pytest.raises(errors.ConfigError, match="integer seed and a string out"):
             run_all(str(bad))
+    for config, match in (({"sed": 5, "experiments": []}, "config: unknown key 'sed'"),
+                          ({"experiments": []}, "'experiments' list is empty")):
+        bad.write_text(json.dumps(config))
+        with pytest.raises(errors.ConfigError, match=match):
+            run_all(str(bad))
     unit = {"box": [[0, 1], [0, 1]]}
+    piece = {"frame": [[1, 0], [0, 1]], "box": [[0, 1], [0, 1]]}
     for entry, match in (
             ({"kind": "mixing_curve", "C": unit}, "missing 'g'"),
+            ({"kind": "mixing_curve", "g": {"rows": [[1, 0], [0, 1]], "dd": 3},
+              "C": unit}, "g: matrix: unknown key 'dd'"),
+            ({"kind": "mixing_curve", "g": "shear",
+              "C": {"pieces": [piece, piece], "disjont": False}},
+             "C: region: unknown key 'disjont'"),
+            ({"kind": "mixing_curve", "g": "shear", "C": {**unit, "pieces": [piece]}},
+             "C: region: need exactly one of 'box' and 'pieces'"),
+            ({"kind": "mixing_curve", "g": "shear", "C": {"disjoint": True}},
+             "C: region: need exactly one of 'box' and 'pieces'"),
+            ({"kind": "mixing_curve", "g": "shear",
+              "C": {"pieces": [piece, {"box": unit["box"]}]}}, "missing 'frame'"),
+            ({"kind": "mixing_curve", "g": "shear",
+              "C": {"pieces": [{**piece, "boxes": []}]}}, "unknown key 'boxes'"),
             ({"kind": "tail_triviality_decay", "g": "shear"}, "missing 'C'"),
             ({"kind": "equivariance_check", "g": "shear", "C": unit},
              "missing 'B'"),
@@ -962,19 +983,42 @@ def test_cli_has_no_format_option():
       for name in ("experiments", "seed_text", "seed_float", "out")),
     *(["simulate", "--regions", f"{name}.json"]
       for name in ("five", "null", "one_region", "disjoint_text")),
+    ["simulate", "--spec", "gaussian:2", "--regions", "regions.json"],
+    *(["experiment", "run", "--config", f"config_{name}.json"]
+      for name in ("empty", "sed")),
+    *(["simulate", "--regions", f"{name}.json"]
+      for name in ("disjont", "box_and_pieces")),
+    ["jordan", "--matrix", "matrix_dd.json"],
+    # an existing file given as the output directory
+    ["experiment", "run", "--config", "config_demo.json", "--out", "taken"],
+    ["sets", "verify", "--matrix", "squeeze", "--t-grid", "0.5,1", "--out", "taken"],
+    ["simulate", "--regions", "regions.json", "--out", "taken"],
 ])
 def test_cli_errors_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
+    demo = {"kind": "compact_invariant_demo", "generators": ["rotation90"],
+            "n_reps": 100}
     for name, config in (("experiments", {"experiments": 5}),
                          ("seed_text", {"seed": "x", "experiments": []}),
                          ("seed_float", {"seed": 1.5, "experiments": []}),
-                         ("out", {"out": 5, "experiments": []})):
+                         ("out", {"out": 5, "experiments": []}),
+                         ("empty", {"experiments": []}),
+                         ("sed", {"sed": 5, "experiments": [demo]}),
+                         ("demo", {"experiments": [demo]})):
         (tmp_path / f"config_{name}.json").write_text(json.dumps(config))
     (tmp_path / "five.json").write_text("5")
     (tmp_path / "null.json").write_text("null")
     (tmp_path / "one_region.json").write_text(json.dumps({"box": [[0, 1], [0, 1]]}))
     (tmp_path / "disjoint_text.json").write_text(json.dumps([{"pieces": [
         {"frame": [[1, 0], [0, 1]], "box": [[0, 1], [0, 1]]}], "disjoint": "false"}]))
+    piece = {"frame": [[1, 0], [0, 1]], "box": [[0, 1], [0, 1]]}
+    (tmp_path / "disjont.json").write_text(json.dumps([
+        {"pieces": [piece, piece], "disjont": False}]))
+    (tmp_path / "box_and_pieces.json").write_text(json.dumps([
+        {"box": [[0, 1], [0, 1]], "pieces": [piece]}]))
+    (tmp_path / "matrix_dd.json").write_text(json.dumps(
+        {"rows": [[1, 0], [0, 1]], "dd": 3}))
+    (tmp_path / "taken").write_text("")
     (tmp_path / "regions.json").write_text(json.dumps([{"box": [[0, 1], [0, 1]]}]))
     (tmp_path / "rotated.json").write_text(json.dumps([{"pieces": [
         {"frame": [[0.6, -0.8], [0.8, 0.6]], "box": [[0, 1], [0, 1]]}]}]))
@@ -1082,11 +1126,11 @@ def test_argument_checks_raise_invalid_argument():
         lambda: noise.NoiseSpec(noise.POISSON, -1.0),
         lambda: noise.NoiseSpec(noise.POISSON, float("inf")),
         lambda: noise.NoiseSpec(noise.DETERMINISTIC, float("nan")),
+        *(lambda v=v: noise.NoiseSpec(noise.GAUSSIAN, v)  # takes no intensity
+          for v in (2.0, 0.5, 0.0, -1.0)),
         lambda: noise.realize_masses(gauss, atoms, -1),
         lambda: noise.realize_masses(gauss, atoms, 2.0),
         lambda: noise.realize_masses(gauss, atoms, "3"),
-        lambda: noise.realize(gauss, [UNIT], atoms=atoms, replicate=-1),
-        lambda: noise.realize(gauss, [UNIT], atoms=atoms, replicate=0.5),
         lambda: noise.realize_masses(noise.NoiseSpec(noise.POISSON, 1e300),
                                      atoms, 1),
         lambda: noise.realize_masses(noise.NoiseSpec(noise.DETERMINISTIC, 1e308),
@@ -1148,6 +1192,72 @@ def test_battery_output_is_pinned(tmp_path, seed):
     for path in files:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == BATTERY_SHA256[seed]
+
+
+# regions of the pinned `simulate` runs: an axis box, a rotated piece
+# that overlaps it, and a box that meets both
+PIN_REGIONS = [
+    {"box": [[0, 2], [0, 1]]},
+    {"pieces": [{"frame": [[0.8, -0.6], [0.6, 0.8]], "box": [[0.5, 1.5], [0, 1]]}]},
+    {"box": [[1, 3], [0, 2]]},
+]
+# sha256 of the file that each command writes; a change that moves its
+# bytes updates it here
+OUTPUT_SHA256 = {
+    "verify-shear": (["sets", "verify", "--matrix", "shear", "--seed", "0"],
+                     "sets_verify.csv",
+                     "930d33e018a50058a7f10d024fd790bb9bfc7cba2b1e9d154e01e5970644fe53"),
+    "verify-squeeze": (["sets", "verify", "--matrix", "squeeze", "--seed", "0"],
+                       "sets_verify.csv",
+                       "4b9d383b4154b48fc4f362ce35e1d5466c3b1e2caccec02bbb736c21d19bc86f"),
+    "simulate-poisson": (["simulate", "--spec", "poisson:3", "--regions",
+                          "regions.json", "--seed", "0"], "realization.json",
+                         "ee5c76584bf50831520d2a71481500f40a3fc040b3aa35099a8161f70341119e"),
+    "simulate-gaussian": (["simulate", "--spec", "gaussian", "--regions",
+                           "regions.json", "--seed", "1"], "realization.json",
+                          "bb460824ba92b068ecc613eaf9c1fceaa3e71425eb707c22999535271214e7cd"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_SHA256))
+def test_sets_verify_and_simulate_output_is_pinned(tmp_path, monkeypatch, case):
+    argv, name, sha256 = OUTPUT_SHA256[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "regions.json").write_text(json.dumps(PIN_REGIONS))
+    res = CliRunner().invoke(main, argv + ["--out", "out"])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == sha256
+
+
+def test_run_all_names_are_distinct_file_names(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    mix = {"kind": "mixing_curve", "g": "rotation",
+           "C": {"box": [[0.0, 1.0], [0.0, 1.0]]}, "m_max": 2, "n_reps": 200}
+    demo = {"kind": "compact_invariant_demo", "generators": ["rotation90"],
+            "n_reps": 200}
+    cfg = tmp_path / "cfg.json"
+    # run alone, the first entry named `same` does not pass
+    cfg.write_text(json.dumps({"experiments": [{**mix, "name": "same"}]}))
+    code, reports = run_all(str(cfg), out_override="alone")
+    assert code == 1 and reports["same"].verdict == experiments.INCONCLUSIVE
+    for entries, match in (
+            ([{**mix, "name": "a/b"}], "a/b: "),
+            ([{**mix, "name": f"a{os.sep}b"}], f"a{os.sep}b: "),
+            ([{**mix, "name": "."}], ".: "),
+            ([{**mix, "name": ".."}], "..: "),
+            ([{**mix, "name": ""}], "'': "),
+            ([{**mix, "name": 5}], "5: "),
+            ([{**mix, "name": None}], "None: "),
+            ([{**mix, "name": "same"}, {**demo, "name": "same"}], "same: "),
+            ([demo, demo], "compact_invariant_demo: ")):
+        cfg.write_text(json.dumps({"experiments": entries}))
+        with pytest.raises(errors.ConfigError, match=f"^{re.escape(match)}"):
+            run_all(str(cfg), out_override="out")
+        res = CliRunner().invoke(main, ["experiment", "run", "--config", str(cfg),
+                                        "--out", "out"])
+        assert res.exit_code == 2 and res.stderr.startswith(f"error: {match}")
+    # names are checked before any entry runs
+    assert not (tmp_path / "out").exists()
 
 
 _WATCH_SCIPY = """

@@ -51,20 +51,19 @@ def test_additivity_exact_all_kinds():
 def test_realize_is_a_row_of_realize_masses(kind):
     regions = [box_region(np.array([[0.0, 1.0], [0.0, 1.0]])),
                box_region(np.array([[0.5, 1.5], [0.0, 1.0]]))]
-    spec = NoiseSpec(kind, 3.0)
+    spec = NoiseSpec(kind) if kind == GAUSSIAN else NoiseSpec(kind, 3.0)
     atoms = atomize(regions, n=0)
     rows = realize_masses(spec, atoms, 8, seed=3)
-    for r in (0, 1, 5):
-        got = realize(spec, regions, seed=3, atoms=atoms, replicate=r)
-        assert got.atom_values.tobytes() == rows[r].tobytes()
-        for n in (r + 1, 50):
-            row = realize_masses(spec, atoms, n, seed=3)[r]
-            assert row.tobytes() == rows[r].tobytes()
-        again = realize(spec, regions, seed=3, atoms=atoms, replicate=r)
-        assert again.atom_values.tobytes() == got.atom_values.tobytes()
-    # without a table, realize atomizes at its own seed; rows still match
-    real = realize(spec, regions, n_atom_samples=5_000, seed=3, replicate=1)
-    want = realize_masses(spec, real.atoms, 2, seed=3)[1]
+    got = realize(spec, regions, seed=3, atoms=atoms)
+    assert got.atom_values.tobytes() == rows[0].tobytes()
+    for n in (1, 50):
+        row = realize_masses(spec, atoms, n, seed=3)[0]
+        assert row.tobytes() == rows[0].tobytes()
+    again = realize(spec, regions, seed=3, atoms=atoms)
+    assert again.atom_values.tobytes() == got.atom_values.tobytes()
+    # without a table, realize atomizes at its own seed; row 0 still matches
+    real = realize(spec, regions, n_atom_samples=5_000, seed=3)
+    want = realize_masses(spec, real.atoms, 1, seed=3)[0]
     assert real.atom_values.tobytes() == want.tobytes()
     if kind != DETERMINISTIC:
         assert not np.array_equal(rows[0], rows[1])
@@ -99,7 +98,8 @@ def _split_families(draw):
 @given(family=_split_families(), kind=st.sampled_from([POISSON, GAUSSIAN]),
        seed=st.integers(0, 2**31 - 1))
 def test_realize_is_exactly_additive_over_disjoint_regions(family, kind, seed):
-    real = realize(NoiseSpec(kind, 5.0), family, n_atom_samples=2_000, seed=seed)
+    spec = NoiseSpec(kind, 5.0) if kind == POISSON else NoiseSpec(kind)
+    real = realize(spec, family, n_atom_samples=2_000, seed=seed)
     atoms = [real.atoms.atoms_of_region(i) for i in range(3)]
     # A u B holds exactly the atoms of A and those of B, and none twice
     assert not set(atoms[0]) & set(atoms[1])
@@ -117,9 +117,9 @@ def test_realize_is_exactly_additive_over_disjoint_regions(family, kind, seed):
 def test_poisson_points_consistent_with_masses():
     regions = _boxes()
     atoms = atomize(regions, n=0)
-    for r in (0, 1, 5):
-        real = realize(NoiseSpec(POISSON, intensity=30.0), regions, seed=7,
-                       atoms=atoms, replicate=r)
+    for seed in (7, 8, 12):
+        real = realize(NoiseSpec(POISSON, intensity=30.0), regions, seed=seed,
+                       atoms=atoms)
         pts = real.points()
         assert pts.shape[1] == 2
         for i, region in enumerate(regions):

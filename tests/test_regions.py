@@ -15,6 +15,7 @@ from levymix.regions import (
     AtomTable,
     Piece,
     Region,
+    _hull,
     _overlap,
     _stratified_blocks,
     atomize,
@@ -243,7 +244,7 @@ def test_planar_overlap_properties(r1, r2, g, seed):
     # sample cell can be missed by every stratum, so allow one sample's area
     n = 20_000
     mc, mc_err = intersection_volume(r1, r2, method="mc", n=n, seed=seed)
-    bounds = r1.bounding_box()
+    bounds = _hull(r1.pieces)
     cell = float(np.prod(bounds[:, 1] - bounds[:, 0])) / n
     assert abs(est - mc) <= 4.0 * mc_err + cell
     assert abs(est - intersection_volume(r2, r1)[0]) <= 1e-12
@@ -774,7 +775,7 @@ def _face_points(region, rng, cap=30_000):
     d = region.dim
     axes = []
     for k in range(d):
-        ends = np.unique(region.bounding_box()[k].tolist() + [
+        ends = np.unique(_hull(region.pieces)[k].tolist() + [
             v for p in region.pieces if p.is_axis_aligned() for v in p.intervals()[k]])
         axes.append(np.concatenate([
             ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf),
@@ -1015,7 +1016,7 @@ def test_culling_never_changes_an_answer(d, offset, monkeypatch):
     region = Region(tuple(Piece(f, box + np.linalg.solve(f, np.full(d, offset))[:, None])
                           for f, box in zip(frames, boxes)), disjoint=False)
     pts = np.concatenate([_near_face_points(p, rng, 600) for p in region.pieces]
-                         + [rng.uniform(*region.bounding_box().T, (600, d))])
+                         + [rng.uniform(*_hull(region.pieces).T, (600, d))])
     pts = pts[np.argsort(pts[:, 0], kind="stable")]
     width = 7  # rows of 7 points as tight as their first coordinates
     pts = np.concatenate([pts, np.repeat(pts[-1:], -len(pts) % width, axis=0)])
@@ -1052,11 +1053,11 @@ def test_culled_sampling_matches_whole_block_classifier(cond):
     # the overlap estimate from whole blocks of the same points
     r1, r2 = family[0], family[1]
     for n in (3_000, 20_000):
-        k, m, blocks = _stratified_blocks(r1.bounding_box(), n, _rng.stream(2, "overlap"))
+        k, m, blocks = _stratified_blocks(_hull(r1.pieces), n, _rng.stream(2, "overlap"))
         hits = np.concatenate([(_whole_block_contains(r1, c) & _whole_block_contains(r2, c))
                                for c, _ in blocks])
         p_hat = hits.reshape(-1, m).mean(axis=1)
-        bounds = r1.bounding_box()
+        bounds = _hull(r1.pieces)
         vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
         est = vbox * float(p_hat.mean())
         err = vbox * float(np.sqrt(float(np.sum(p_hat * (1 - p_hat) / (m - 1))) / k**2))
