@@ -129,7 +129,7 @@ def verify(matrix_spec, t_grid, n_samples, h_max, seed, out_dir):
     """Verify absorption and null-boundary properties; emit a CSV report."""
     fam = _shrinking.build_family(_load_matrix(matrix_spec))
     try:
-        grid = sorted(float(t) for t in t_grid.split(","))
+        grid = sorted({float(t) for t in t_grid.split(",")})  # pairs t1 < t2
     except ValueError as exc:
         raise ConfigError(f"--t-grid {t_grid}: {exc}") from exc
     rows = ["t_small,t_large,h0,violations"]

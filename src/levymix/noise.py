@@ -18,7 +18,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import InvalidArgument, SamplingFailure, UnsupportedKind
 from .matrices import _count, _real, as_matrix
-from .regions import BLOCK_POINTS, AtomTable, Region, atomize
+from .regions import BLOCK_POINTS, AtomTable, Region, _memberships, atomize
 
 GAUSSIAN = "gaussian"
 POISSON = "poisson"
@@ -97,12 +97,13 @@ class NoiseRealization:
         return out
 
 
-def _sample_points_in_atom(atoms, atom_index, regions, count, rng,
+def _sample_points_in_atom(atoms, atom_index, members, count, rng,
                            max_tries=10_000):
-    """Uniform points in one atom via rejection against its signature: the
-    first `count` hits among the points of rng's stream, however batches
-    cut it.  Each batch is sized to hold about four times the missing
-    points at the atom's share of the box, max(64, ceil(4 missing /
+    """Uniform points in one atom via rejection against its signature, the
+    points classified by `members` (regions._memberships of the family):
+    the first `count` hits among the points of rng's stream, however
+    batches cut it.  Each batch is sized to hold about four times the
+    missing points at the atom's share of the box, max(64, ceil(4 missing /
     share)), capped at BLOCK_POINTS."""
     bounds = atoms.bounding_box
     d = bounds.shape[0]
@@ -114,8 +115,7 @@ def _sample_points_in_atom(atoms, atom_index, regions, count, rng,
         batch = min(max(64, math.ceil(4 * (count - len(out)) / share)), BLOCK_POINTS)
         pts = bounds[:, 0] + rng.random((batch, d)) * (bounds[:, 1] - bounds[:, 0])
         cols = np.ascontiguousarray(pts.T)
-        hit = np.logical_and.reduce([r._contains_columns(cols) == s
-                                     for r, s in zip(regions, sig)])
+        hit = np.logical_and.reduce([m == s for m, s in zip(members(cols), sig)])
         out = np.vstack([out, pts[hit]])
         tries += 1
     if len(out) < count:
@@ -142,8 +142,9 @@ def realize(spec: NoiseSpec, regions, n_atom_samples=100_000, seed=0,
         raise InvalidArgument(f"{values.sum():.0f} Poisson points exceed "
                               f"the bound of {MAX_POISSON_POINTS}")
     empty = np.empty((0, atoms.bounding_box.shape[0]))
+    members = _memberships(regions)
     points = tuple(
-        _sample_points_in_atom(atoms, i, regions, int(v),
+        _sample_points_in_atom(atoms, i, members, int(v),
                                _rng.stream(seed, "points", i, 0))
         if spec.kind == POISSON and v else empty
         for i, v in enumerate(values))

@@ -17,15 +17,23 @@ so no array of the whole sample is built.  Each block is drawn as d
 contiguous rows of coordinates.  A row of strata along axis 0 holds its
 points between known bounds, so each piece is compared only on the rows
 its reach meets: its first-axis interval if it is an axis box, else its
-bounds widened by a proven rounding pad (Piece._reach_terms).  An atom's
-signature is coded as one integer per point; up to 16 regions (2**count
-codes no more than a block) each block's codes are counted by
+bounds widened by a proven rounding pad (Piece._reach_terms).  A piece
+that two or more regions of a family hold (equal frame and box bytes) is
+compared once per block, and each of them ORs in that one result.  An
+atom's signature is coded as one integer per point; up to 16 regions
+(2**count codes no more than a block) each block's codes are counted by
 np.bincount, and wider families gather all the codes for np.unique.
+
+A piece computes its bounds once, and a region stacks its pieces' bounds
+and axis intervals once; these cached arrays are read-only.
 
 Membership is closed at every face.  Two or more axis boxes of a region
 are painted once on a table of the faces and cells their endpoints cut:
 each box marks its corners in a difference array, and cumulative sums
-along every axis count the boxes over each element.  Up to TABLE_POINTS
+along every axis count the boxes over each element.  The exact sweep
+paints every region of a family in one pass on the cells of all their
+endpoints, on a difference array with a leading region axis, as many
+regions at a time as fit in TABLE_SIZE_CAP elements.  Up to TABLE_POINTS
 points per box are looked up in it by one searchsorted pass per axis,
 more points are compared box by box.  Any other piece maps points to box
 coordinates through its inverse frame, computed once, summing each
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
+from math import prod
 
 import numpy as np
 
@@ -70,27 +79,46 @@ def _columns(points, d):
 
 def _cuts(ivs):
     """Sorted distinct endpoints per axis of a (k, d, 2) interval array."""
-    return [np.array(sorted(set(a.ravel().tolist()))) for a in ivs.swapaxes(0, 1)]
+    ends = np.sort(ivs.swapaxes(0, 1).reshape(ivs.shape[1], -1), axis=1)
+    new = np.ones(ends.shape, dtype=bool)
+    new[:, 1:] = ends[:, 1:] != ends[:, :-1]
+    return [row[keep] for row, keep in zip(ends, new)]
 
 
 def _paint(intervals, cuts):
-    """Table of the elements that closed boxes with endpoints among the cuts
+    """Tables, one per (k, d, 2) interval array of `intervals` in turn, of
+    the elements that its closed boxes, with endpoints among the cuts,
     cover: 2j + 1 is the face at cut j, 2j + 2 the open cell after it, the
     count searchsorted(edges, x, "right") gives for edges (cut, float up).
-    Each box adds +-1 at its 2**d corners of an int32 difference array, one
-    past the box on each upper side; a cumsum along every axis then counts
-    the boxes over each element."""
-    shape = tuple(2 * len(c) + 1 for c in cuts)
-    ends = np.stack([2 * np.searchsorted(c, intervals[:, k]) + 1
-                     for k, c in enumerate(cuts)], axis=1)
-    upper = np.indices((2,) * len(cuts)).reshape(len(cuts), -1)
-    corners = tuple((ends[:, k, up] + up).ravel() for k, up in enumerate(upper))
+    As many arrays as fit in TABLE_SIZE_CAP elements (at least one) are
+    painted at a time on one int32 difference array with a leading array
+    axis: each box adds +-1 at its 2**d corners, one past the box on each
+    upper side, and a cumsum along every other axis counts the boxes of
+    each array over each element."""
+    d = len(cuts)
+    shape = tuple(2 * len(c) + 2 for c in cuts)  # the table and one past it
+    upper = np.indices((2,) * d).reshape(d, -1)
     signs = np.where(upper.sum(axis=0) % 2, -1, 1).astype(np.int32)
-    count = np.zeros(tuple(n + 1 for n in shape), dtype=np.int32)
-    np.add.at(count, corners, np.tile(signs, len(ends)))
-    for k in range(len(cuts)):
-        np.cumsum(count, axis=k, out=count)
-    return count[tuple(slice(n) for n in shape)] > 0
+    step = max(TABLE_SIZE_CAP // prod(shape), 1)
+    for first in range(0, len(intervals), step):
+        chunk = intervals[first:first + step]
+        ivs = np.concatenate(chunk)
+        ends = np.stack([2 * np.searchsorted(c, ivs[:, k]) + 1
+                         for k, c in enumerate(cuts)], axis=1)
+        owner = np.repeat(np.arange(len(chunk)), [len(iv) << d for iv in chunk])
+        count = np.zeros((len(chunk),) + shape, dtype=np.int32)
+        np.add.at(count, (owner, *((ends[:, k, up] + up).ravel()
+                                   for k, up in enumerate(upper))),
+                  np.tile(signs, len(ivs)))
+        for k in range(1, d + 1):
+            np.cumsum(count, axis=k, out=count)
+        yield from count[(slice(None),) + tuple(slice(n - 1) for n in shape)] > 0
+
+
+def _read_only(a):
+    """`a`, flagged read-only: a cache shared by every caller."""
+    a.flags.writeable = False
+    return a
 
 
 def _ordered_product(a, cols):
@@ -129,7 +157,12 @@ class Piece:
             return None
         cols = big.argmax(axis=1)
         scale = self.frame[np.arange(len(cols)), cols]
-        return np.sort(scale[:, None] * self.box[cols], axis=1)
+        return _read_only(np.sort(scale[:, None] * self.box[cols], axis=1))
+
+    @cached_property
+    def _key(self):
+        """The frame and box bytes: pieces with equal keys are one set."""
+        return self.frame.tobytes(), self.box.tobytes()
 
     @property
     def dim(self):
@@ -153,14 +186,19 @@ class Piece:
     def bounds(self):
         """Per-axis [lo, hi] of the smallest axis box holding the piece: from
         its corners if bounded, else the sums of the terms frame[i, j] * box[j]."""
+        return self._bounds
+
+    @cached_property
+    def _bounds(self):
         if self._intervals is not None:
             return self._intervals
         if np.isfinite(self.box).all():
             corners = self.corners()
-            return np.column_stack([corners.min(axis=0), corners.max(axis=0)])
+            return _read_only(np.column_stack([corners.min(axis=0),
+                                               corners.max(axis=0)]))
         F = self.frame[:, :, None]  # a zero entry adds no term, and no 0 * inf
         terms = np.multiply(F, self.box, where=F != 0, out=np.zeros(F.shape[:2] + (2,)))
-        return np.sort(terms, axis=2).sum(axis=1)
+        return _read_only(np.sort(terms, axis=2).sum(axis=1))
 
     @cached_property
     def _inverse(self):
@@ -183,13 +221,16 @@ class Piece:
 
     def _contains_columns(self, cols):
         """Membership of the points given as d rows of coordinates."""
-        bounds = self._intervals
-        if bounds is None:
-            with np.errstate(over="ignore", invalid="ignore"):  # NaN compares False
-                cols, bounds = _ordered_product(self._inverse, cols), self.box
         out = np.ones(cols.shape[1], dtype=bool)
-        for row, (lo, hi) in zip(cols, bounds):
-            out &= (row >= lo) & (row <= hi)
+        if self._intervals is not None:
+            for row, (lo, hi) in zip(cols, self._intervals):
+                out &= (row >= lo) & (row <= hi)
+            return out
+        # one box coordinate at a time, so that no d rows of them are held
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN compares False
+            for g, (lo, hi) in zip(self._inverse, self.box):
+                row = _ordered_product(g[None], cols)[0]
+                out &= (row >= lo) & (row <= hi)
         return out
 
     @cached_property
@@ -260,26 +301,38 @@ class Region:
         return self.pieces[0].dim
 
     @cached_property
+    def _bounds(self):
+        """The pieces' bounds, stacked: a (k, d, 2) array."""
+        return _read_only(np.stack([p.bounds() for p in self.pieces]))
+
+    @cached_property
+    def _axis_intervals(self):
+        """The axis pieces' intervals, stacked in piece order: (k, d, 2)."""
+        axis = [p._intervals for p in self.pieces if p._intervals is not None]
+        return _read_only(np.stack(axis) if axis else np.empty((0, self.dim, 2)))
+
+    @cached_property
     def _axis_table(self):
         """(edges, _paint table, other pieces) if 2+ axis pieces fit the cap."""
-        axis = [p._intervals for p in self.pieces if p._intervals is not None]
-        cuts = _cuts(np.stack(axis)) if len(axis) > 1 else ()
+        axis = self._axis_intervals
+        cuts = _cuts(axis) if len(axis) > 1 else ()
         if not cuts or np.prod([2.0 * len(c) + 1 for c in cuts]) > TABLE_SIZE_CAP:
             return None
         ups = [np.where(np.isposinf(c), np.nan, np.nextafter(c, np.inf)) for c in cuts]
-        return ([np.column_stack(e).ravel() for e in zip(cuts, ups)],
-                _paint(np.stack(axis), cuts),
+        table, = _paint([axis], cuts)
+        return ([np.column_stack(e).ravel() for e in zip(cuts, ups)], table,
                 tuple(p for p in self.pieces if p._intervals is None))
 
     def contains(self, points):
         """Boolean membership for an (n, d) array of points; see Piece.contains."""
         return self._contains_columns(_columns(points, self.dim))
 
-    def _contains_columns(self, cols, spans=None):
+    def _contains_columns(self, cols, spans=None, shared=None):
         """Membership of the points given as d rows of coordinates.  A table
         read costs tens of box compares per point, so few points use it.
         Given the `spans` of a block of strata, each piece is compared only
-        on the rows of strata that its reach meets."""
+        on the rows of strata that its reach meets.  A piece whose _key
+        `shared` holds (see _memberships) is compared once on each span."""
         n = cols.shape[1]
         out, pieces = np.zeros(n, dtype=bool), self.pieces
         axis = self._axis_table
@@ -289,9 +342,15 @@ class Region:
                               for e, x in zip(edges, cols))]
             spans = None  # few points: compare the other pieces on all
         spans = [(0, n)] * len(pieces) if spans is None else spans(self._reach_terms)
-        for p, (start, stop) in zip(pieces, spans):
-            if start < stop:
-                out[start:stop] |= p._contains_columns(cols[:, start:stop])
+        for p, span in zip(pieces, spans):
+            start, stop = span
+            if start >= stop:
+                continue
+            done = shared.get(p._key, {}) if shared else {}  # {} is dropped
+            hit = done.get(span)
+            if hit is None:
+                hit = done[span] = p._contains_columns(cols[:, start:stop])
+            out[start:stop] |= hit
         return out
 
     @cached_property
@@ -321,10 +380,9 @@ class Region:
         if not isinstance(disjoint, bool):
             raise ConfigError(f"region: disjoint must be true or false, got {disjoint!r}")
         try:
-            if "box" in obj:
-                return box_region(obj["box"])
-            pieces = [Piece(**_keys(e, f"pieces[{i}]", ("frame", "box")))
-                      for i, e in enumerate(obj["pieces"])]
+            pieces = (box_region(obj["box"]).pieces if "box" in obj else
+                      [Piece(**_keys(e, f"pieces[{i}]", ("frame", "box")))
+                       for i, e in enumerate(obj["pieces"])])
             return Region(tuple(pieces), disjoint=disjoint)
         except (LevymixError, TypeError) as exc:
             raise ConfigError(f"region: {exc}") from exc
@@ -338,12 +396,6 @@ def box_region(bounds):
 
 def unit_box(d):
     return box_region(np.column_stack([np.zeros(d), np.ones(d)]))
-
-
-def _hull(pieces):
-    """Per-axis [lo, hi] of the smallest axis box holding every piece."""
-    b = np.stack([p.bounds() for p in pieces])
-    return np.column_stack([b[:, :, 0].min(axis=0), b[:, :, 1].max(axis=0)])
 
 
 def _spans(lows, tops, width, mag, terms):
@@ -555,10 +607,30 @@ class AtomTable:
 def _common_bounding_box(regions):
     if any(r.dim != regions[0].dim for r in regions):
         raise DimensionMismatch("regions have mixed dimensions")
-    bounds = _hull([p for r in regions for p in r.pieces])
+    b = np.concatenate([r._bounds for r in regions])
+    bounds = np.column_stack([b[:, :, 0].min(axis=0), b[:, :, 1].max(axis=0)])
     if not np.all(np.isfinite(bounds)):
         raise UnboundedRegion("regions do not admit a finite bounding box")
     return bounds
+
+
+def _memberships(regions):
+    """members(cols, spans=None): the membership of the points, given as d
+    rows, in each region in turn (a generator; spans as for
+    Region._contains_columns).  A piece that two or more of the regions
+    hold (equal Piece._key) is compared once per call on its span, and
+    each region that holds it ORs in that one result; any other piece is
+    compared and dropped."""
+    seen, keys = set(), set()
+    for r in regions:
+        own = {p._key for p in r.pieces}
+        keys |= seen & own
+        seen |= own
+
+    def members(cols, spans=None):
+        shared = {key: {} for key in keys}
+        return (r._contains_columns(cols, spans, shared) for r in regions)
+    return members
 
 
 def _codes(members, count):
@@ -610,11 +682,11 @@ def _signature_sums(code_blocks, count, weights=None):
 
 
 def _atomize_axis_exact(regions, bounds):
-    # each region painted on the grid of every endpoint, open cells only
-    intervals = [np.stack([p.intervals() for p in r.pieces]) for r in regions]
+    # the family painted on the grid of every endpoint, open cells only
+    intervals = [r._axis_intervals for r in regions]
     cuts = _cuts(np.concatenate(intervals))
     cells = (slice(2, -1, 2),) * len(cuts)
-    members = (_paint(iv, cuts)[cells].ravel() for iv in intervals)
+    members = (table[cells].ravel() for table in _paint(intervals, cuts))
     cellvol = reduce(np.multiply.outer, [np.diff(c) for c in cuts]).ravel()
     signatures, measures = _signature_sums(
         [_codes(members, len(regions))], len(regions), cellvol)
@@ -625,12 +697,13 @@ def _atomize_axis_exact(regions, bounds):
 def atomize(regions, n=100_000, seed=0, method="auto"):
     """AtomTable for the family of regions over their common bounding box.
 
-    method="auto" paints an axis-aligned family on the endpoint sweep
-    grid by cumulative sums, exactly; any other family, and method="mc",
-    classifies at most n stratified-uniform samples, more than n / 2
-    (_stratified_blocks: 99 458 at n = 100 000 in the plane), drawn and
-    classified one block of strata at a time, each piece only on the rows
-    of strata its reach meets.  Signatures are counted by
+    method="auto" paints an axis-aligned family in one pass on the
+    endpoint sweep grid by cumulative sums, exactly; any other family, and
+    method="mc", classifies at most n stratified-uniform samples, more
+    than n / 2 (_stratified_blocks: 99 458 at n = 100 000 in the plane),
+    drawn and classified one block of strata at a time, each piece only on
+    the rows of strata its reach meets, and a piece that several regions
+    hold once per block (_memberships).  Signatures are counted by
     np.bincount over their codes up to 16 regions, by np.unique above.
     Every signature that occurs among the samples is an atom, so each MC
     atom has a measure of at least the box volume over the number of
@@ -648,9 +721,10 @@ def atomize(regions, n=100_000, seed=0, method="auto"):
     rng = _rng.stream(seed, "atomize")
     k, m, blocks = _stratified_blocks(bounds, n, rng)
     n_total = k * m
+    members = _memberships(regions)
     signatures, counts = _signature_sums(
-        (_codes((r._contains_columns(cols, spans) for r in regions), len(regions))
-         for cols, spans in blocks), len(regions))
+        (_codes(members(cols, spans), len(regions)) for cols, spans in blocks),
+        len(regions))
     p = counts / n_total
     stderrs = vbox * np.sqrt(p * (1 - p) / n_total)
     return AtomTable(signatures, vbox * p, stderrs, bounds, exact=False)

@@ -870,6 +870,14 @@ def test_cli_sets_verify(tmp_path):
     assert lines[0] == "t_small,t_large,h0,violations"
     assert len(lines) == 5  # 3 pairs + header + null-check comment
     assert lines[-1].startswith("#")
+    # a repeated grid value makes no pair of equal values
+    res = runner.invoke(main, [
+        "sets", "verify", "--matrix", "squeeze", "--t-grid", "2,1,1,2.0,0.5",
+        "--n-samples", "300", "--seed", "0", "--out", str(tmp_path / "again")])
+    assert res.exit_code == 0, res.output
+    again = (tmp_path / "again" / "sets_verify.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in again[1:-1]] == [
+        ["0.5", "1.0"], ["0.5", "2.0"], ["1.0", "2.0"]]
 
 
 @pytest.mark.parametrize("cond", [1.0, 20.0, 1000.0])
@@ -1194,13 +1202,32 @@ def test_battery_output_is_pinned(tmp_path, seed):
     assert digest.hexdigest() == BATTERY_SHA256[seed]
 
 
-# regions of the pinned `simulate` runs: an axis box, a rotated piece
-# that overlaps it, and a box that meets both
-PIN_REGIONS = [
-    {"box": [[0, 2], [0, 1]]},
-    {"pieces": [{"frame": [[0.8, -0.6], [0.6, 0.8]], "box": [[0.5, 1.5], [0, 1]]}]},
-    {"box": [[1, 3], [0, 2]]},
-]
+# region files of the pinned `simulate` runs.  regions.json: an axis box,
+# a rotated piece that overlaps it, and a box that meets both.
+# staircases.json: axis-box staircases A and B, A u B, and a box that
+# overlaps them, so the exact sweep, with pieces that A u B shares with A
+# and B.  rotated.json: rotated pieces A and B and A u B, three separate
+# regions, so Monte Carlo atoms with shared pieces.
+_ROT = [[0.8, -0.6], [0.6, 0.8]]
+_STAIRS = ([[[0, 1], [0, 1]], [[1, 2], [0, 1]], [[0, 1], [1, 2]]],
+           [[[2, 3], [0, 1]], [[1, 2], [1, 2]], [[2, 3], [2, 3]]])
+PIN_REGIONS = {
+    "regions.json": [
+        {"box": [[0, 2], [0, 1]]},
+        {"pieces": [{"frame": _ROT, "box": [[0.5, 1.5], [0, 1]]}]},
+        {"box": [[1, 3], [0, 2]]},
+    ],
+    "staircases.json": [
+        *({"pieces": [{"frame": [[1, 0], [0, 1]], "box": b} for b in boxes]}
+          for boxes in (*_STAIRS, _STAIRS[0] + _STAIRS[1])),
+        {"box": [[0.5, 2.5], [0.5, 1.5]]},
+    ],
+    "rotated.json": [
+        *({"pieces": [{"frame": _ROT, "box": b} for b in boxes]}
+          for boxes in ([[[0, 1], [0, 1]]], [[[1.5, 2.5], [0, 1]]],
+                        [[[0, 1], [0, 1]], [[1.5, 2.5], [0, 1]]])),
+    ],
+}
 # sha256 of the file that each command writes; a change that moves its
 # bytes updates it here
 OUTPUT_SHA256 = {
@@ -1216,6 +1243,22 @@ OUTPUT_SHA256 = {
     "simulate-gaussian": (["simulate", "--spec", "gaussian", "--regions",
                            "regions.json", "--seed", "1"], "realization.json",
                           "bb460824ba92b068ecc613eaf9c1fceaa3e71425eb707c22999535271214e7cd"),
+    "simulate-staircases-poisson": (
+        ["simulate", "--spec", "poisson:3", "--regions", "staircases.json",
+         "--seed", "0"], "realization.json",
+        "e876dda8cccdd39bbdcda590c183d52f20fe25aac89748aedeb839888b1538e1"),
+    "simulate-staircases-gaussian": (
+        ["simulate", "--spec", "gaussian", "--regions", "staircases.json",
+         "--seed", "0"], "realization.json",
+        "5f94a4140d7fdd26ac41ec925d24b6441af8a0747b4c156e6ef9b7123bd9a768"),
+    "simulate-rotated-poisson": (
+        ["simulate", "--spec", "poisson:3", "--regions", "rotated.json",
+         "--seed", "0"], "realization.json",
+        "e6f5e9fc893064a2b7cdd7caf6a40c07a8517240ec6fb391d2a392c7ab717126"),
+    "simulate-rotated-gaussian": (
+        ["simulate", "--spec", "gaussian", "--regions", "rotated.json",
+         "--seed", "0"], "realization.json",
+        "3e1a87b89756ff518791726b1094ca478ac5df4f2a718297b7651f108ed15366"),
 }
 
 
@@ -1223,7 +1266,8 @@ OUTPUT_SHA256 = {
 def test_sets_verify_and_simulate_output_is_pinned(tmp_path, monkeypatch, case):
     argv, name, sha256 = OUTPUT_SHA256[case]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "regions.json").write_text(json.dumps(PIN_REGIONS))
+    for file_name, objs in PIN_REGIONS.items():
+        (tmp_path / file_name).write_text(json.dumps(objs))
     res = CliRunner().invoke(main, argv + ["--out", "out"])
     assert res.exit_code == 0, res.output
     assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == sha256

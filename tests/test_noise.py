@@ -19,7 +19,15 @@ from levymix.noise import (
     realize,
     realize_masses,
 )
-from levymix.regions import BLOCK_POINTS, Piece, Region, atomize, box_region, transform
+from levymix.regions import (
+    BLOCK_POINTS,
+    Piece,
+    Region,
+    _memberships,
+    atomize,
+    box_region,
+    transform,
+)
 from levymix.rng import stream
 from levymix.shrinking import _sample_in_family, build_family
 
@@ -156,7 +164,8 @@ def test_rejection_samplers_raise_sampling_failure():
     regions = list(_boxes())
     atoms = atomize(regions, n=0)
     with pytest.raises(errors.SamplingFailure):
-        _sample_points_in_atom(atoms, 0, regions, 5, stream(0, "s"), max_tries=0)
+        _sample_points_in_atom(atoms, 0, _memberships(regions), 5, stream(0, "s"),
+                               max_tries=0)
     with pytest.raises(errors.SamplingFailure):
         _sample_in_family(build_family(shear()), 1.0, 5, stream(0, "s"),
                           max_tries=0)
@@ -266,7 +275,8 @@ def test_atom_sampler_matches_signature_stack(n_regions):
             for a in lo), disjoint=False))
     atoms = atomize(regions, n=2_000, seed=1)
     for i in np.argsort(atoms.measures)[::-1][:8]:  # the largest atoms
-        got = _sample_points_in_atom(atoms, i, regions, 7, stream(5, "a", i))
+        got = _sample_points_in_atom(atoms, i, _memberships(regions), 7,
+                                     stream(5, "a", i))
         want = _stack_rejection(atoms, i, regions, 7, stream(5, "a", i))
         assert got.tobytes() == want.tobytes()
 
@@ -280,10 +290,11 @@ def test_rejection_batches_grow_as_the_atom_shrinks(monkeypatch):
     atoms = atomize(regions, n=40_000, seed=2)
     i = atoms.signatures.index((True, True))
     assert 0 < atoms.measures[i] <= 1e-3 * np.prod(np.diff(atoms.bounding_box))
-    pts = _sample_points_in_atom(atoms, i, regions, 7, stream(1, "small"), max_tries=3)
+    members = _memberships(regions)
+    pts = _sample_points_in_atom(atoms, i, members, 7, stream(1, "small"), max_tries=3)
     assert len(pts) == 7
     assert all(r.contains(pts).all() for r in regions)
     # the first hits of one stream, whatever the batches it is cut into
     monkeypatch.setattr("levymix.noise.BLOCK_POINTS", 64)
-    again = _sample_points_in_atom(atoms, i, regions, 7, stream(1, "small"))
+    again = _sample_points_in_atom(atoms, i, members, 7, stream(1, "small"))
     assert again.tobytes() == pts.tobytes()

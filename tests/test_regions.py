@@ -15,7 +15,6 @@ from levymix.regions import (
     AtomTable,
     Piece,
     Region,
-    _hull,
     _overlap,
     _stratified_blocks,
     atomize,
@@ -26,6 +25,12 @@ from levymix.regions import (
     unit_box,
     volume,
 )
+
+
+def _hull(pieces):
+    """Per-axis [lo, hi] of the smallest axis box holding every piece."""
+    b = np.stack([p.bounds() for p in pieces])
+    return np.column_stack([b[:, :, 0].min(axis=0), b[:, :, 1].max(axis=0)])
 
 
 def test_piece_validation():
@@ -115,6 +120,11 @@ def test_region_from_json_box_form_and_errors():
     assert r.is_axis_aligned() and volume(r) == 2.0
     pieces = [{"frame": [[1, 0], [0, 1]], "box": [[0, 1], [0, 1]]}]
     assert not Region.from_json({"pieces": pieces, "disjoint": False}).disjoint
+    # the flag holds beside a box too
+    both = Region.from_json({"box": [[0, 1], [0, 1]], "disjoint": False})
+    assert not both.disjoint and not both.to_json()["disjoint"]
+    with pytest.raises(errors.OverlapUnknown):
+        volume(both)
     for bad in ({"box": [[1.0, 0.0], [0.0, 1.0]]}, {"box": 3}, {"pieces": [{}]},
                 {"pieces": [{"frame": [[1, 0], [0, 1]], "box": [[0, 1]]}]},
                 {"circle": 1.0}, [[0.0, 1.0]],
@@ -756,8 +766,8 @@ def test_atomize_rejects_unknown_method_and_empty_family():
 
 
 @st.composite
-def _staircases(draw):
-    d = draw(st.integers(1, 3))
+def _staircases(draw, d=None):
+    d = draw(st.integers(1, 3)) if d is None else d
     pieces = draw(_axis_pieces(d, draw(st.integers(2, 8 if d < 3 else 4))))
     if d > 1 and draw(st.booleans()):  # mixed: a rotated or sheared piece too
         frame = np.eye(d)
@@ -919,6 +929,47 @@ def test_axis_unions_make_no_piece_compares(monkeypatch):
     assert len(calls) == sum(len(r.pieces) for r in family)
 
 
+def test_shared_pieces_are_compared_once_per_block(monkeypatch):
+    # rotated A, B and A u B parsed as three regions, and a sheared box:
+    # A u B holds its own copies of A and B, equal by frame and box bytes
+    rot = rotation(0.6).tolist()
+    a = {"frame": rot, "box": [[0.0, 1.0], [0.0, 1.0]]}
+    b = {"frame": rot, "box": [[1.5, 2.5], [0.0, 1.0]]}
+    sheared = Region((Piece([[1.0, 0.7], [0.0, 1.0]], [[0.0, 1.5], [0.5, 2.0]]),))
+    family = [Region.from_json({"pieces": p}) for p in ([a], [b], [a, b])] + [sheared]
+    assert family[2].pieces[0] is not family[0].pieces[0]
+    # the same distinct pieces, one region each, over the same box
+    distinct = [family[0], family[1], sheared]
+    assert np.array_equal(regions._common_bounding_box(family),
+                          regions._common_bounding_box(distinct))
+    atoms = _assert_matches_dict_atoms(family, "mc", 6_000, 2)
+    calls = _count_piece_compares(monkeypatch)
+    for size in (regions.BLOCK_POINTS, 500):  # one block, or twelve
+        monkeypatch.setattr(regions, "BLOCK_POINTS", size)
+        calls.clear()
+        atomize(distinct, method="mc", n=6_000, seed=2)
+        want = list(calls)
+        calls.clear()
+        again = atomize(family, method="mc", n=6_000, seed=2)
+        assert calls == want and len(want) >= 3
+        assert again.signatures == atoms.signatures
+        assert again.measures.tobytes() == atoms.measures.tobytes()
+    # Poisson placement: each batch compares A, B and the sheared box once
+    passes = []
+    compare = Region._contains_columns
+
+    def counted(region, cols, *args):
+        passes.append(cols.shape[1])
+        return compare(region, cols, *args)
+
+    monkeypatch.setattr(Region, "_contains_columns", counted)
+    calls.clear()
+    real = noise.realize(noise.NoiseSpec(noise.POISSON, 5.0), family, seed=1,
+                         atoms=atoms)
+    assert len(real.points()) > 0 and sorted(calls) == sorted(passes[::4] * 3)
+    assert all(real.count_in(r) == real.value(i) for i, r in enumerate(family))
+
+
 # ---------------------------------------------------------------------------
 # culling by rows of strata, and the painter
 
@@ -938,17 +989,38 @@ def _whole_block_contains(region, cols):
     return np.logical_or.reduce([p._contains_columns(cols) for p in region.pieces])
 
 
+@st.composite
+def _staircase_families(draw):
+    d = draw(st.integers(1, 3))
+    return [draw(_staircases(d)) for _ in range(draw(st.integers(1, 5)))]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(region=_staircases(), unbounded=st.booleans())
-def test_painted_table_matches_loop_painter(region, unbounded):
-    ivs = np.stack([p.intervals() for p in region.pieces if p.is_axis_aligned()])
+@given(family=_staircase_families(), unbounded=st.booleans(),
+       per_chunk=st.integers(1, 3), under=st.booleans())
+def test_painted_table_matches_loop_painter(family, unbounded, per_chunk, under):
+    d = family[0].dim
+    # a -0.0 endpoint on axis 0 (-1 times a 0 bound) beside a 0.0 one
+    signed = Region((Piece(np.diag([-1.0] + [1.0] * (d - 1)),
+                           np.column_stack([np.zeros(d), np.ones(d)])),
+                     Piece(np.eye(d), np.column_stack([np.zeros(d), np.ones(d)]))))
+    assert np.signbit(signed._axis_intervals[0, 0, 1])
+    ivs = [r._axis_intervals for r in family + [signed]]
     if unbounded:  # a half-infinite box on axis 0
-        ivs = np.concatenate([ivs, ivs[:1]])
-        ivs[-1, 0, 1] = np.inf
-    cuts = regions._cuts(ivs)
-    table = regions._paint(ivs, cuts)
-    want = _loop_paint(ivs, cuts)
-    assert table.shape == want.shape and table.tobytes() == want.tobytes()
+        ivs[0] = np.concatenate([ivs[0], ivs[0][:1]])
+        ivs[0][-1, 0, 1] = np.inf
+    cuts = regions._cuts(np.concatenate(ivs))
+    for c, ends in zip(cuts, np.concatenate(ivs).swapaxes(0, 1)):
+        assert c.tolist() == sorted(set(ends.ravel().tolist()))
+    # chunks of per_chunk regions, or one fewer (at least one) when under
+    size = math.prod(2 * len(c) + 2 for c in cuts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "TABLE_SIZE_CAP", per_chunk * size - under)
+        tables = list(regions._paint(ivs, cuts))
+    assert len(tables) == len(ivs)
+    for table, iv in zip(tables, ivs):
+        want = _loop_paint(iv, cuts)
+        assert table.shape == want.shape and table.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
