@@ -55,10 +55,6 @@ class SingularMatrix(LevymixError):
     """Matrix is singular or numerically non-invertible."""
 
 
-class NotAxisAligned(LevymixError):
-    """Exact overlap requested for pieces that are not axis boxes."""
-
-
 class UnboundedRegion(LevymixError):
     """Region family does not admit a finite bounding box."""
 

@@ -15,6 +15,9 @@ from .errors import (ConfigError, InvalidArgument, LevymixError,
 from .matrices import (BlockKind, RealJordanBlock, _keys, as_matrix,
                        assemble_jordan)
 
+EIGENVALUE_GAP = 0.4  # between the eigenvalue clusters of random_jordan_matrix
+SEPARATION_TRIES = 200  # draws of one separated eigenvalue before SamplingFailure
+
 
 def shear():
     return np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -79,27 +82,28 @@ def random_det1(d, rng, cond=50.0):
     return T
 
 
-def _random_block_partition(d, rng, max_block=None):
+def _random_block_partition(d, rng):
     """Random list of (rows, is_pair) covering d rows."""
-    max_block = max_block or d
     parts = []
     left = d
     while left > 0:
         if left >= 2 and rng.random() < 0.4:
-            b = int(rng.integers(1, min(left // 2, max_block) + 1))
+            b = int(rng.integers(1, left // 2 + 1))
             parts.append((b, True))
             left -= 2 * b
         else:
-            a = int(rng.integers(1, min(left, max_block) + 1))
+            a = int(rng.integers(1, left + 1))
             parts.append((a, False))
             left -= a
     return parts
 
 
-def _separated_values(existing, draw, rng, min_gap=0.4, tries=200):
-    for _ in range(tries):
+def _separated_values(existing, draw, rng):
+    """A draw at least EIGENVALUE_GAP from each existing value and its
+    conjugate, in at most SEPARATION_TRIES draws."""
+    for _ in range(SEPARATION_TRIES):
         v = draw(rng)
-        ok = all(abs(v - u) >= min_gap and abs(v - np.conj(u)) >= min_gap
+        ok = all(abs(v - u) >= EIGENVALUE_GAP and abs(v - np.conj(u)) >= EIGENVALUE_GAP
                  for u in existing)
         if ok:
             return v
@@ -110,8 +114,8 @@ def random_jordan_matrix(d, rng, cond=50.0, unit_moduli=False):
     """Random det-free Jordan form conjugated by a random det-1 matrix.
 
     Returns (A, blocks) with blocks the constructed RealJordanBlock
-    list.  Eigenvalue clusters are kept at least 0.4 apart so the
-    structure is recoverable.  With unit_moduli=True all eigenvalues sit
+    list.  Eigenvalue clusters are kept at least EIGENVALUE_GAP apart so
+    the structure is recoverable.  With unit_moduli=True all eigenvalues sit
     on the unit circle (sizes may still exceed 1).
     """
     parts = _random_block_partition(d, rng)

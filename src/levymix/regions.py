@@ -14,15 +14,18 @@ axis boxes, are Monte Carlo, in a sample box that must be finite.
 Monte Carlo points are stratified, and they are drawn, classified and
 counted one block of strata at a time, about BLOCK_POINTS points a block,
 so no array of the whole sample is built.  Each block is drawn as d
-contiguous rows of coordinates.  A row of strata along axis 0 holds its
-points between known bounds, so each piece is compared only on the rows
-its reach meets: its first-axis interval if it is an axis box, else its
-bounds widened by a proven rounding pad (Piece._reach_terms).  A piece
-that two or more regions of a family hold (equal frame and box bytes) is
-compared once per block, and each of them ORs in that one result.  An
-atom's signature is coded as one integer per point; up to 16 regions
-(2**count codes no more than a block) each block's codes are counted by
-np.bincount, and wider families gather all the codes for np.unique.
+contiguous rows of coordinates.  One classifier, _memberships, tells
+which regions of a family hold each point, for Region.contains, the
+Monte Carlo overlap and atoms, and Poisson placement.  It indexes the
+family's distinct pieces (equal frame and box bytes) once, compares each
+once per block, and ORs that result into every region that holds it.  A
+row of strata along axis 0 holds its points between known bounds, so
+each piece is compared only on the rows its reach meets: its first-axis
+interval if it is an axis box, else its bounds widened by a proven
+rounding pad (Piece._reach_terms).  An atom's signature is coded as one
+integer per point; up to 16 regions (2**count codes no more than a
+block) each block's codes are counted by np.bincount, and wider families
+gather all the codes for np.unique.
 
 A piece computes its bounds once, and a region stacks its pieces' bounds
 and axis intervals once; these cached arrays are read-only.
@@ -44,7 +47,7 @@ does not depend on the other points it is tested with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from math import prod
 
 import numpy as np
@@ -56,7 +59,6 @@ from .errors import (
     InvalidArgument,
     LevymixError,
     NonFiniteInput,
-    NotAxisAligned,
     OverlapUnknown,
     SingularMatrix,
     UnboundedRegion,
@@ -177,12 +179,6 @@ class Piece:
     def is_axis_aligned(self):
         return self._intervals is not None
 
-    def intervals(self):
-        """Per-axis [lo, hi] of the mapped box; axis-aligned pieces only."""
-        if self._intervals is None:
-            raise NotAxisAligned("piece frame is not a signed permutation")
-        return self._intervals
-
     def bounds(self):
         """Per-axis [lo, hi] of the smallest axis box holding the piece: from
         its corners if bounded, else the sums of the terms frame[i, j] * box[j]."""
@@ -226,11 +222,13 @@ class Piece:
             for row, (lo, hi) in zip(cols, self._intervals):
                 out &= (row >= lo) & (row <= hi)
             return out
-        # one box coordinate at a time, so that no d rows of them are held
+        # one box coordinate at a time, so that no d rows of them are held:
+        # each row is released before the next one is formed
         with np.errstate(over="ignore", invalid="ignore"):  # NaN compares False
             for g, (lo, hi) in zip(self._inverse, self.box):
                 row = _ordered_product(g[None], cols)[0]
                 out &= (row >= lo) & (row <= hi)
+                del row
         return out
 
     @cached_property
@@ -313,50 +311,18 @@ class Region:
 
     @cached_property
     def _axis_table(self):
-        """(edges, _paint table, other pieces) if 2+ axis pieces fit the cap."""
+        """(edges, _paint table) if 2+ axis pieces fit the cap."""
         axis = self._axis_intervals
         cuts = _cuts(axis) if len(axis) > 1 else ()
         if not cuts or np.prod([2.0 * len(c) + 1 for c in cuts]) > TABLE_SIZE_CAP:
             return None
         ups = [np.where(np.isposinf(c), np.nan, np.nextafter(c, np.inf)) for c in cuts]
         table, = _paint([axis], cuts)
-        return ([np.column_stack(e).ravel() for e in zip(cuts, ups)], table,
-                tuple(p for p in self.pieces if p._intervals is None))
+        return [np.column_stack(e).ravel() for e in zip(cuts, ups)], table
 
     def contains(self, points):
         """Boolean membership for an (n, d) array of points; see Piece.contains."""
-        return self._contains_columns(_columns(points, self.dim))
-
-    def _contains_columns(self, cols, spans=None, shared=None):
-        """Membership of the points given as d rows of coordinates.  A table
-        read costs tens of box compares per point, so few points use it.
-        Given the `spans` of a block of strata, each piece is compared only
-        on the rows of strata that its reach meets.  A piece whose _key
-        `shared` holds (see _memberships) is compared once on each span."""
-        n = cols.shape[1]
-        out, pieces = np.zeros(n, dtype=bool), self.pieces
-        axis = self._axis_table
-        if axis and n <= TABLE_POINTS * (len(pieces) - len(axis[2])):
-            edges, table, pieces = axis
-            out = table[tuple(np.searchsorted(e, x, "right")
-                              for e, x in zip(edges, cols))]
-            spans = None  # few points: compare the other pieces on all
-        spans = [(0, n)] * len(pieces) if spans is None else spans(self._reach_terms)
-        for p, span in zip(pieces, spans):
-            start, stop = span
-            if start >= stop:
-                continue
-            done = shared.get(p._key, {}) if shared else {}  # {} is dropped
-            hit = done.get(span)
-            if hit is None:
-                hit = done[span] = p._contains_columns(cols[:, start:stop])
-            out[start:stop] |= hit
-        return out
-
-    @cached_property
-    def _reach_terms(self):
-        """The pieces' Piece._reach_terms, one row each."""
-        return np.stack([p._reach_terms for p in self.pieces])
+        return next(_memberships((self,))(_columns(points, self.dim)))
 
     def is_axis_aligned(self):
         return all(p.is_axis_aligned() for p in self.pieces)
@@ -436,9 +402,9 @@ def _stratified_blocks(bounds, n, rng):
     transposed to d contiguous rows of coordinates, then shifted one axis
     at a time: u * scale + low, rounded as before the transpose.  So row r
     of strata has first coordinates in [low_r, fl(low_r + scale)], and
-    spans(terms) is _spans over those extents: the points
-    Region._contains_columns must compare for each piece (None for an
-    unbounded box, which culls none)."""
+    spans(terms) is _spans over those extents: the points _memberships
+    must compare for each piece (None for an unbounded box, which culls
+    none)."""
     d = bounds.shape[0]
     s, m = _strata(n, d)
     width = s ** (d - 1) * m  # points in one row of strata
@@ -467,20 +433,6 @@ def _stratified_blocks(bounds, n, rng):
                          if cull else None)
 
     return s**d, m, blocks()
-
-
-def _stratified_hits(bounds, inside, n, seed, label):
-    """(value, stderr) of the measure of {inside} within the box `bounds`,
-    by stratified hit counting on the stream (seed, label), one block of
-    strata at a time."""
-    vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
-    rng = _rng.stream(seed, label)
-    k, m, blocks = _stratified_blocks(bounds, n, rng)
-    p_hat = np.concatenate([inside(cols, spans).reshape(-1, m).mean(axis=1)
-                            for cols, spans in blocks])
-    est = vbox * float(p_hat.mean())
-    var = float(np.sum(p_hat * (1 - p_hat) / (m - 1))) / k**2
-    return est, vbox * float(np.sqrt(var))
 
 
 def volume(region: Region) -> float:
@@ -556,9 +508,11 @@ def intersection_volume(r1: Region, r2: Region, method="auto",
 
     "auto" is exact when both regions are flagged disjoint and either
     both are axis-aligned or d = 2: it sums over piece pairs (_overlap),
-    with stderr 0.  Else, and for "mc", it samples at most n points, more
-    than n / 2 (_stratified_blocks), in the bounding box of r1, and raises
-    UnboundedRegion if it is not finite.
+    with stderr 0.  Else, and for "mc", it counts the hits of each stratum
+    among at most n points, more than n / 2 (_stratified_blocks), in the
+    bounding box of r1, drawn from the stream (seed, "overlap") and
+    classified by _memberships one block at a time, and raises
+    UnboundedRegion if the box is not finite.
     """
     if r1.dim != r2.dim:
         raise DimensionMismatch("regions have different dimensions")
@@ -567,11 +521,14 @@ def intersection_volume(r1: Region, r2: Region, method="auto",
     axis = r1.is_axis_aligned() and r2.is_axis_aligned()
     if method == "mc" or not (r1.disjoint and r2.disjoint
                               and (axis or r1.dim == 2)):
-        return _stratified_hits(
-            _common_bounding_box([r1]),
-            lambda c, spans: (r1._contains_columns(c, spans)
-                              & r2._contains_columns(c, spans)),
-            n, seed, "overlap")
+        bounds = _common_bounding_box([r1])
+        k, m, blocks = _stratified_blocks(bounds, n, _rng.stream(seed, "overlap"))
+        members = _memberships((r1, r2))
+        p_hat = np.concatenate([np.logical_and(*members(cols, spans)).reshape(-1, m)
+                                .mean(axis=1) for cols, spans in blocks])
+        vbox = float(np.prod(bounds[:, 1] - bounds[:, 0]))
+        var = float(np.sum(p_hat * (1 - p_hat) / (m - 1))) / k**2
+        return vbox * float(p_hat.mean()), vbox * float(np.sqrt(var))
     return _overlap(r1, r2), 0.0
 
 
@@ -616,20 +573,51 @@ def _common_bounding_box(regions):
 
 def _memberships(regions):
     """members(cols, spans=None): the membership of the points, given as d
-    rows, in each region in turn (a generator; spans as for
-    Region._contains_columns).  A piece that two or more of the regions
-    hold (equal Piece._key) is compared once per call on its span, and
-    each region that holds it ORs in that one result; any other piece is
-    compared and dropped."""
-    seen, keys = set(), set()
-    for r in regions:
-        own = {p._key for p in r.pieces}
-        keys |= seen & own
-        seen |= own
+    rows of coordinates, in each region in turn (a generator).  The
+    family's distinct pieces (equal Piece._key) are indexed once, and their
+    Piece._reach_terms stacked once, on the first call given spans.  A call
+    compares each distinct piece once: on every point, or, given the
+    `spans` of a block of strata (_stratified_blocks), called once, only on
+    the rows of strata that its reach meets.  Each region that holds the
+    piece ORs in that one result, and a piece that only one region holds
+    is dropped after its OR.  A table read costs tens of box compares per
+    point, so a region reads its _axis_table for up to TABLE_POINTS points
+    per axis piece, and then compares only its other pieces."""
+    owned = [{p._key: p for p in r.pieces} for r in regions]
+    distinct, shared = {}, set()
+    for own in owned:
+        shared |= distinct.keys() & own.keys()
+        distinct |= own
+    framed = [{k: p for k, p in own.items() if p._intervals is None} for own in owned]
+
+    @cache
+    def terms():
+        return np.stack([p._reach_terms for p in distinct.values()])
 
     def members(cols, spans=None):
-        shared = {key: {} for key in keys}
-        return (r._contains_columns(cols, spans, shared) for r in regions)
+        n = cols.shape[1]
+        reach = {} if spans is None else dict(zip(distinct, spans(terms())))
+        hits = {}
+        for r, own, own_framed in zip(regions, owned, framed):
+            table = r._axis_table
+            if table and n <= TABLE_POINTS * len(r._axis_intervals):
+                edges, table = table
+                out = table[tuple(np.searchsorted(e, x, "right")
+                                  for e, x in zip(edges, cols))]
+                own = own_framed
+            else:
+                out = np.zeros(n, dtype=bool)
+            for key, piece in own.items():
+                start, stop = reach.get(key, (0, n))
+                if start >= stop:
+                    continue
+                hit = hits.get(key)
+                if hit is None:
+                    hit = piece._contains_columns(cols[:, start:stop])
+                    if key in shared:
+                        hits[key] = hit
+                out[start:stop] |= hit
+            yield out
     return members
 
 

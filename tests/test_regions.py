@@ -45,13 +45,7 @@ def test_piece_volume_and_membership():
     assert p.volume() == 2.0
     assert p.contains(np.array([[1.5, 0.5]]))[0]
     assert not p.contains(np.array([[2.5, 0.5]]))[0]
-    assert np.array_equal(p.intervals(), np.array([[0.0, 2.0], [0.0, 1.0]]))
-
-
-def test_piece_intervals_rejects_rotated_frame():
-    p = Piece(rotation(0.3), np.array([[0.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(errors.NotAxisAligned):
-        p.intervals()
+    assert np.array_equal(p._intervals, np.array([[0.0, 2.0], [0.0, 1.0]]))
 
 
 def test_rotation90_powers_are_axis_boxes():
@@ -59,13 +53,13 @@ def test_rotation90_powers_are_axis_boxes():
     for m in range(9):
         Cm = transform(np.linalg.matrix_power(rotation(math.pi / 2), m), C)
         assert Cm.is_axis_aligned()
-        assert np.array_equal(Cm.pieces[0].intervals(), [[-1.0, 1.0], [-1.0, 1.0]])
+        assert np.array_equal(Cm.pieces[0]._intervals, [[-1.0, 1.0], [-1.0, 1.0]])
 
 
 def test_signed_permutation_frame_intervals():
     p = Piece(np.array([[0.0, 2.0], [-3.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 2.0]]))
     assert p.is_axis_aligned()
-    assert np.array_equal(p.intervals(), [[2.0, 4.0], [-3.0, 0.0]])
+    assert np.array_equal(p._intervals, [[2.0, 4.0], [-3.0, 0.0]])
     assert p.contains(np.array([[3.0, -1.5], [3.0, 0.5]])).tolist() == [True, False]
     b = box_region(np.array([[3.0, 5.0], [-1.0, 1.0]]))
     assert intersection_volume(Region((p,)), b) == (1.0, 0.0)
@@ -75,8 +69,6 @@ def test_rotated_and_sheared_frames_not_axis_aligned():
     for g in (rotation(1.0), shear()):
         p = transform(g, unit_box(2)).pieces[0]
         assert not p.is_axis_aligned()
-        with pytest.raises(errors.NotAxisAligned):
-            p.intervals()
 
 
 def test_region_requires_pieces_and_consistent_dims():
@@ -385,7 +377,7 @@ def test_axis_membership_matches_solve(frame):
     # each closed bound, its float neighbours on both sides, and the middle
     axes = [[lo, hi, (lo + hi) / 2] + [np.nextafter(v, s * np.inf)
                                        for v in (lo, hi) for s in (-1, 1)]
-            for lo, hi in p.intervals()]
+            for lo, hi in p._intervals]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     want = _solve_contains(p, pts)
     assert want.any() and not want.all()
@@ -608,6 +600,19 @@ def test_mc_passes_never_hold_the_whole_sample():
         *family, method="mc", n=n, seed=0)) < 32e6
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_framed_piece_holds_one_coordinate_row_at_a_time(d):
+    # a box coordinate row and the two arrays that form the next one are
+    # 3 rows of floats; the next is formed only once the last is released
+    n = 50_000
+    piece = Piece(np.eye(d) + np.triu(np.full((d, d), 0.7), 1),
+                  np.column_stack([np.zeros(d), np.ones(d)]))
+    cols = np.random.default_rng(d).uniform(-1.0, 2.0, (d, n))
+    want = piece._contains_columns(cols)
+    assert want.any() and not want.all()
+    assert _traced_peak(lambda: piece._contains_columns(cols)) < 2.5 * 8 * n
+
+
 # A null-atom rule at 1e-9 of the box volume.  An atom seen in the sample
 # has measure >= vbox / n, so the rule drops nothing below 1e9 samples; the
 # reference applies it to show that atomize needs no such rule.
@@ -620,7 +625,7 @@ def _piecewise_contains(region, pts):
     out = np.zeros(len(pts), dtype=bool)
     for p in region.pieces:
         if p.is_axis_aligned():
-            iv = p.intervals()
+            iv = p._intervals
             out |= np.all((pts >= iv[:, 0]) & (pts <= iv[:, 1]), axis=1)
         else:
             out |= p.contains(pts)
@@ -640,7 +645,7 @@ def _dict_atoms(regions, bounds, exact, n, seed):
             ends = {bounds[k, 0], bounds[k, 1]}
             for r in regions:
                 for p in r.pieces:
-                    ends.update(float(v) for v in p.intervals()[k])
+                    ends.update(float(v) for v in p._intervals[k])
             cuts.append(np.array(sorted(ends)))
         grid = [0.5 * (c[1:] + c[:-1]) for c in cuts]
         pts = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, d)
@@ -786,7 +791,7 @@ def _face_points(region, rng, cap=30_000):
     axes = []
     for k in range(d):
         ends = np.unique(_hull(region.pieces)[k].tolist() + [
-            v for p in region.pieces if p.is_axis_aligned() for v in p.intervals()[k]])
+            v for p in region.pieces if p.is_axis_aligned() for v in p._intervals[k]])
         axes.append(np.concatenate([
             ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf),
             0.5 * (ends[1:] + ends[:-1]), [ends[0] - 1.0, ends[-1] + 1.0],
@@ -856,7 +861,7 @@ def test_painted_sweep_over_64_staircases():
             frame[np.arange(3), perm] = sign
             box[perm] = np.sort(sign[:, None] * iv, axis=1)
             pieces.append(Piece(frame, box))
-            assert np.array_equal(pieces[-1].intervals(), iv)
+            assert np.array_equal(pieces[-1]._intervals, iv)
         family.append(Region(tuple(pieces), disjoint=False))
     assert all(r._axis_table is not None for r in family)
     atoms = _assert_matches_dict_atoms(family, "auto", 0, 0)
@@ -955,18 +960,22 @@ def test_shared_pieces_are_compared_once_per_block(monkeypatch):
         assert again.signatures == atoms.signatures
         assert again.measures.tobytes() == atoms.measures.tobytes()
     # Poisson placement: each batch compares A, B and the sheared box once
-    passes = []
-    compare = Region._contains_columns
+    batches = []
+    memberships = noise._memberships
 
-    def counted(region, cols, *args):
-        passes.append(cols.shape[1])
-        return compare(region, cols, *args)
+    def counted(family):
+        members = memberships(family)
 
-    monkeypatch.setattr(Region, "_contains_columns", counted)
+        def batch(cols, spans=None):
+            batches.append(cols.shape[1])
+            return members(cols, spans)
+        return batch
+
+    monkeypatch.setattr(noise, "_memberships", counted)
     calls.clear()
     real = noise.realize(noise.NoiseSpec(noise.POISSON, 5.0), family, seed=1,
                          atoms=atoms)
-    assert len(real.points()) > 0 and sorted(calls) == sorted(passes[::4] * 3)
+    assert len(real.points()) > 0 and sorted(calls) == sorted(batches * 3)
     assert all(real.count_in(r) == real.value(i) for i, r in enumerate(family))
 
 
@@ -1098,12 +1107,12 @@ def test_culling_never_changes_an_answer(d, offset, monkeypatch):
     whole = _whole_block_contains(region, cols)
     assert whole.any() and not whole.all()
     monkeypatch.setattr(regions, "TABLE_POINTS", 0)
-    assert np.array_equal(region._contains_columns(cols, spans), whole)
-    compared = 0
-    for p, (start, stop) in zip(region.pieces, spans(region._reach_terms)):
+    calls = _count_piece_compares(monkeypatch)
+    assert np.array_equal(next(regions._memberships((region,))(cols, spans)), whole)
+    assert sum(calls) < 0.75 * len(region.pieces) * len(pts)  # it culls
+    terms = np.stack([p._reach_terms for p in region.pieces])
+    for p, (start, stop) in zip(region.pieces, spans(terms)):
         assert not p._contains_columns(np.c_[cols[:, :start], cols[:, stop:]]).any()
-        compared += max(stop - start, 0)
-    assert compared < 0.75 * len(region.pieces) * len(pts)  # it culls
     # a point's answer is the same alone, in any slice and in any order
     for i in rng.choice(len(pts), 40, replace=False):
         assert region.contains(pts[i]).tolist() == [whole[i]]
@@ -1112,6 +1121,41 @@ def test_culling_never_changes_an_answer(d, offset, monkeypatch):
         assert np.array_equal(region.contains(pts[a:b + 1]), whole[a:b + 1])
     order = rng.permutation(len(pts))
     assert np.array_equal(region.contains(pts[order]), whole[order])
+
+
+@st.composite
+def _families_sharing_a_piece(draw):
+    """_staircase_families, with a copy of one of their pieces, parsed from
+    lists, added to some regions and held alone by one more."""
+    family = draw(_staircase_families())
+    piece = draw(st.sampled_from([p for r in family for p in r.pieces]))
+    copies = [Piece(piece.frame.tolist(), piece.box.tolist()) for _ in range(len(family) + 1)]
+    family = [Region(r.pieces + (c,) if draw(st.booleans()) else r.pieces,
+                     disjoint=False) for r, c in zip(family, copies)]
+    return family + [Region((copies[-1],))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(family=_families_sharing_a_piece(), width=st.integers(1, 9))
+def test_memberships_match_whole_block_classifier(family, width):
+    # rows of `width` points sorted by their first coordinate, culled by
+    # _spans, at point counts that read every table and that read none
+    d = family[0].dim
+    rng = np.random.default_rng(width)
+    pts = np.concatenate([_face_points(r, rng, cap=2_000) for r in family]
+                         + [rng.uniform(-3.0, 3.0, (500, d))])
+    pts = pts[np.isfinite(pts).all(axis=1)]
+    most = max(len(r._axis_intervals) for r in family)
+    for n in (2 * regions.TABLE_POINTS - width, regions.TABLE_POINTS * most + 1):
+        some = pts[np.argsort(pts[:, 0], kind="stable")][np.sort(rng.integers(0, len(pts), n))]
+        some = np.concatenate([some, np.repeat(some[-1:], -n % width, axis=0)])
+        cols = np.ascontiguousarray(some.T)
+        spans = partial(regions._spans, cols[0, ::width], cols[0, width - 1::width],
+                        width, np.abs(some).max(axis=0))
+        members = regions._memberships(family)
+        for cull in (None, spans):
+            for r, got in zip(family, members(cols, cull)):
+                assert np.array_equal(got, _whole_block_contains(r, cols))
 
 
 @pytest.mark.parametrize("cond", [1e4, 1e8])
