@@ -87,6 +87,23 @@ class ExperimentReport:
         }
 
 
+def _map(g):
+    """(g, |det g|), g read by as_matrix; InvalidGenerator unless |det g| = 1,
+    the premise of every experiment on a map."""
+    g = as_matrix(g, "g")
+    if not in_measure_preserving_group(g):
+        raise InvalidGenerator("map must have |det| = 1")
+    return g, abs(float(np.linalg.det(g)))
+
+
+def _finite_measure(C):
+    """volume(C); UnboundedRegion if C, and so its Gaussian mass, is unbounded."""
+    lam = volume(C)
+    if not np.isfinite(lam):
+        raise UnboundedRegion("C must have finite measure")
+    return lam
+
+
 # ---------------------------------------------------------------------------
 # mixing curve
 
@@ -100,23 +117,20 @@ def mixing_curve(g, C: Region, m_max=8, n_reps=10_000,
     and reported as measured.  The Gaussian masses of the overlap, the rest
     of C and the rest of g^m C, of measures ov, measure(C) - ov and
     measure(g^m C) - ov, are drawn as x, y and z over n_reps independent
-    realizations, part i on the stream (sub, "atom", i); then the mass
-    of C is x + y and that of g^m C is x + z.  Before the parts are
-    formed, ov is clipped into [0, min(measure(C), measure(g^m C))]: an
-    exact overlap moves by roundoff only, and a Monte Carlo one (d >= 3,
-    frames not axis-aligned) is projected onto the possible values.
-    Non-compact maps mix (covariance decays); a compact map fixing C
-    keeps the covariance at the measure of C.  A C of infinite measure
-    raises UnboundedRegion.
+    realizations, part i on the stream (sub, "atom", i); then the mass of
+    C is x + y and that of g^m C is x + z.  measure(g^m C) is |det g|^m
+    measure(C), read from g and not from its rounded power.  Before the
+    parts are formed, ov is clipped into [0, min(measure(C), measure(g^m
+    C))]: an exact overlap moves by roundoff only, and a Monte Carlo one
+    (d >= 3, frames not axis-aligned) is projected onto the possible
+    values.  Non-compact maps mix (covariance decays); a compact map
+    fixing C keeps the covariance at the measure of C.  A C of infinite
+    measure raises UnboundedRegion.
     """
     m_max, n_reps = _count(m_max, "m_max"), _count(n_reps, "n_reps", least=2)
-    g = as_matrix(g, "g")
-    if not in_measure_preserving_group(g):
-        raise InvalidGenerator("mixing map must have |det| = 1")
+    g, det = _map(g)
     compact = cyclic_closure_compact(g)
-    lam_C = volume(C)
-    if not np.isfinite(lam_C):
-        raise UnboundedRegion("mixing needs a C of finite measure")
+    lam_C = _finite_measure(C)
     spec = NoiseSpec(GAUSSIAN)
     report = ExperimentReport(
         "mixing_curve",
@@ -129,7 +143,7 @@ def mixing_curve(g, C: Region, m_max=8, n_reps=10_000,
         Cm = transform(gm, C) if m else C
         sub = _rng.stream_key(seed, "mix", m) % 2**31
         overlap, ov_err = intersection_volume(C, Cm, n=MC_SAMPLES, seed=sub)
-        lam_Cm = volume(Cm)
+        lam_Cm = det ** m * lam_C
         ov = min(max(overlap, 0.0), lam_C, lam_Cm)
         x, y, z = (spec.sample_mass(v, _rng.stream(sub, "atom", i), n_reps)
                    for i, v in enumerate((ov, lam_C - ov, lam_Cm - ov)))
@@ -185,11 +199,9 @@ def tail_triviality_decay(g, f=None, C: Region = None,
         C = box_region([[0.0, 1.0], [0.0, 1.0]])
     if f is None:
         f = lambda v: v
-    g = as_matrix(g, "g")
+    g, _ = _map(g)
     fam = build_family(g)
-    lam_C = volume(C)
-    if not np.isfinite(lam_C):
-        raise UnboundedRegion("C n D_t needs a C of finite measure")
+    lam_C = _finite_measure(C)
     report = ExperimentReport(
         "tail_triviality_decay",
         {"g": g.tolist(), "C": C.to_json(),
@@ -263,13 +275,11 @@ def equivariance_check(g, C: Region, B: Region, f=np.tanh, n_reps=10_000,
                        seed=0) -> ExperimentReport:
     """Two-sample KS test of conditional-expectation laws for (C, B) vs (gC, gB),
     on n_reps >= KS_MIN_REPS samples, the fewest at which it can reject, and
-    the overlap of gC and gB against |det g| times that of C and B."""
+    the overlap of gC and gB against |det g| times that of C and B.  A C of
+    infinite measure raises UnboundedRegion."""
     n_reps = _count(n_reps, "n_reps", least=KS_MIN_REPS)
-    g = as_matrix(g, "g")
-    if not in_measure_preserving_group(g):
-        raise InvalidGenerator("map must have |det| = 1")
-    det = abs(float(np.linalg.det(g)))
-    lam_C = volume(C)
+    g, det = _map(g)
+    lam_C = _finite_measure(C)
     s1, e1 = intersection_volume(C, B, n=MC_SAMPLES,
                                  seed=_rng.stream_key(seed, "eq", 0) % 2**31)
     gC, gB = transform(g, C), transform(g, B)

@@ -17,6 +17,10 @@ from .matrices import (BlockKind, RealJordanBlock, _keys, as_matrix,
 
 EIGENVALUE_GAP = 0.4  # between the eigenvalue clusters of random_jordan_matrix
 SEPARATION_TRIES = 200  # draws of one separated eigenvalue before SamplingFailure
+PAIR_MODULI = (0.5, 1.0, 2.0)  # moduli of random_jordan_matrix's pairs
+REALS = (-2.0, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0)  # and its real eigenvalues
+UNIT_REALS = (-1.0, 1.0)  # its real eigenvalues with unit_moduli
+CORPUS_D_MAX = 6  # largest order of a jordan_corpus matrix
 
 
 def shear():
@@ -110,6 +114,17 @@ def _separated_values(existing, draw, rng):
     raise SamplingFailure("could not separate eigenvalues")
 
 
+def _draw(is_pair, unit_moduli):
+    """One block's eigenvalue draw: a pair's angle in [0.4, pi - 0.4], then
+    its modulus (1 with unit_moduli), or a real."""
+    def draw(r):
+        if not is_pair:
+            return float(r.choice(UNIT_REALS if unit_moduli else REALS))
+        v = np.exp(1j * r.uniform(0.4, np.pi - 0.4))
+        return v if unit_moduli else r.choice(PAIR_MODULI) * v
+    return draw
+
+
 def random_jordan_matrix(d, rng, cond=50.0, unit_moduli=False):
     """Random det-free Jordan form conjugated by a random det-1 matrix.
 
@@ -122,47 +137,26 @@ def random_jordan_matrix(d, rng, cond=50.0, unit_moduli=False):
     values = []
     blocks = []
     for rows, is_pair in parts:
-        if is_pair:
-            if unit_moduli:
-                def draw(r):
-                    th = r.uniform(0.4, np.pi - 0.4)
-                    return np.exp(1j * th)
-            else:
-                def draw(r):
-                    th = r.uniform(0.4, np.pi - 0.4)
-                    mod = r.choice([0.5, 1.0, 2.0])
-                    return mod * np.exp(1j * th)
-            v = _separated_values(values, draw, rng)
-            values.append(v)
-            blocks.append(RealJordanBlock(BlockKind.COMPLEX_PAIR, rows,
-                                          complex(v)))
+        real_vals = [u for u in values if np.isreal(u)]
+        if not is_pair and real_vals and rng.random() < 0.25:
+            # repeated eigenvalue across blocks: geometric mult > 1
+            v = float(np.real(rng.choice(real_vals)))
         else:
-            if unit_moduli:
-                def draw(r):
-                    return float(r.choice([-1.0, 1.0]))
-            else:
-                def draw(r):
-                    return float(r.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]))
-            real_vals = [u for u in values if np.isreal(u)]
-            if real_vals and rng.random() < 0.25:
-                # repeated eigenvalue across blocks: geometric mult > 1
-                v = float(np.real(rng.choice(real_vals)))
-                blocks.append(RealJordanBlock(BlockKind.REAL, rows, complex(v)))
-                continue
-            v = _separated_values(values, draw, rng)
+            v = _separated_values(values, _draw(is_pair, unit_moduli), rng)
             values.append(v)
-            blocks.append(RealJordanBlock(BlockKind.REAL, rows, complex(v)))
+        kind = BlockKind.COMPLEX_PAIR if is_pair else BlockKind.REAL
+        blocks.append(RealJordanBlock(kind, rows, complex(v)))
     K = assemble_jordan(blocks)
     T = random_det1(d, rng, cond=cond)
     return T @ K @ np.linalg.inv(T), blocks
 
 
-def jordan_corpus(n, seed, d_max=6, cond=50.0):
+def jordan_corpus(n, seed, cond=50.0):
     """Corpus of (A, constructed blocks) pairs for reconstruction checks."""
     out = []
     for i in range(n):
         rng = _rng.stream(seed, "corpus", i)
-        d = int(rng.integers(2, d_max + 1))
+        d = int(rng.integers(2, CORPUS_D_MAX + 1))
         out.append(random_jordan_matrix(d, rng, cond=cond))
     return out
 

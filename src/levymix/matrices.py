@@ -17,7 +17,6 @@ draw, by rng.stream_key, which holds its rule.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import operator
@@ -520,10 +519,9 @@ def cyclic_closure_compact(A) -> bool:
     False if |det A| != 1; SingularMatrix for a singular A, IllConditioned
     where the invariant-form decision is undecided."""
     A = as_matrix(A)
-    det = abs(float(np.linalg.det(A)))
-    if det < 1e-12:
-        raise SingularMatrix("cyclic closure is defined for invertible matrices")
-    if abs(det - 1.0) > DET_TOL:
+    if not in_measure_preserving_group(A):
+        if abs(float(np.linalg.det(A))) < 1e-12:
+            raise SingularMatrix("cyclic closure is defined for invertible matrices")
         return False
     try:
         _invariant_form([A])
@@ -582,11 +580,6 @@ def _walk(gens, max_len=None):
         length += 1
 
 
-def _upto(walk, max_len):
-    """The (letters, word) pairs of a _walk up to max_len letters."""
-    return itertools.takewhile(lambda item: len(item[0]) <= max_len, walk)
-
-
 def _word_class(letters):
     """Key shared by a word, its cyclic rotations, its inverse and its powers.
 
@@ -632,17 +625,15 @@ def find_noncompact_witness(generators, max_word_len=6):
     max_word_len = _count(max_word_len, "max_word_len")
     if not all(in_measure_preserving_group(g) for g in gens):
         raise InvalidGenerator("generator must have |det| = 1")
-    # the averaging step walks the words of length <= 2; the search reuses them
-    short, walk = itertools.tee(_walk(gens, max(2, max_word_len)))
     try:
-        _invariant_form(gens, short)
+        _invariant_form(gens)
         return None
     except NotCompact:
         undecided = NotReached(f"no witness up to word length {max_word_len}")
     except (IllConditioned, ConvergenceFailure) as exc:
         undecided = exc
     compact = set()  # classes of the words decided compact
-    for letters, w in _upto(walk, max_word_len):
+    for letters, w in _walk(gens, max_word_len):
         key = _word_class(letters)
         if key in compact:
             continue
@@ -706,22 +697,19 @@ def haar_average_form(generators):
     return _invariant_form(gens)
 
 
-def _invariant_form(gens, walk=None):
+def _invariant_form(gens):
     """haar_average_form for checked generators, each with |det| = 1.
 
-    The averaging step takes the words of length <= 2 from walk, if
-    given: a _walk of gens to 2 letters or more, which
-    find_noncompact_witness shares with its search.  With one generator,
-    as in every cyclic_closure_compact, one SVD of its map gives the rank
-    scale and the bases of the fixed and the moved forms; more generators
-    take three.
+    The averaging step takes the words of length <= 2 from its own
+    _walk.  With one generator, as in every cyclic_closure_compact, one
+    SVD of its map gives the rank scale and the bases of the fixed and
+    the moved forms; more generators take three.
     """
     if any(np.max(np.abs(np.abs(_eigvals(g)) - 1.0)) > CLUSTER_TOL
            for g in gens):
         raise NotCompact("a generator has an eigenvalue off the unit circle")
     d = gens[0].shape[0]
-    short = _walk(gens, 2) if walk is None else _upto(walk, 2)
-    words = [np.eye(d), *(w for _, w in short)]
+    words = [np.eye(d), *(w for _, w in _walk(gens, 2))]
     with np.errstate(over="ignore", invalid="ignore"):
         S0 = sum(w.T @ w for w in words) / len(words)
     h0 = spd_sqrt_inverse(_bounded(S0))

@@ -142,12 +142,13 @@ def realize(spec: NoiseSpec, regions, n_atom_samples=100_000, seed=0,
         raise InvalidArgument(f"{values.sum():.0f} Poisson points exceed "
                               f"the bound of {MAX_POISSON_POINTS}")
     empty = np.empty((0, atoms.bounding_box.shape[0]))
-    members = _memberships(regions)
-    points = tuple(
-        _sample_points_in_atom(atoms, i, members, int(v),
-                               _rng.stream(seed, "points", i, 0))
-        if spec.kind == POISSON and v else empty
-        for i, v in enumerate(values))
+    points = (empty,) * len(values)
+    if spec.kind == POISSON and values.any():  # only placed points need members
+        members = _memberships(regions)
+        points = tuple(
+            _sample_points_in_atom(atoms, i, members, int(v),
+                                   _rng.stream(seed, "points", i, 0))
+            if v else empty for i, v in enumerate(values))
     return NoiseRealization(spec, atoms, values, points, seed)
 
 

@@ -36,6 +36,8 @@ from .matrices import (
 from .regions import BLOCK_POINTS, Piece, Region, _columns, _ordered_product
 
 WALK_BLOCK = 4096  # column-steps that one _in_family call of a cone walk tests
+TAIL_FLOOR = 0.01  # least tail fraction of a cone sample
+SAMPLE_TRIES = 1000  # batches of a cone sample before SamplingFailure
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ def contains(fam: ShrinkingFamily, t, x) -> bool:
     return bool(contains_many(fam, t, [x])[0])
 
 
-def _sample_in_family(fam, t, n, rng, tail_floor=0.01, max_tries=1000):
+def _sample_in_family(fam, t, n, rng):
     """Points of D_t as a contiguous (rows, n) array of the tagged block's rows.
 
     D_t is sampled in the tagged block's coordinates, the only ones its
@@ -175,7 +177,7 @@ def _sample_in_family(fam, t, n, rng, tail_floor=0.01, max_tries=1000):
 
     Cone families reject Gaussian draws (membership is scale-invariant)
     onto a compact section of the cone: samples with tail fraction below
-    tail_floor are excluded.  Points on the invariant hyperplane tail = 0
+    TAIL_FLOOR are excluded.  Points on the invariant hyperplane tail = 0
     stay in every cone member forever, but trajectories started
     arbitrarily close to it exit transiently around h ~ 1/(tail
     fraction), so absorption is uniform only on sections bounded away
@@ -186,10 +188,10 @@ def _sample_in_family(fam, t, n, rng, tail_floor=0.01, max_tries=1000):
         radii = fam.param(t) * rng.random(n) ** (1.0 / fam.rows)
         return y * (radii / _norms(y))
     rho = fam.param(t)
-    tail_floor = min(tail_floor, 0.5 * rho)
+    tail_floor = min(TAIL_FLOOR, 0.5 * rho)
     out = []
     got = 0
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         y = rng.standard_normal((fam.rows, max(4 * n, 256)))
         frac = _tail(fam, y) / _norms(y)
         out.append(y[:, (frac <= rho) & (frac >= tail_floor)])

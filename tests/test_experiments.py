@@ -93,6 +93,46 @@ def test_mixing_curve_rejects_a_region_of_infinite_measure():
         mixing_curve(rotation(np.pi), C, m_max=1)
 
 
+def test_mixing_curve_reads_the_measure_of_each_power_from_det_g(monkeypatch):
+    # the rounded cube of g maps the unit square onto a measure of 0.99973;
+    # the masses of C and g^m C are drawn at |det g|^m measure(C)
+    g = np.array([[369.0, 1.0], [368.0, 1.0]])
+    drawn = []
+    sample = noise.NoiseSpec.sample_mass
+    monkeypatch.setattr(noise.NoiseSpec, "sample_mass",
+                        lambda self, v, *rest: drawn.append(v) or sample(self, v, *rest))
+    mixing_curve(g, UNIT, m_max=3, n_reps=100)
+    det = abs(float(np.linalg.det(g)))
+    for m in range(4):
+        ov, _, rest = drawn[3 * m:3 * m + 3]
+        assert math.isclose(ov + rest, det ** m, rel_tol=1e-12)
+
+
+def test_tail_triviality_decay_rejects_non_measure_preserving():
+    # |det| = 1/8: every experiment on a map needs |det g| = 1
+    with pytest.raises(errors.InvalidGenerator):
+        tail_triviality_decay(np.diag([0.5, 0.25]), t_grid=(1.0,), n_reps=100)
+
+
+def test_equivariance_check_rejects_a_region_of_infinite_measure():
+    # a C of infinite measure leaves the conditional samples an infinite
+    # remainder variance
+    half_strip = box_region([[0.0, np.inf], [0.0, 1.0]])
+    with pytest.raises(errors.UnboundedRegion):
+        equivariance_check(shear(), half_strip, box_region([[0.5, 1.5], [0.0, 1.0]]))
+
+
+def test_mixing_curve_fails_where_the_covariance_disagrees_with_the_overlap(
+        monkeypatch):
+    # an overlap past measure(C), with stderr 0, is clipped to measure(C)
+    # before the masses are drawn, so their covariance cannot match it
+    monkeypatch.setattr(experiments, "intersection_volume",
+                        lambda *args, **kwargs: (2.0, 0.0))
+    rep = mixing_curve(squeeze(), UNIT, m_max=1, n_reps=1000)
+    assert rep.verdict == FAIL
+    assert rep.criterion == "covariance disagrees with overlap beyond 3 sigma"
+
+
 def _rotation_pair_witness():
     """A non-compact word in two compact rotations of the plane."""
     P = np.diag([2.0, 0.5])
@@ -550,7 +590,7 @@ def test_run_all_config_errors(tmp_path):
               "n_reps": 2}, "equivariance_check: need n_reps >= 5"),
             ({"kind": "mixing_curve", "name": "mix2",
               "g": {"rows": [[2, 0], [0, 1]]}, "C": unit},
-             "mix2: mixing map must have")):
+             "mix2: map must have")):
         bad.write_text(json.dumps({"experiments": [entry]}))
         with pytest.raises(errors.ConfigError, match=match):
             run_all(str(bad), out_override=str(tmp_path))
@@ -568,6 +608,28 @@ def test_run_all_keeps_the_experiments_error_as_the_cause(tmp_path):
     with pytest.raises(errors.ConfigError, match="^mix2: ") as info:
         run_all(str(bad), out_override=str(tmp_path))
     assert type(info.value.__cause__) is errors.InvalidGenerator
+
+
+def test_run_all_needs_a_kind_in_every_entry(tmp_path):
+    bad = tmp_path / "bad.json"
+    for entry in ({"name": "mix", "g": "shear"}, 3):
+        bad.write_text(json.dumps({"experiments": [entry]}))
+        with pytest.raises(errors.ConfigError, match=re.escape(
+                "experiments[0]: each entry needs a 'kind'")):
+            run_all(str(bad), out_override=str(tmp_path))
+
+
+def test_run_all_reads_a_named_function(tmp_path):
+    unit = {"box": [[0.0, 1.0], [0.0, 1.0]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 3, "experiments": [
+        {"kind": "tail_triviality_decay", "name": "tail", "g": "shear",
+         "C": unit, "f": "tanh", "t_grid": [1.0, 0.1], "n_reps": 200}]}))
+    _, reports = run_all(str(path), out_override=str(tmp_path))
+    seed = rng.stream_key(3, "experiment", "tail") % 2**31
+    direct = tail_triviality_decay(shear(), f=np.tanh, C=box_region(unit["box"]),
+                                   t_grid=[1.0, 0.1], n_reps=200, seed=seed)
+    assert reports["tail"].to_json() == direct.to_json()
 
 
 def test_run_all_adds_no_defaults(tmp_path):

@@ -351,6 +351,12 @@ def test_block_power_rejects_pairs_and_negative_h():
         lm.jordan_block_power_apply(b, -1, np.zeros(2))
 
 
+def test_block_power_rejects_a_vector_of_another_length():
+    b = RealJordanBlock(BlockKind.REAL, 2, 1.0 + 0j)
+    with pytest.raises(errors.DimensionMismatch, match="length 2"):
+        lm.jordan_block_power_apply(b, 1, np.zeros(3))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_block_power_past_the_float_range_raises_a_package_error():
     # eta^(h - j), x C(h, j) eta^(h - j) and C(h, j) itself each pass it
@@ -495,22 +501,24 @@ def test_witness_search_decides_fewer_words_than_it_walks(monkeypatch):
 
 
 def test_witness_search_walks_the_words_once(monkeypatch):
-    # the averaging step's words of length <= 2 are the search's first words;
-    # each word's own cyclic_closure_compact walks a single generator
+    # one walk per question: the group's averaging step walks its words of
+    # length <= 2, the search its words up to max_word_len; each word's own
+    # cyclic_closure_compact walks a single generator
     pairs = _rotation_pairs(3, seed=1)
     want = [_decide_every_word(gens) for gens in pairs]
     walks = []
     walk = matrices._walk
     monkeypatch.setattr(matrices, "_walk",
-                        lambda gens, *rest: walks.append(len(gens)) or walk(gens, *rest))
+                        lambda gens, max_len=None: walks.append((len(gens), max_len))
+                        or walk(gens, max_len))
     for gens, w in zip(pairs, want):
         walks.clear()
         assert np.array_equal(lm.find_noncompact_witness(gens), w)
-        assert walks.count(2) == 1
+        assert [m for n, m in walks if n == 2] == [2, 6]
     walks.clear()
     with pytest.raises(errors.NotReached):
         lm.find_noncompact_witness(_elliptic_pair(), max_word_len=1)
-    assert walks.count(2) == 1
+    assert [m for n, m in walks if n == 2] == [2, 1]
 
 
 def test_word_class_joins_rotations_inverses_and_powers():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from levymix import errors
+from levymix import errors, noise, shrinking
 from levymix.gallery import _separated_values, rotation, shear
 from levymix.noise import (
     DETERMINISTIC,
@@ -160,15 +160,30 @@ def test_pushforward_and_points_require_poisson():
         real.points()
 
 
-def test_rejection_samplers_raise_sampling_failure():
+def test_realize_classifies_points_only_where_it_places_them(monkeypatch):
+    # Gaussian and deterministic realizations place no points, so they build
+    # no membership classifier of the family; a Poisson one builds one
+    calls = []
+    members = noise._memberships
+    monkeypatch.setattr(noise, "_memberships",
+                        lambda regions: calls.append(1) or members(regions))
+    regions = list(_boxes())
+    for spec, want in ((NoiseSpec(GAUSSIAN), 0), (NoiseSpec(DETERMINISTIC), 0),
+                       (NoiseSpec(POISSON, 20.0), 1)):
+        calls.clear()
+        realize(spec, regions, seed=1)
+        assert len(calls) == want
+
+
+def test_rejection_samplers_raise_sampling_failure(monkeypatch):
     regions = list(_boxes())
     atoms = atomize(regions, n=0)
     with pytest.raises(errors.SamplingFailure):
         _sample_points_in_atom(atoms, 0, _memberships(regions), 5, stream(0, "s"),
                                max_tries=0)
+    monkeypatch.setattr(shrinking, "SAMPLE_TRIES", 0)
     with pytest.raises(errors.SamplingFailure):
-        _sample_in_family(build_family(shear()), 1.0, 5, stream(0, "s"),
-                          max_tries=0)
+        _sample_in_family(build_family(shear()), 1.0, 5, stream(0, "s"))
     with pytest.raises(errors.SamplingFailure) as info:
         _separated_values([1.0], lambda r: 1.0, stream(0, "s"))
     # a RuntimeError too, which callers that redraw gallery forms catch

@@ -682,6 +682,13 @@ def test_absorption_not_reached(shear_family):
         lm.absorption_lag(shear_family, 0.2, 5.0, n_samples=2_000, h_max=3)
 
 
+def test_ball_absorption_not_reached(squeeze_family):
+    # the ball of radius 5 needs ceil(log2(5 / 0.2)) = 5 halvings to fit in 0.2
+    assert not squeeze_family.uses_cone
+    with pytest.raises(errors.NotReached, match="h_max=2"):
+        lm.absorption_lag(squeeze_family, 0.2, 5.0, n_samples=2_000, h_max=2)
+
+
 def test_null_boundary_fractions(shear_family, squeeze_family):
     for fam in (shear_family, squeeze_family):
         outside, inside = lm.null_boundary_check(fam, n_samples=50_000, seed=3)
